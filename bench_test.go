@@ -520,12 +520,13 @@ func BenchmarkTCPSimEngineSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepQuickSerial keeps the seed's serial sweep path measured —
-// the reference the cached/parallel pipeline is compared against.
+// BenchmarkSweepQuickSerial keeps the serial sweep measured — the Table 2
+// sweep on a one-worker executor, the reference the cached/parallel
+// pipeline is compared against.
 func BenchmarkSweepQuickSerial(b *testing.B) {
-	cfg := experiments.QuickSweep()
+	a := workload.AxesFromSweep(experiments.QuickSweep())
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.RunSweep(cfg); err != nil {
+		if _, err := workload.RunGridParallel(a, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -246,32 +246,34 @@ func run(args []string, out io.Writer) error {
 		}
 	}))
 
-	// The seed's serial sweep path, kept as the speedup reference.
-	serial, err := workload.RunSweep(quickCfg)
+	// The Table 2 sweep on the one executor: serial (one worker, the
+	// speedup reference) and on the full pool.
+	quickAxes := workload.AxesFromSweep(quickCfg)
+	serial, err := workload.RunGridParallel(quickAxes, 1)
 	if err != nil {
 		return err
 	}
-	report.Results = append(report.Results, measure("sweep_quick_serial", sweepMetrics(serial), func(b *testing.B) {
+	report.Results = append(report.Results, measure("sweep_quick_serial", gridMetrics(serial), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := workload.RunSweep(quickCfg); err != nil {
+			if _, err := workload.RunGridParallel(quickAxes, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}))
 
-	report.Results = append(report.Results, measure("sweep_quick_parallel", sweepMetrics(serial), func(b *testing.B) {
+	report.Results = append(report.Results, measure("sweep_quick_parallel", gridMetrics(serial), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := workload.RunSweepParallel(quickCfg, 0); err != nil {
+			if _, err := workload.RunGridParallel(quickAxes, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}))
 
-	// RunAll regenerates every artifact. Cold purges the sweep cache each
+	// RunAll regenerates every artifact. Cold purges the grid cache each
 	// iteration; cached is the steady state the figure pipeline sees.
 	report.Results = append(report.Results, measure("runall_quick_cold", nil, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			workload.PurgeSweepCache()
+			workload.PurgeGridCache()
 			if _, err := experiments.RunAll(quickCfg); err != nil {
 				b.Fatal(err)
 			}
@@ -514,7 +516,7 @@ func run(args []string, out io.Writer) error {
 			for i := 0; i < b.N; i++ {
 				cfg := paperCfg
 				cfg.Strategy = workload.SpawnSimultaneous
-				if _, err := workload.RunSweepParallel(cfg, 0); err != nil {
+				if _, err := workload.RunGridParallel(workload.AxesFromSweep(cfg), 0); err != nil {
 					b.Fatal(err)
 				}
 			}

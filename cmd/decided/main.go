@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	cacheStats := fs.Bool("cache-stats", false,
 		"on shutdown, report cells requested / from memo / from disk / from segment / engine runs / writer-lock waits")
 	compactCache := fs.Bool("compact-cache", false,
-		"compact the cell store (fold loose cell records and dead segment space into a fresh segment file), then exit")
+		"compact the cell store (rewrite the segment file without its dead space), then exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -83,7 +83,6 @@ func TestWarmDiskCache(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-sweep", "quick", "-only", "fig2a", "-cache-dir", dir}
 
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 	var cold strings.Builder
 	if err := run(args, &cold); err != nil {
@@ -94,7 +93,6 @@ func TestWarmDiskCache(t *testing.T) {
 		t.Fatalf("no cache files written (err %v)", err)
 	}
 
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 	before := workload.EngineRunCount()
 	var warm strings.Builder

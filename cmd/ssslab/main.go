@@ -37,8 +37,8 @@
 //
 //	cache-stats: cells=48 memo=0 disk=0 segment=48 engine-runs=0 lock-waits=0 index-load=312µs bytes-read=6144
 //
-// -compact-cache folds loose v1 cell records and dead segment space
-// into a fresh segment file, then exits:
+// -compact-cache rewrites the segment file without its dead space,
+// then exits:
 //
 //	ssslab -compact-cache [-cache-dir DIR]
 //
@@ -91,7 +91,7 @@ func run(args []string, out io.Writer) error {
 	cacheStats := fs.Bool("cache-stats", false,
 		"after a sim run, report cells requested / from memo / from disk / from segment / engine runs / writer-lock waits")
 	compactCache := fs.Bool("compact-cache", false,
-		"compact the cell store (fold loose cell records and dead segment space into a fresh segment file), then exit")
+		"compact the cell store (rewrite the segment file without its dead space), then exit")
 	grid := fs.Bool("grid", false, "sweep a multi-axis scenario grid (sim mode only)")
 	portfolioPath := fs.String("portfolio", "",
 		"grid mode: summarize this JSON portfolio's decisions at every cell (requires -grid)")

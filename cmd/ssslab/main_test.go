@@ -73,7 +73,6 @@ func TestSimRepeatedInvocationWarm(t *testing.T) {
 
 	// Other tests may have memoized these axes with persistence off; a
 	// real CLI invocation always starts cold.
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	var cold strings.Builder
@@ -82,7 +81,6 @@ func TestSimRepeatedInvocationWarm(t *testing.T) {
 	}
 	// Empty the in-memory caches so the second run can only be served
 	// from disk — as a fresh process invocation would be.
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	before := workload.EngineRunCount()
@@ -136,14 +134,12 @@ func TestGridWarmDiskCache(t *testing.T) {
 	dir := t.TempDir()
 
 	// Start cold, as a real CLI invocation would.
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	var cold strings.Builder
 	if err := run(gridArgs(dir), &cold); err != nil {
 		t.Fatal(err)
 	}
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	before := workload.EngineRunCount()
@@ -164,7 +160,6 @@ func TestGridWarmDiskCache(t *testing.T) {
 // zero engine runs for a sub-grid contained in an earlier superset run.
 func TestCacheStats(t *testing.T) {
 	dir := t.TempDir()
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	var cold strings.Builder
@@ -178,7 +173,6 @@ func TestCacheStats(t *testing.T) {
 	// A strict sub-grid of the superset (1 of 2 RTTs × 1 of 2 buffers ×
 	// both P values = 2 of the 8 cells), in a fresh "process": every cell
 	// must come from the superset's records, zero engine runs.
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 	subArgs := []string{"-grid", "-seconds", "1", "-concurrency", "6",
 		"-rtts", "32ms", "-buffers", "1MB", "-pflows", "2,8",
@@ -211,7 +205,6 @@ func TestCacheStatsLiveModeUsageError(t *testing.T) {
 // entirely from the compacted segment.
 func TestCompactCache(t *testing.T) {
 	dir := t.TempDir()
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	var cold strings.Builder
@@ -232,7 +225,6 @@ func TestCompactCache(t *testing.T) {
 		}
 	}
 
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 	workload.ResetSegmentStores()
 	var warm strings.Builder
@@ -323,13 +315,11 @@ func TestPortfolioSummaryMode(t *testing.T) {
 func TestPortfolioWarmDiskCache(t *testing.T) {
 	dir := t.TempDir()
 
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 	var cold strings.Builder
 	if err := run(portfolioArgs(dir), &cold); err != nil {
 		t.Fatal(err)
 	}
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	before := workload.EngineRunCount()

@@ -43,10 +43,9 @@
 // repro-cells/v2), so a repeated invocation — or any sub-grid or
 // overlapping grid of an earlier one — recomputes only cells never seen
 // before; warm portfolio runs perform zero simulations. Pass
-// -cache-stats to see how a grid run was served (cells from memo /
-// loose disk records / the segment file vs engine runs), and
-// -compact-cache to fold loose records and dead segment space into a
-// fresh segment.
+// -cache-stats to see how a grid run was served (cells from memo / the
+// segment file vs engine runs), and -compact-cache to rewrite the
+// segment without its dead space.
 package main
 
 import (
@@ -98,7 +97,7 @@ func run(args []string, out io.Writer) error {
 	cacheStats := fs.Bool("cache-stats", false,
 		"grid mode: report cells requested / from memo / from disk / from segment / engine runs / writer-lock waits after the run")
 	compactCache := fs.Bool("compact-cache", false,
-		"compact the cell store (fold loose cell records and dead segment space into a fresh segment file), then exit")
+		"compact the cell store (rewrite the segment file without its dead space), then exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -166,14 +166,12 @@ func TestGridWarmDiskCache(t *testing.T) {
 		"-buffers", "auto,1MB", "-pflows", "2,8", "-cache-dir", dir}
 
 	// Start cold, as a real CLI invocation would.
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	var cold strings.Builder
 	if err := run(args, &cold); err != nil {
 		t.Fatal(err)
 	}
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	before := workload.EngineRunCount()
@@ -194,7 +192,6 @@ func TestGridWarmDiskCache(t *testing.T) {
 // engine runs.
 func TestCacheStats(t *testing.T) {
 	dir := t.TempDir()
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	superArgs := []string{"-grid", "-gseconds", "1", "-rtts", "8ms,32ms",
@@ -207,7 +204,6 @@ func TestCacheStats(t *testing.T) {
 		t.Errorf("cold stats line missing:\n%s", cold.String())
 	}
 
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 	subArgs := []string{"-grid", "-gseconds", "1", "-rtts", "8ms",
 		"-buffers", "1MB", "-pflows", "2,8", "-cache-dir", dir, "-cache-stats"}
@@ -239,7 +235,6 @@ func TestCacheStatsRequiresGrid(t *testing.T) {
 // and a warm grid run then reports only segment hits.
 func TestCompactCache(t *testing.T) {
 	dir := t.TempDir()
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	superArgs := []string{"-grid", "-gseconds", "1", "-rtts", "8ms,32ms",
@@ -257,7 +252,6 @@ func TestCompactCache(t *testing.T) {
 		t.Errorf("compaction summary: %q", summary.String())
 	}
 
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 	workload.ResetSegmentStores()
 	var warm strings.Builder
@@ -323,13 +317,11 @@ func TestPortfolioGridWarmCache(t *testing.T) {
 	args := []string{"-portfolio", examplePortfolio, "-grid", "-gseconds", "1",
 		"-rtts", "8ms,32ms", "-crosses", "0,0.3", "-cache-dir", dir}
 
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 	var cold strings.Builder
 	if err := run(args, &cold); err != nil {
 		t.Fatal(err)
 	}
-	workload.PurgeSweepCache()
 	workload.PurgeGridCache()
 
 	before := workload.EngineRunCount()

@@ -51,9 +51,9 @@ func CacheStatsRequires(headline, usage, reason string) error {
 }
 
 // RunCompactCache implements the CLIs' -compact-cache mode: resolve the
-// cache directory the way every grid run does, fold loose v1 cell
-// records and dead segment space into a fresh segment file + index
-// sidecar, and report what was reclaimed.
+// cache directory the way every grid run does, fold dead segment space
+// out of a fresh segment file + index sidecar, and report what was
+// reclaimed.
 func RunCompactCache(out io.Writer, cacheDirFlag string) error {
 	dir, err := workload.ResolveCacheDir(cacheDirFlag)
 	if err != nil {
@@ -66,7 +66,7 @@ func RunCompactCache(out io.Writer, cacheDirFlag string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "compacted %s: %d records in %v segment, %d loose files folded, %v reclaimed\n",
-		dir, st.Records, units.ByteSize(st.SegmentBytes), st.Folded, units.ByteSize(st.ReclaimedBytes))
+	fmt.Fprintf(out, "compacted %s: %d records in %v segment, %v reclaimed\n",
+		dir, st.Records, units.ByteSize(st.SegmentBytes), units.ByteSize(st.ReclaimedBytes))
 	return nil
 }

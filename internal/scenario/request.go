@@ -237,6 +237,8 @@ type MeasuredCell struct {
 
 // CacheStatsJSON is workload.CacheStats in a JSON response, field names
 // matching the CLI cache-stats line (cells=… memo=… …) token for token.
+// Disk is always 0, like the line's disk= token: both are kept so the
+// response format does not change.
 type CacheStatsJSON struct {
 	Cells      int64 `json:"cells"`
 	Memo       int64 `json:"memo"`
@@ -251,7 +253,6 @@ func NewCacheStatsJSON(st workload.CacheStats) CacheStatsJSON {
 	return CacheStatsJSON{
 		Cells:      st.CellsRequested,
 		Memo:       st.CellsFromMemo,
-		Disk:       st.CellsFromDisk,
 		Segment:    st.CellsFromSegment,
 		EngineRuns: st.EngineRuns,
 		LockWaits:  st.LockWaits,

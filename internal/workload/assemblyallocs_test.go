@@ -55,12 +55,12 @@ func TestCellAssemblyAllocs(t *testing.T) {
 	}
 }
 
-// TestGridAssemblyAllocs gates the warm-open load path (the tentpole's
-// other half): reading one cell's record from a compacted v3 segment —
-// index lookup, pooled ReadAt, binary decode, acceptance check — stays
-// within a constant few allocations per cell (the fingerprint keying
-// and the row's TransferTimes), where the v2 JSON decode allocated per
-// field.
+// TestGridAssemblyAllocs gates the warm-open load path: the whole warm
+// assembly through planGrid — fingerprinting, the index lookup, the
+// streaming read, binary decode, the acceptance check and row
+// placement — measured per cell, the figure a 10⁵-cell warm open
+// multiplies. Per cell that is the fingerprint and its index key plus
+// the row's TransferTimes, NOT a JSON decoder's per-field garbage.
 func TestGridAssemblyAllocs(t *testing.T) {
 	dir := t.TempDir()
 	a := fastAxes()
@@ -72,51 +72,68 @@ func TestGridAssemblyAllocs(t *testing.T) {
 	t.Cleanup(ResetSegmentStores)
 
 	na := a.normalized()
-	cells := na.Cells()
 	store := &cellStore{}
 	store.setDir(dir)
-	fps := make([]string, len(cells))
-	for i, c := range cells {
-		fps[i] = cellFingerprint(na.experiment(c))
-	}
-	var row SweepRow
-	for i, c := range cells { // warm: index load, handle open, pool fill
-		if src := store.load(fps[i], c, &row); src != srcSegment {
-			t.Fatalf("cell %d not served from segment (src=%d)", i, src)
-		}
-	}
-
-	c, fp := cells[3], fps[3]
-	avg := testing.AllocsPerRun(100, func() {
-		var r SweepRow
-		if store.load(fp, c, &r) != srcSegment {
-			t.Fatal("warm load missed")
-		}
-	})
-	t.Logf("warm per-cell load: %.1f allocs", avg)
-	// Budget: fingerprint keying (the []byte conversion + hex digest)
-	// plus the row's TransferTimes slice, with one spare — NOT a JSON
-	// decoder's per-field garbage.
-	if avg > 6 {
-		t.Fatalf("warm per-cell segment load allocates %.1f times, want <= 6", avg)
-	}
-
-	// The whole warm assembly — fingerprinting, planner fetch pool,
-	// loads, row placement — measured per cell: the figure a 10⁵-cell
-	// warm open multiplies.
 	warmGrid := func() {
-		g, err := runGridIncremental(na, 0, store)
+		g, st, err := runGridIncrementalStats(na, 0, store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(g.Rows) != len(cells) {
-			t.Fatal("short grid")
+		if st.CellsFromSegment != int64(na.Size()) || len(g.Rows) != na.Size() {
+			t.Fatalf("warm assembly stats = %v, want all %d cells from the segment", st, na.Size())
 		}
 	}
-	warmGrid()
-	perCell := testing.AllocsPerRun(10, warmGrid) / float64(len(cells))
+	warmGrid() // index load, handle open, pool fill
+	perCell := testing.AllocsPerRun(10, warmGrid) / float64(na.Size())
 	t.Logf("warm grid assembly: %.1f allocs per cell", perCell)
 	if perCell > 30 {
 		t.Fatalf("warm grid assembly allocates %.1f times per cell, want <= 30", perCell)
+	}
+}
+
+// oneCellGetAllocsBudget is the allocation budget of a one-cell warm
+// GridCache.Get on a compacted segment: the count the per-cell fetch
+// path this read path replaced measured on the same test body. The
+// streaming path must not cost a small request more.
+const oneCellGetAllocsBudget = 38
+
+// TestOneCellWarmGetAllocs gates the smallest request through the one
+// read path: a fresh cache (no memo) serving a single cell from a
+// compacted, resident segment — validation, normalization, the memo
+// entry, planning, one one-record stream and the sidecar check.
+func TestOneCellWarmGetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled buffers are not meaningful under -race")
+	}
+	dir := t.TempDir()
+	a := fastAxes()
+	seedCellRecords(t, dir, a)
+	if _, err := CompactDiskCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	ResetSegmentStores()
+	t.Cleanup(ResetSegmentStores)
+
+	one := a
+	one.Concurrencies = a.Concurrencies[:1]
+	one.ParallelFlows = a.ParallelFlows[:1]
+	one.RTTs = a.RTTs[:1]
+	one.Buffers = a.Buffers[:1]
+	get := func() {
+		c := NewGridCache()
+		c.SetDiskDir(dir)
+		_, st, err := c.GetStats(one, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CellsFromSegment != 1 {
+			t.Fatalf("one-cell warm get stats = %v, want the cell from the segment", st)
+		}
+	}
+	get() // index load, handle open, pool fill
+	avg := testing.AllocsPerRun(100, get)
+	t.Logf("one-cell warm get: %.1f allocs", avg)
+	if avg > oneCellGetAllocsBudget {
+		t.Fatalf("one-cell warm get allocates %.1f times, want <= %d", avg, oneCellGetAllocsBudget)
 	}
 }

@@ -2,7 +2,7 @@ package workload
 
 // The v3 cell-record payload: a fixed-layout binary encoding of one
 // SweepRow plus its full fingerprint, carried inside the segment file's
-// RSG2 CRC-guarded frames (segstore.go). v2 put a JSON diskEnvelope in
+// RSG2 CRC-guarded frames (segstore.go). v2 put a JSON envelope in
 // the frame; at 10⁴–10⁶ cells the warm open was JSON-decode-bound
 // (~20 µs/cell), and the CRC already guarantees integrity, so JSON
 // inside the frame bought nothing but readability. The binary layout

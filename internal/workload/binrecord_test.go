@@ -29,8 +29,18 @@ func sampleBinRow() SweepRow {
 	}
 }
 
+// legacyEnvelope is the JSON envelope pre-v3 processes wrapped every
+// record in (inside a v2 segment frame, and as a whole loose v1 file),
+// frozen here so tests can fabricate the exact bytes old processes left
+// on disk.
+type legacyEnvelope struct {
+	Version     string          `json:"version"`
+	Fingerprint string          `json:"fingerprint"`
+	Payload     json.RawMessage `json:"payload"`
+}
+
 // encodeLegacySegRecord frames one v2 segment record — a JSON
-// diskEnvelope payload inside the RSG2 frame, the format every pre-v3
+// legacyEnvelope payload inside the RSG2 frame, the format every pre-v3
 // segment holds — for the staleness and fuzz tests. The production code
 // neither writes nor decodes these since the v4 bump (the version
 // string is frozen here as a literal), so tests fabricate them to prove
@@ -41,16 +51,11 @@ func encodeLegacySegRecord(tb testing.TB, fp string, row SweepRow) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	payload, err := json.Marshal(diskEnvelope{Version: "repro-cells/v2", Fingerprint: fp, Payload: raw})
+	payload, err := json.Marshal(legacyEnvelope{Version: "repro-cells/v2", Fingerprint: fp, Payload: raw})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	buf := make([]byte, segHeaderSize+len(payload))
-	copy(buf, segMagic)
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(payload))
-	copy(buf[segHeaderSize:], payload)
-	return buf
+	return frameSegPayload(payload)
 }
 
 // rowsBitEqual compares two rows field-by-field at the bit level:
@@ -291,10 +296,10 @@ func FuzzCellRecordRoundTrip(f *testing.F) {
 }
 
 // FuzzSegmentDecode hands the store an arbitrary byte string as its
-// segment file: the open (index scan), per-key loads, and a full
-// compaction must never panic and never error, any row served must
-// decode cleanly under its own fingerprint, and every well-formed
-// record the load path accepted must survive compaction. Seeds cover a
+// segment file: the open (index scan), one-cell reads through the
+// stream, and a full compaction must never panic and never error, any
+// row served must decode cleanly under its own fingerprint, and every
+// well-formed record the read path accepted must survive compaction. Seeds cover a
 // valid binary record, a v2 JSON record (dead space since the v4 bump —
 // loading it must miss, never panic), a mixed segment, and torn /
 // bit-flipped variants; the fuzzer mutates from there.
@@ -319,6 +324,9 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(flipped)
 
 	probes := []string{fpBin, fpLegacy, "cell;fuzz=absent"}
+	// Every probe asks for the sample row's Table 2 coordinates; a
+	// record for any other cell is structurally foreign and misses.
+	cell := GridCell{Concurrency: row.Concurrency, ParallelFlows: row.ParallelFlows}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segmentFileName), data, 0o644); err != nil {
@@ -331,8 +339,8 @@ func FuzzSegmentDecode(f *testing.F) {
 
 		var served []string
 		for _, fp := range probes {
-			var out SweepRow
-			if !s.load(fp, &out) {
+			out, ok := loadOne(s, fp, cell)
+			if !ok {
 				continue
 			}
 			// Whatever the store serves must be internally consistent: a
@@ -357,8 +365,7 @@ func FuzzSegmentDecode(f *testing.F) {
 			t.Fatalf("compaction errored on fuzzed segment: %v", err)
 		}
 		for _, fp := range served {
-			var out SweepRow
-			if !s.load(fp, &out) {
+			if _, ok := loadOne(s, fp, cell); !ok {
 				t.Fatalf("record %q lost by compaction", fp)
 			}
 		}

@@ -1,49 +1,9 @@
 package workload
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-	"sync"
-)
-
-// Fingerprint returns a canonical key covering every SweepConfig field
-// that affects sweep output (axes, strategy, transfer size, the full
-// network config including seed and cross-traffic shape, and the
-// KeepClientResults knob, which changes row contents). Two configs with
-// equal fingerprints produce bit-identical SweepResults, which is what
-// makes SweepCache sound.
-func (s SweepConfig) Fingerprint() string {
-	var b strings.Builder
-	b.Grow(256)
-	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-	fmt.Fprintf(&b, "dur=%d;conc=", int64(s.Duration))
-	for i, c := range s.Concurrencies {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(c))
-	}
-	b.WriteString(";pflows=")
-	for i, p := range s.ParallelFlows {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(p))
-	}
-	n := s.Net
-	fmt.Fprintf(&b, ";size=%s;strat=%d;keep=%t", f(float64(s.TransferSize)), int(s.Strategy), s.KeepClientResults)
-	fmt.Fprintf(&b, ";cap=%s;rtt=%d;mss=%s;buf=%s;icw=%d;rto=%d;seed=%d;maxt=%s;rq=%t;cc=%d",
-		f(float64(n.Capacity)), int64(n.BaseRTT), f(float64(n.MSS)), f(float64(n.Buffer)),
-		n.InitCwndSegments, int64(n.RTO), n.Seed, f(n.MaxTime), n.RecordQueue, int(n.CC))
-	fmt.Fprintf(&b, ";xfrac=%s;xper=%d;xduty=%s;xjit=%t",
-		f(n.Cross.Fraction), int64(n.Cross.Period), f(n.Cross.Duty), n.Cross.PhaseJitter)
-	return b.String()
-}
+import "sync"
 
 // memo is a single-flight memoization map: concurrent gets for the same
-// key run one compute and share the result. It backs both SweepCache and
-// GridCache.
+// key run one compute and share the result. It backs GridCache.
 type memo[T any] struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry[T]
@@ -82,68 +42,19 @@ func (m *memo[T]) purge() {
 	m.entries = make(map[string]*memoEntry[T])
 }
 
-// SweepCache memoizes sweep results by config fingerprint, so pipelines
-// that regenerate several artifacts from the same sweep (Fig. 2a → Fig. 3
-// → case study, repeated benchmark iterations) compute each distinct
-// sweep exactly once. Lookups are single-flight: concurrent Get calls for
-// the same fingerprint run one sweep and share the result. With a disk
-// directory set (SetDiskDir), the sweep's cells persist as individual
-// records in the cell store, shared with every grid that contains them.
+// GridCache memoizes scenario-grid results by Axes fingerprint, so
+// pipelines that regenerate several artifacts from the same grid or
+// sweep (Fig. 2a → Fig. 3 → case study, repeated benchmark iterations)
+// compute each distinct grid exactly once. Lookups are single-flight:
+// concurrent Get calls for the same fingerprint run one compute and
+// share the result. With a disk directory set (SetDiskDir), the grid's
+// cells persist as individual records in the cell store, shared with
+// every grid that contains them.
 //
-// Cached *SweepResult values are SHARED — callers must treat them as
-// read-only. Keep SweepConfig.KeepClientResults off for cached sweeps
-// (the default) so the cache holds only per-row aggregates; sweeps that
-// keep client results are never persisted to disk.
-type SweepCache struct {
-	mem   memo[*SweepResult]
-	cells cellStore
-}
-
-// NewSweepCache returns an empty cache with disk persistence off.
-func NewSweepCache() *SweepCache { return &SweepCache{} }
-
-// SetDiskDir points the cache's cell store at a disk directory (""
-// disables persistence). Entries already memoized in memory are
-// unaffected.
-func (c *SweepCache) SetDiskDir(dir string) { c.cells.setDir(dir) }
-
-// DiskDir returns the configured disk directory ("" when persistence is
-// off or the store has degraded after a write failure).
-func (c *SweepCache) DiskDir() string { return c.cells.activeDir() }
-
-// Len reports how many distinct results the cache holds in memory.
-func (c *SweepCache) Len() int { return c.mem.len() }
-
-// Purge empties the in-memory memo. Cell records persist on disk; use
-// PurgeDiskCache to remove those.
-func (c *SweepCache) Purge() { c.mem.purge() }
-
-// Get returns the cached result for cfg, computing it through the
-// incremental grid pipeline on first use: cells already in the cell
-// store load from disk, only missing cells execute. The workers count
-// does not key the cache: the executor is bit-identical for every worker
-// count, so whichever Get arrives first fixes only how the sweep is
-// computed, never what it contains.
-func (c *SweepCache) Get(cfg SweepConfig, workers int) (*SweepResult, error) {
-	if len(cfg.Concurrencies) == 0 || len(cfg.ParallelFlows) == 0 {
-		return nil, fmt.Errorf("workload: empty sweep axes")
-	}
-	cellsRequested.Add(int64(cfg.Size()))
-	computed := false
-	res, err := c.mem.get(cfg.Fingerprint(), func() (*SweepResult, error) {
-		computed = true
-		return runSweepViaGrid(cfg, workers, &c.cells)
-	})
-	if err == nil && !computed {
-		cellsFromMemo.Add(int64(cfg.Size()))
-	}
-	return res, err
-}
-
-// GridCache memoizes scenario-grid results by Axes fingerprint with the
-// same single-flight memo over the same cell-store layering as
-// SweepCache. Cached *GridResult values are SHARED — treat them as
-// read-only.
+// Cached *GridResult values are SHARED — treat them as read-only. Keep
+// Axes.KeepClientResults off for cached grids (the default) so the
+// cache holds only per-row aggregates; grids that keep client results
+// are never persisted to disk.
 type GridCache struct {
 	mem   memo[*GridResult]
 	cells cellStore
@@ -169,7 +80,7 @@ func (c *GridCache) Purge() { c.mem.purge() }
 
 // Get returns the cached result for the grid, assembling it through the
 // incremental planner on first use: any cell previously computed by any
-// grid or sweep sharing the cache directory loads from its record, and
+// grid sharing the cache directory loads from its record, and
 // only genuinely missing cells run on the engine pool. A sub-grid of a
 // previously-run grid is therefore served with zero engine runs.
 func (c *GridCache) Get(a Axes, workers int) (*GridResult, error) {
@@ -182,7 +93,7 @@ func (c *GridCache) Get(a Axes, workers int) (*GridResult, error) {
 // are doing to the process-wide counters concurrently — the request-
 // scoped entry point a long-lived server reports per response. The
 // request that performs the compute gets the planner's attribution
-// (disk/segment hits and engine runs); a request served by the memo —
+// (segment hits and engine runs); a request served by the memo —
 // including one that arrived while another request was computing the
 // same grid and coalesced onto its single flight — reports every cell
 // as a memo hit and zero engine runs, because it caused none itself.
@@ -210,31 +121,31 @@ func (c *GridCache) GetStats(a Axes, workers int) (*GridResult, CacheStats, erro
 	return res, reqStats, nil
 }
 
-// defaultCache and defaultGridCache back the process-wide cached
-// entry points.
-var (
-	defaultCache     = NewSweepCache()
-	defaultGridCache = NewGridCache()
-)
+// defaultGridCache backs the process-wide cached entry points.
+var defaultGridCache = NewGridCache()
 
 // SetDiskCacheDir enables (or, with "", disables) disk persistence on
-// the process-wide sweep and grid caches. CLIs call this once at
-// startup with the resolved -cache-dir value.
-func SetDiskCacheDir(dir string) {
-	defaultCache.SetDiskDir(dir)
-	defaultGridCache.SetDiskDir(dir)
-}
+// the process-wide grid cache. CLIs call this once at startup with the
+// resolved -cache-dir value.
+func SetDiskCacheDir(dir string) { defaultGridCache.SetDiskDir(dir) }
 
-// RunSweepCached returns the process-wide cached result for cfg,
-// computing it in parallel on first use. Callers must treat the result
-// as read-only; use RunSweepParallel for a private copy or
-// PurgeSweepCache to reclaim memory.
+// RunSweepCached returns the process-wide cached result for cfg: a
+// view over the grid cache's entry for AxesFromSweep(cfg), so a sweep
+// and its grid share one memo entry and one set of cell records. The
+// rows' TransferTimes share the cached grid's arrays — treat the result
+// as read-only. The workers count does not key the cache: the executor
+// is bit-identical for every worker count.
 func RunSweepCached(cfg SweepConfig, workers int) (*SweepResult, error) {
-	return defaultCache.Get(cfg, workers)
+	g, err := RunGridCached(AxesFromSweep(cfg), workers)
+	if err != nil {
+		return nil, err
+	}
+	out := &SweepResult{Config: cfg, Rows: make([]SweepRow, len(g.Rows))}
+	for i := range g.Rows {
+		out.Rows[i] = g.Rows[i].SweepRow
+	}
+	return out, nil
 }
-
-// PurgeSweepCache empties the process-wide in-memory sweep cache.
-func PurgeSweepCache() { defaultCache.Purge() }
 
 // RunGridCached returns the process-wide cached result for the grid,
 // computing it in parallel on first use. Treat the result as read-only.

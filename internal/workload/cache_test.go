@@ -46,28 +46,30 @@ func TestFingerprintDistinguishesConfigs(t *testing.T) {
 		}},
 		{"max time", func(c *SweepConfig) { c.Net.MaxTime = 100 }},
 	}
-	seen := map[string]string{base.Fingerprint(): "base"}
+	// A sweep is memoized under its AxesFromSweep grid's fingerprint.
+	fingerprint := func(c SweepConfig) string { return AxesFromSweep(c).Fingerprint() }
+	seen := map[string]string{fingerprint(base): "base"}
 	for _, m := range mutations {
 		cfg := base
 		m.mutate(&cfg)
-		fp := cfg.Fingerprint()
+		fp := fingerprint(cfg)
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("%s: fingerprint collides with %s", m.name, prev)
 		}
 		seen[fp] = m.name
 	}
 	// Identity: same config, same fingerprint.
-	if base.Fingerprint() != fastSweep().Fingerprint() {
+	if fingerprint(base) != fingerprint(fastSweep()) {
 		t.Error("equal configs produced different fingerprints")
 	}
 }
 
 // TestFingerprintCoversAllFields is the structural guard behind the
-// cache's soundness: SweepConfig.Fingerprint, Axes.Fingerprint and
+// cache's soundness: AxesFromSweep, Axes.Fingerprint and
 // cellFingerprint enumerate config fields by hand, so adding a field to
-// any of these structs without teaching the fingerprints about it would
-// silently alias distinct sweeps or cells. If this test fails, update
-// the fingerprints (and the mutation tables above) in the same change.
+// any of these structs without teaching them about it would silently
+// alias distinct sweeps or cells. If this test fails, update them (and
+// the mutation tables above) in the same change.
 func TestFingerprintCoversAllFields(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -80,7 +82,7 @@ func TestFingerprintCoversAllFields(t *testing.T) {
 		{"tcpsim.CrossTraffic", reflect.TypeOf(tcpsim.CrossTraffic{}), 4},
 	} {
 		if got := tc.typ.NumField(); got != tc.want {
-			t.Errorf("%s has %d fields, the fingerprints know %d — update SweepConfig.Fingerprint / cellFingerprint",
+			t.Errorf("%s has %d fields, the fingerprints know %d — update AxesFromSweep / Axes.Fingerprint / cellFingerprint",
 				tc.name, got, tc.want)
 		}
 	}
@@ -122,61 +124,84 @@ func TestCellFingerprintDistinguishesExperiments(t *testing.T) {
 	}
 }
 
+// sharesRows reports whether two sweep results are views of one memo
+// entry: their rows alias the same cached TransferTimes.
+func sharesRows(a, b *SweepResult) bool {
+	return len(a.Rows) > 0 && len(a.Rows) == len(b.Rows) &&
+		&a.Rows[0].TransferTimes[0] == &b.Rows[0].TransferTimes[0]
+}
+
+// TestSweepCacheHitsShareResult: RunSweepCached is a view over the
+// process-wide grid cache — repeat sweeps, and the sweep's own
+// AxesFromSweep grid, share one memo entry; a different sweep gets its
+// own; PurgeGridCache drops them.
 func TestSweepCacheHitsShareResult(t *testing.T) {
-	cache := NewSweepCache()
+	PurgeGridCache()
+	t.Cleanup(PurgeGridCache)
 	cfg := fastSweep()
-	a, err := cache.Get(cfg, 0)
+	a, err := RunSweepCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.Get(cfg, 2) // worker count must not key the cache
+	b, err := RunSweepCached(cfg, 2) // worker count must not key the cache
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !sharesRows(a, b) {
 		t.Fatal("cache miss for identical config")
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", cache.Len())
+	g, err := RunGridCached(AxesFromSweep(cfg), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &g.Rows[0].TransferTimes[0] != &a.Rows[0].TransferTimes[0] {
+		t.Fatal("sweep and its AxesFromSweep grid hold separate memo entries")
+	}
+	if n := defaultGridCache.Len(); n != 1 {
+		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 
 	other := cfg
 	other.Strategy = SpawnScheduled
-	c, err := cache.Get(other, 0)
+	c, err := RunSweepCached(other, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c == a {
+	if sharesRows(c, a) {
 		t.Fatal("different strategy shared a cache entry")
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", cache.Len())
+	if n := defaultGridCache.Len(); n != 2 {
+		t.Fatalf("cache holds %d entries, want 2", n)
 	}
 
-	cache.Purge()
-	if cache.Len() != 0 {
-		t.Fatalf("purged cache holds %d entries", cache.Len())
+	PurgeGridCache()
+	if n := defaultGridCache.Len(); n != 0 {
+		t.Fatalf("purged cache holds %d entries", n)
 	}
-	d, err := cache.Get(cfg, 0)
+	d, err := RunSweepCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d == a {
+	if sharesRows(d, a) {
 		t.Fatal("purge did not drop the entry")
 	}
 }
 
+// TestSweepCacheSingleFlight: concurrent RunSweepCached calls for one
+// sweep run it once and share the result.
 func TestSweepCacheSingleFlight(t *testing.T) {
-	cache := NewSweepCache()
+	PurgeGridCache()
+	t.Cleanup(PurgeGridCache)
 	cfg := fastSweep()
 	const callers = 8
 	results := make([]*SweepResult, callers)
+	before := EngineRunCount()
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := cache.Get(cfg, 1)
+			r, err := RunSweepCached(cfg, 1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -185,26 +210,29 @@ func TestSweepCacheSingleFlight(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if runs := EngineRunCount() - before; runs != int64(cfg.Size()) {
+		t.Errorf("%d callers ran %d experiments, want one sweep (%d)", callers, runs, cfg.Size())
+	}
 	for i := 1; i < callers; i++ {
-		if results[i] != results[0] {
-			t.Fatal("concurrent Get returned distinct results")
+		if !sharesRows(results[i], results[0]) {
+			t.Fatal("concurrent calls returned distinct results")
 		}
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", cache.Len())
+	if n := defaultGridCache.Len(); n != 1 {
+		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 }
 
 func TestSweepCachePropagatesErrors(t *testing.T) {
-	cache := NewSweepCache()
+	t.Cleanup(PurgeGridCache)
 	cfg := fastSweep()
 	cfg.Net.MaxTime = 0.01 // every cell exceeds the horizon
-	if _, err := cache.Get(cfg, 2); err == nil {
+	if _, err := RunSweepCached(cfg, 2); err == nil {
 		t.Fatal("horizon error swallowed by cache")
 	}
 	// Deterministic config → deterministic failure: the cached error is
 	// the correct answer for repeat lookups too.
-	if _, err := cache.Get(cfg, 2); err == nil {
+	if _, err := RunSweepCached(cfg, 2); err == nil {
 		t.Fatal("cached error lost on second lookup")
 	}
 }

@@ -17,9 +17,10 @@ package workload
 // filesystem metadata than in payload. Since v3 the payload inside each
 // CRC-guarded frame is a fixed-layout binary row (binrecord.go) instead
 // of a JSON envelope: at 10⁵+ cells the warm open was JSON-decode-bound.
-// Both older generations remain readable (migration by miss: v2 JSON
-// segment records still serve hits, and a segment miss falls back to
-// the cell's loose v1 file) and are folded to v3 by compaction.
+// The binary segment record is the only generation the store reads:
+// v2 JSON segment payloads are dead space, and loose v1 per-cell files
+// are ignored (PurgeDiskCache still removes them), so a pre-v2 cache
+// directory recomputes.
 //
 // The store is corruption-tolerant (any defective record is a miss that
 // recomputes only that cell) and degrades to persistence-off — with a
@@ -50,16 +51,8 @@ import (
 // reads as dead segment space — a miss that recomputes that cell —
 // instead of decoding. Bump this whenever the simulation dynamics, the
 // per-cell seed derivation, or the SweepRow schema change: stale
-// records then fail the version check and are recomputed — and drop
-// the remaining loose-file fallback in the same commit if the rows
-// themselves go stale.
+// records then fail the version check and are recomputed.
 const CellRecordVersion = "repro-cells/v4"
-
-// looseCellRecordVersion is the v1 loose-file stamp: one JSON envelope
-// file per cell. v1 rows are bit-identical to current rows, so a
-// segment miss may still be served by the cell's loose v1 file
-// (migration by miss); compaction folds them into the segment.
-const looseCellRecordVersion = "repro-cells/v1"
 
 // cellFingerprint returns the canonical key of one cell's experiment,
 // covering every field that affects the cell's row: duration, the
@@ -177,18 +170,8 @@ func warnPersistenceOff(err error) {
 	})
 }
 
-// cellSource says where a cell's record came from, for the CacheStats
-// counters.
-type cellSource uint8
-
-const (
-	srcMiss    cellSource = iota // not on disk: the cell must execute
-	srcSegment                   // served from the segment file (v3 binary or v2 JSON record)
-	srcDisk                      // served from a loose v1 per-cell file
-)
-
-// acceptRow is the structural acceptance check shared by both record
-// containers: the record must be a populated row for this cell's
+// acceptRow is the structural acceptance check on a decoded record:
+// the record must be a populated row for this cell's
 // Table 2 coordinates. Anything else is corruption (or a
 // fingerprint-prefix collision) and must read as a miss.
 func acceptRow(rec SweepRow, c GridCell) bool {
@@ -196,54 +179,14 @@ func acceptRow(rec SweepRow, c GridCell) bool {
 		rec.Worst > 0 && len(rec.TransferTimes) > 0
 }
 
-// load reads the record for fp into row, reporting srcMiss — never an
-// error — on any defect: missing or unreadable record, truncated or
-// corrupt bytes, version or fingerprint mismatch, or a payload that
-// does not belong to cell c. The segment store is consulted first; a
-// miss there falls back to the cell's loose v1 file (migration by
-// miss). Defective segment records are dropped from the index and
-// defective loose files removed, so the following store rewrites them;
-// only the damaged cell recomputes.
-func (s *cellStore) load(fp string, c GridCell, row *SweepRow) cellSource {
-	dir := s.activeDir()
-	if dir == "" {
-		return srcMiss
+// loadStream serves every requested cell the segment store holds a
+// valid record for into rows (segStore.loadStream: a served slot holds
+// its cell and row, every other slot stays the zero GridRow). No-op
+// with persistence off.
+func (s *cellStore) loadStream(fps []string, cells []GridCell, rows []GridRow, workers int) {
+	if dir := s.activeDir(); dir != "" {
+		segmentStore(dir).loadStream(fps, cells, rows, workers)
 	}
-	var rec SweepRow
-	seg := segmentStore(dir)
-	if seg.load(fp, &rec) {
-		if acceptRow(rec, c) {
-			*row = rec
-			return srcSegment
-		}
-		// Structurally foreign record under this fingerprint: dead
-		// space; recompute the cell.
-		seg.dropKey(fingerprintSegKey(fp))
-	}
-	rec = SweepRow{}
-	if diskLoad(dir, looseCellRecordVersion, fp, &rec) {
-		if acceptRow(rec, c) {
-			*row = rec
-			return srcDisk
-		}
-		os.Remove(diskPath(dir, fp))
-	}
-	return srcMiss
-}
-
-// loadStream is the dense-open bulk sibling of load: one streaming pass
-// over the segment store for a whole batch of fingerprints (planner.go
-// switches to it when requested cells ≫ fetch pool). hit[i] reports a
-// validated segment record decoded into rowAt(i); misses of any kind
-// are left unset for the caller's per-cell load fallback, so the
-// miss/drop/loose-v1 semantics stay exactly load's. No-op with
-// persistence off.
-func (s *cellStore) loadStream(fps []string, hit []bool, rowAt func(int) *SweepRow, workers int) {
-	dir := s.activeDir()
-	if dir == "" {
-		return
-	}
-	segmentStore(dir).loadStream(fps, hit, rowAt, workers)
 }
 
 // storeRetries / storeRetryDelay shape the transient-fault retry in
@@ -296,7 +239,6 @@ func (s *cellStore) flush() {
 var (
 	cellsRequested   atomic.Int64
 	cellsFromMemo    atomic.Int64
-	cellsFromDisk    atomic.Int64
 	cellsFromSegment atomic.Int64
 	// lockWaits counts writer-lock acquisitions that found the lock held
 	// and had to back off (once per acquisition, however many retries it
@@ -309,24 +251,21 @@ var (
 	// wall-clock delta.
 	segIndexLoadNS atomic.Int64
 	// segBytesRead accumulates segment-store bytes read from disk:
-	// sidecar loads, tail scans, per-record ReadAt calls, and streaming
-	// run reads.
+	// sidecar loads, tail scans, and streaming run reads.
 	segBytesRead atomic.Int64
 )
 
 // CacheStats is a snapshot of the process-wide cache counters: how many
 // grid cells were requested through the caches, how many were served by
-// the in-memory memo, how many were loaded from loose v1 cell records
-// on disk, how many from the v2 segment file, how many experiments
+// the in-memory memo, how many from the segment file, how many experiments
 // actually executed on a simulation engine, and how many writer-lock
 // acquisitions had to wait behind another writer. For a fully warm
-// request, EngineRuns is 0 and the memo/disk/segment counters account
+// request, EngineRuns is 0 and the memo/segment counters account
 // for every requested cell; LockWaits is 0 whenever the process is the
 // directory's only writer (warm runs never take the lock at all).
 type CacheStats struct {
 	CellsRequested   int64
 	CellsFromMemo    int64
-	CellsFromDisk    int64
 	CellsFromSegment int64
 	EngineRuns       int64
 	LockWaits        int64
@@ -335,7 +274,7 @@ type CacheStats struct {
 	// never opened a segment — in particular for a fully cold run.
 	IndexLoad time.Duration
 	// BytesRead is segment-store bytes read from disk: sidecar loads,
-	// tail scans, record reads, streaming run reads.
+	// tail scans, streaming run reads.
 	BytesRead int64
 }
 
@@ -344,7 +283,6 @@ func ReadCacheStats() CacheStats {
 	return CacheStats{
 		CellsRequested:   cellsRequested.Load(),
 		CellsFromMemo:    cellsFromMemo.Load(),
-		CellsFromDisk:    cellsFromDisk.Load(),
 		CellsFromSegment: cellsFromSegment.Load(),
 		EngineRuns:       engineRuns.Load(),
 		LockWaits:        lockWaits.Load(),
@@ -363,7 +301,6 @@ func (s CacheStats) Since(prev CacheStats) CacheStats {
 	return CacheStats{
 		CellsRequested:   s.CellsRequested - prev.CellsRequested,
 		CellsFromMemo:    s.CellsFromMemo - prev.CellsFromMemo,
-		CellsFromDisk:    s.CellsFromDisk - prev.CellsFromDisk,
 		CellsFromSegment: s.CellsFromSegment - prev.CellsFromSegment,
 		EngineRuns:       s.EngineRuns - prev.EngineRuns,
 		LockWaits:        s.LockWaits - prev.LockWaits,
@@ -376,9 +313,11 @@ func (s CacheStats) Since(prev CacheStats) CacheStats {
 // CLIs print for -cache-stats (CI's subgrid-warm, segstore-warm and
 // crash-safety gates match on "engine-runs=0" with the expected hit
 // counters; index-load is the only nondeterministic field, so scripts
-// match it with a pattern, not an exact string).
+// match it with a pattern, not an exact string). disk=0 is a constant:
+// the token once counted loose v1 per-cell files, and stays so the
+// line's format — and every script matching it — is unchanged.
 func (s CacheStats) String() string {
-	return fmt.Sprintf("cells=%d memo=%d disk=%d segment=%d engine-runs=%d lock-waits=%d index-load=%s bytes-read=%d",
-		s.CellsRequested, s.CellsFromMemo, s.CellsFromDisk, s.CellsFromSegment, s.EngineRuns, s.LockWaits,
+	return fmt.Sprintf("cells=%d memo=%d disk=0 segment=%d engine-runs=%d lock-waits=%d index-load=%s bytes-read=%d",
+		s.CellsRequested, s.CellsFromMemo, s.CellsFromSegment, s.EngineRuns, s.LockWaits,
 		s.IndexLoad, s.BytesRead)
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,135 +24,87 @@ func seedCellRecords(t *testing.T, dir string, a Axes) []GridRow {
 	return g.Rows
 }
 
-// seedLegacyCellRecords writes one loose v1 per-cell file per grid cell
-// — the pre-segment layout a v1-era cache directory still holds — and
-// returns the reference rows.
-func seedLegacyCellRecords(t *testing.T, dir string, a Axes) []GridRow {
+// plantRecord replaces cell i's record with payload: the payload is
+// framed as a CRC-valid segment record, appended to dir's segment, and
+// cell i's sidecar entry is pointed at it. The frame is sound, so only
+// the read path's decode or acceptance check can reject the record.
+func plantRecord(t *testing.T, dir string, a Axes, i int, payload []byte) {
 	t.Helper()
-	g, err := RunGrid(a)
+	key, _ := segEntryOf(t, dir, a, i)
+	ResetSegmentStores()
+	_, entries := readSidecarFile(t, dir)
+	off := fileSize(t, segPathOf(dir))
+	rec := frameSegPayload(payload)
+	f, err := os.OpenFile(segPathOf(dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	na := a.normalized()
-	for _, row := range g.Rows {
-		fp := cellFingerprint(na.experiment(row.Cell))
-		if err := diskStore(dir, looseCellRecordVersion, fp, row.SweepRow); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
 	}
-	return g.Rows
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries[key] = segEntry{off: off, length: int64(len(rec))}
+	writeSidecarFile(t, dir, off+int64(len(rec)), entries)
 }
 
-// cellCorruptionCases mangles one loose v1 cell record in every way the
-// legacy loader must tolerate (segment corruption has its own table in
-// segstore_test.go). Each takes the record's path plus the envelope of
-// a DIFFERENT cell (for cross-cell forgeries).
-var cellCorruptionCases = map[string]func(t *testing.T, path, otherPath string){
-	"garbage": func(t *testing.T, path, _ string) {
-		if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+// binPayload returns the v3 binary payload of one row under fp.
+func binPayload(t *testing.T, fp string, row SweepRow) []byte {
+	t.Helper()
+	rec, err := encodeSegRecord(fp, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec[segHeaderSize:]
+}
+
+// cellCorruptionCases builds, in every way the read path must tolerate,
+// a defective payload for one cell's record from that cell's
+// fingerprint and row and a DIFFERENT cell's (for cross-cell
+// forgeries). Each is planted behind a sound frame (plantRecord), so
+// these are the defects past the CRC: the ones decode and acceptRow
+// catch. Frame-level damage has its own table (segCorruptionCases).
+var cellCorruptionCases = map[string]func(t *testing.T, fp string, row SweepRow, otherFP string, other SweepRow) []byte{
+	"garbage": func(t *testing.T, _ string, _ SweepRow, _ string, _ SweepRow) []byte {
+		return []byte("{not json")
 	},
-	"truncated record": func(t *testing.T, path, _ string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
+	"truncated record": func(t *testing.T, fp string, row SweepRow, _ string, _ SweepRow) []byte {
+		p := binPayload(t, fp, row)
+		return p[:len(p)/2]
 	},
-	"empty": func(t *testing.T, path, _ string) {
-		if err := os.WriteFile(path, nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	"empty": func(t *testing.T, _ string, _ SweepRow, _ string, _ SweepRow) []byte {
+		return nil
 	},
-	"version mismatch": func(t *testing.T, path, _ string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env diskEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatal(err)
-		}
-		env.Version = "repro-cells/v0-ancient" // no loose-file generation ever used this
-		out, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// The right row in a retired record generation: the v2 JSON
+	// envelope a pre-v3 process framed.
+	"version mismatch": func(t *testing.T, fp string, row SweepRow, _ string, _ SweepRow) []byte {
+		return encodeLegacySegRecord(t, fp, row)[segHeaderSize:]
 	},
 	// A fingerprint-prefix collision: some other cell's record (whose
-	// full fingerprint differs) lands on this cell's path. The envelope's
-	// full fingerprint is the guard — the loader must miss, not serve the
-	// wrong cell.
-	"fingerprint prefix collision": func(t *testing.T, path, otherPath string) {
-		data, err := os.ReadFile(otherPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// full fingerprint differs) lands under this cell's key. The
+	// embedded full fingerprint is the guard — the read must miss, not
+	// serve the wrong cell.
+	"fingerprint prefix collision": func(t *testing.T, _ string, _ SweepRow, otherFP string, other SweepRow) []byte {
+		return binPayload(t, otherFP, other)
 	},
-	"payload wrong shape": func(t *testing.T, path, _ string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env diskEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatal(err)
-		}
-		env.Payload = json.RawMessage(`[1, 2, 3]`)
-		out, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// One slack byte past the exact-length layout.
+	"payload wrong shape": func(t *testing.T, fp string, row SweepRow, _ string, _ SweepRow) []byte {
+		return append(binPayload(t, fp, row), 0)
 	},
-	// Structurally valid JSON, right version and fingerprint, but the row
-	// belongs to different Table 2 coordinates — the store's acceptance
+	// A well-formed record with the right fingerprint whose row belongs
+	// to different Table 2 coordinates — it decodes, and the acceptance
 	// check must reject it.
-	"payload wrong cell": func(t *testing.T, path, _ string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env diskEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatal(err)
-		}
-		var row SweepRow
-		if err := json.Unmarshal(env.Payload, &row); err != nil {
-			t.Fatal(err)
-		}
+	"payload wrong cell": func(t *testing.T, fp string, row SweepRow, _ string, _ SweepRow) []byte {
 		row.Concurrency += 17
-		raw, err := json.Marshal(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.Payload = raw
-		out, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		return binPayload(t, fp, row)
 	},
 }
 
-// TestCellRecordCorruptionRecovery: every class of defective loose v1
-// cell record is a miss for THAT CELL ONLY — the grid (serving a
-// v1-era cache directory through the migration-by-miss path) recomputes
-// exactly the damaged cell, assembles rows byte-identical to the cold
-// reference, and leaves a repaired record behind (in the segment).
+// TestCellRecordCorruptionRecovery: every class of defective cell record
+// is a miss for THAT CELL ONLY — the grid recomputes exactly the damaged
+// cell, assembles rows byte-identical to the cold reference, and leaves
+// a repaired record behind in the segment.
 func TestCellRecordCorruptionRecovery(t *testing.T) {
 	a := fastAxes()
 	cold, err := RunGrid(a)
@@ -161,13 +112,15 @@ func TestCellRecordCorruptionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := gridRowsJSON(t, cold.Rows)
+	na := a.normalized()
+	fpOf := func(i int) string { return cellFingerprint(na.experiment(cold.Rows[i].Cell)) }
 
-	for name, corrupt := range cellCorruptionCases {
+	for name, payload := range cellCorruptionCases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			seedLegacyCellRecords(t, dir, a)
-			paths := cellRecordPaths(dir, a)
-			corrupt(t, paths[3], paths[12])
+			seedCellRecords(t, dir, a)
+			plantRecord(t, dir, a, 3, payload(t, fpOf(3), cold.Rows[3].SweepRow, fpOf(12), cold.Rows[12].SweepRow))
+			ResetSegmentStores()
 
 			c := NewGridCache()
 			c.SetDiskDir(dir)
@@ -183,6 +136,7 @@ func TestCellRecordCorruptionRecovery(t *testing.T) {
 				t.Error("recovered rows differ from cold reference")
 			}
 			// The recompute must leave a good record behind.
+			ResetSegmentStores()
 			warm := NewGridCache()
 			warm.SetDiskDir(dir)
 			before = EngineRunCount()
@@ -196,10 +150,10 @@ func TestCellRecordCorruptionRecovery(t *testing.T) {
 	}
 }
 
-// TestPartialGridRecovery: with half the grid's loose v1 records
-// corrupted, only the damaged half recomputes, and the mixed
-// loaded/recomputed assembly stays byte-identical to the cold reference
-// (the TestGridDeterminism contract extended to partial disk state).
+// TestPartialGridRecovery: with half the grid's records corrupted, only
+// the damaged half recomputes, and the mixed loaded/recomputed assembly
+// stays byte-identical to the cold reference (the TestGridDeterminism
+// contract extended to partial disk state).
 func TestPartialGridRecovery(t *testing.T) {
 	a := fastAxes()
 	cold, err := RunGrid(a)
@@ -208,14 +162,30 @@ func TestPartialGridRecovery(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	seedLegacyCellRecords(t, dir, a)
-	paths := cellRecordPaths(dir, a)
-	for i, path := range paths {
-		if i%2 == 1 {
-			if err := os.WriteFile(path, []byte("{corrupt"), 0o644); err != nil {
-				t.Fatal(err)
-			}
+	seedCellRecords(t, dir, a)
+	var damaged []segEntry
+	for i := 1; i < a.Size(); i += 2 {
+		_, e := segEntryOf(t, dir, a, i)
+		damaged = append(damaged, e)
+	}
+	ResetSegmentStores()
+	f, err := os.OpenFile(segPathOf(dir), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range damaged {
+		// Flip a payload byte: the CRC no longer matches.
+		b := make([]byte, 1)
+		if _, err := f.ReadAt(b, e.off+segHeaderSize+3); err != nil {
+			t.Fatal(err)
 		}
+		b[0] ^= 0xFF
+		if _, err := f.WriteAt(b, e.off+segHeaderSize+3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	c := NewGridCache()
@@ -225,8 +195,8 @@ func TestPartialGridRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs := EngineRunCount() - before; runs != int64(len(paths)/2) {
-		t.Errorf("partial recovery ran %d experiments, want %d (the corrupt half)", runs, len(paths)/2)
+	if runs := EngineRunCount() - before; runs != int64(len(damaged)) {
+		t.Errorf("partial recovery ran %d experiments, want %d (the corrupt half)", runs, len(damaged))
 	}
 	if gridRowsJSON(t, g.Rows) != gridRowsJSON(t, cold.Rows) {
 		t.Error("partially recovered grid not byte-identical to cold reference")
@@ -318,8 +288,7 @@ func TestDegradeWarnsOnce(t *testing.T) {
 }
 
 // TestCacheStatsCounters: the process-wide counters attribute every
-// requested cell to memo, loose v1 disk records, the segment file, or
-// engine execution.
+// requested cell to the memo, the segment file, or engine execution.
 func TestCacheStatsCounters(t *testing.T) {
 	dir := t.TempDir()
 	a := fastAxes() // 16 cells
@@ -332,7 +301,7 @@ func TestCacheStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := ReadCacheStats().Since(base)
-	if d.CellsRequested != n || d.CellsFromMemo != 0 || d.CellsFromDisk != 0 ||
+	if d.CellsRequested != n || d.CellsFromMemo != 0 ||
 		d.CellsFromSegment != 0 || d.EngineRuns != n {
 		t.Errorf("cold run stats = %v, want cells=%d memo=0 disk=0 segment=0 engine-runs=%d", d, n, n)
 	}
@@ -342,7 +311,7 @@ func TestCacheStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	d = ReadCacheStats().Since(base)
-	if d.CellsRequested != n || d.CellsFromMemo != n || d.CellsFromDisk != 0 ||
+	if d.CellsRequested != n || d.CellsFromMemo != n ||
 		d.CellsFromSegment != 0 || d.EngineRuns != 0 {
 		t.Errorf("memo-warm stats = %v, want cells=%d memo=%d disk=0 segment=0 engine-runs=0", d, n, n)
 	}
@@ -354,12 +323,12 @@ func TestCacheStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	d = ReadCacheStats().Since(base)
-	if d.CellsRequested != n || d.CellsFromMemo != 0 || d.CellsFromDisk != 0 ||
+	if d.CellsRequested != n || d.CellsFromMemo != 0 ||
 		d.CellsFromSegment != n || d.EngineRuns != 0 {
 		t.Errorf("segment-warm stats = %v, want cells=%d memo=0 disk=0 segment=%d engine-runs=0", d, n, n)
 	}
 	if d.BytesRead <= 0 {
-		t.Errorf("segment-warm BytesRead = %d, want > 0 (16 record reads)", d.BytesRead)
+		t.Errorf("segment-warm BytesRead = %d, want > 0 (the streamed records)", d.BytesRead)
 	}
 	// The String rendering is pinned on a fixed value: IndexLoad and
 	// BytesRead are measured quantities, so the live delta's rendering
@@ -368,22 +337,6 @@ func TestCacheStatsCounters(t *testing.T) {
 	want := "cells=16 memo=0 disk=0 segment=16 engine-runs=0 lock-waits=0 index-load=1.5ms bytes-read=4096"
 	if got := fixed.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-
-	// A v1-era directory (loose files, no segment) attributes its hits
-	// to the disk counter — the migration-by-miss path.
-	legacyDir := t.TempDir()
-	seedLegacyCellRecords(t, legacyDir, a)
-	legacy := NewGridCache()
-	legacy.SetDiskDir(legacyDir)
-	base = ReadCacheStats()
-	if _, err := legacy.Get(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	d = ReadCacheStats().Since(base)
-	if d.CellsRequested != n || d.CellsFromMemo != 0 || d.CellsFromDisk != n ||
-		d.CellsFromSegment != 0 || d.EngineRuns != 0 {
-		t.Errorf("legacy-warm stats = %v, want cells=%d memo=0 disk=%d segment=0 engine-runs=0", d, n, n)
 	}
 }
 

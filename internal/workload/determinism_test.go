@@ -21,13 +21,14 @@ func quickSweepShape() SweepConfig {
 }
 
 // TestSweepDeterminism is the reproduction's bit-identity contract: the
-// serial driver, the parallel driver at several worker counts, and the
-// SoA engine with no cross-cell buffer reuse (a fresh engine per cell)
-// must produce byte-identical SweepResult rows. Rows are compared via
-// their JSON encoding — Go prints floats with round-trip precision, so
-// equal bytes means equal bits.
+// serial reference sweep, the grid executor at several worker counts,
+// the SoA engine with no cross-cell buffer reuse (a fresh engine per
+// cell), and every cached path must produce byte-identical SweepResult
+// rows. Rows are compared via their JSON encoding — Go prints floats
+// with round-trip precision, so equal bytes means equal bits.
 func TestSweepDeterminism(t *testing.T) {
 	cfg := quickSweepShape()
+	a := AxesFromSweep(cfg)
 
 	encode := func(rows []SweepRow) string {
 		b, err := json.Marshal(rows)
@@ -36,8 +37,31 @@ func TestSweepDeterminism(t *testing.T) {
 		}
 		return string(b)
 	}
+	sweepRows := func(g *GridResult) []SweepRow {
+		rows := make([]SweepRow, len(g.Rows))
+		for i := range g.Rows {
+			rows[i] = g.Rows[i].SweepRow
+		}
+		return rows
+	}
+	executor := func(workers int) func() ([]SweepRow, error) {
+		return func() ([]SweepRow, error) {
+			g, err := RunGridParallel(a, workers)
+			if err != nil {
+				return nil, err
+			}
+			return sweepRows(g), nil
+		}
+	}
+	cached := func(c *GridCache, a Axes) ([]SweepRow, error) {
+		g, err := c.Get(a, 0)
+		if err != nil {
+			return nil, err
+		}
+		return sweepRows(g), nil
+	}
 
-	baseline, err := RunSweep(cfg)
+	baseline, err := referenceSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,27 +71,9 @@ func TestSweepDeterminism(t *testing.T) {
 		name string
 		run  func() ([]SweepRow, error)
 	}{
-		{"parallel workers=1", func() ([]SweepRow, error) {
-			r, err := RunSweepParallel(cfg, 1)
-			if err != nil {
-				return nil, err
-			}
-			return r.Rows, nil
-		}},
-		{"parallel workers=4", func() ([]SweepRow, error) {
-			r, err := RunSweepParallel(cfg, 4)
-			if err != nil {
-				return nil, err
-			}
-			return r.Rows, nil
-		}},
-		{"parallel workers=GOMAXPROCS", func() ([]SweepRow, error) {
-			r, err := RunSweepParallel(cfg, runtime.GOMAXPROCS(0))
-			if err != nil {
-				return nil, err
-			}
-			return r.Rows, nil
-		}},
+		{"executor workers=1", executor(1)},
+		{"executor workers=4", executor(4)},
+		{"executor workers=GOMAXPROCS", executor(runtime.GOMAXPROCS(0))},
 		{"fresh engine per cell", func() ([]SweepRow, error) {
 			var rows []SweepRow
 			for _, p := range cfg.ParallelFlows {
@@ -76,7 +82,7 @@ func TestSweepDeterminism(t *testing.T) {
 					// allocate-per-cell path against the scratch-reusing
 					// drivers above, so the two assembly modes are held
 					// bit-identical.
-					row, err := runCell(cfg, conc, p, tcpsim.NewEngine(), nil)
+					row, err := referenceSweepCell(cfg, conc, p, tcpsim.NewEngine(), nil)
 					if err != nil {
 						return nil, err
 					}
@@ -86,37 +92,23 @@ func TestSweepDeterminism(t *testing.T) {
 			return rows, nil
 		}},
 		{"cached", func() ([]SweepRow, error) {
-			r, err := NewSweepCache().Get(cfg, 0)
+			PurgeGridCache()
+			r, err := RunSweepCached(cfg, 0)
 			if err != nil {
 				return nil, err
 			}
 			return r.Rows, nil
-		}},
-		{"grid executor", func() ([]SweepRow, error) {
-			g, err := RunGridParallel(AxesFromSweep(cfg), 0)
-			if err != nil {
-				return nil, err
-			}
-			rows := make([]SweepRow, len(g.Rows))
-			for i := range g.Rows {
-				rows[i] = g.Rows[i].SweepRow
-			}
-			return rows, nil
 		}},
 		{"disk cached (store then warm load)", func() ([]SweepRow, error) {
 			dir := t.TempDir()
-			cold := NewSweepCache()
+			cold := NewGridCache()
 			cold.SetDiskDir(dir)
-			if _, err := cold.Get(cfg, 0); err != nil {
+			if _, err := cold.Get(a, 0); err != nil {
 				return nil, err
 			}
-			warm := NewSweepCache()
+			warm := NewGridCache()
 			warm.SetDiskDir(dir)
-			r, err := warm.Get(cfg, 0)
-			if err != nil {
-				return nil, err
-			}
-			return r.Rows, nil
+			return cached(warm, a)
 		}},
 		{"mixed cell-store assembly (half the plane pre-seeded)", func() ([]SweepRow, error) {
 			// Pre-compute a sub-sweep so the cell store holds half the
@@ -125,18 +117,14 @@ func TestSweepDeterminism(t *testing.T) {
 			dir := t.TempDir()
 			subCfg := cfg
 			subCfg.ParallelFlows = cfg.ParallelFlows[:1]
-			seeder := NewSweepCache()
+			seeder := NewGridCache()
 			seeder.SetDiskDir(dir)
-			if _, err := seeder.Get(subCfg, 0); err != nil {
+			if _, err := seeder.Get(AxesFromSweep(subCfg), 0); err != nil {
 				return nil, err
 			}
-			mixed := NewSweepCache()
+			mixed := NewGridCache()
 			mixed.SetDiskDir(dir)
-			r, err := mixed.Get(cfg, 0)
-			if err != nil {
-				return nil, err
-			}
-			return r.Rows, nil
+			return cached(mixed, a)
 		}},
 	}
 	for _, d := range drivers {
@@ -145,7 +133,7 @@ func TestSweepDeterminism(t *testing.T) {
 			t.Fatalf("%s: %v", d.name, err)
 		}
 		if got := encode(rows); got != want {
-			t.Errorf("%s: rows not byte-identical to serial RunSweep", d.name)
+			t.Errorf("%s: rows not byte-identical to the serial reference sweep", d.name)
 		}
 	}
 }
@@ -155,7 +143,7 @@ func TestSweepDeterminism(t *testing.T) {
 // with them.
 func TestKeepClientResults(t *testing.T) {
 	cfg := fastSweep()
-	lean, err := RunSweep(cfg)
+	lean, err := RunSweepCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +157,7 @@ func TestKeepClientResults(t *testing.T) {
 	}
 
 	cfg.KeepClientResults = true
-	full, err := RunSweep(cfg)
+	full, err := RunSweepCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,37 +1,23 @@
 package workload
 
-// Disk-envelope plumbing for the cell store: version-stamped JSON
-// records under a cache directory (by default ~/.cache/repro/sweeps),
-// keyed by fingerprint, so repeated CLI invocations (cmd/figgen,
-// cmd/ssslab, cmd/streamdecide) skip recomputation across processes, not
-// just within one. The layer is corruption-tolerant — any unreadable,
-// truncated, version-mismatched or foreign file is treated as a miss and
-// recomputed — and sits under the in-memory caches' single-flight
-// entries via the per-cell store (cellstore.go), which owns the record
-// format, the fingerprint scheme, and the degrade-on-write-failure
-// policy.
+// Cache-directory plumbing for the cell store: where the directory
+// lives (by default ~/.cache/repro/sweeps), the fingerprint hash its
+// index is keyed by, and purging it. Repeated CLI invocations
+// (cmd/figgen, cmd/ssslab, cmd/streamdecide) share the directory, so
+// they skip recomputation across processes, not just within one. The
+// per-cell store (cellstore.go) owns the record format, the fingerprint
+// scheme, and the degrade-on-write-failure policy.
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"repro/internal/fsfault"
 )
 
 // cacheDirEnv overrides the default disk cache location, so CI runs in a
 // hermetic temp dir and never reads a stale developer cache.
 const cacheDirEnv = "CACHE_DIR"
-
-// diskEnvelope is the on-disk file format.
-type diskEnvelope struct {
-	Version     string          `json:"version"`
-	Fingerprint string          `json:"fingerprint"`
-	Payload     json.RawMessage `json:"payload"`
-}
 
 // DefaultDiskCacheDir returns the disk cache directory: $CACHE_DIR if
 // set, else <user cache dir>/repro/sweeps (~/.cache/repro/sweeps on
@@ -94,90 +80,10 @@ func fingerprintSegKey(fingerprint string) segKey {
 	return bytesSegKey([]byte(fingerprint))
 }
 
-// fingerprintKey compresses a fingerprint to its canonical short key
-// string — the v1 filename stem. It is the hex rendering of the same 16
-// bytes segKey holds, so the loose-file name and the segment-index key
-// of one cell always agree. The full fingerprint inside each record's
-// envelope guards against prefix collisions.
-func fingerprintKey(fingerprint string) string {
-	k := fingerprintSegKey(fingerprint)
-	return hex.EncodeToString(k[:])
-}
-
-// diskPath names the loose (v1) cache file for a fingerprint.
-func diskPath(dir, fingerprint string) string {
-	return filepath.Join(dir, fingerprintKey(fingerprint)+".json")
-}
-
-// diskLoad reads the payload stored for a fingerprint under the given
-// record version into out. It reports false — a miss, never an error —
-// on any defect: missing file, truncated or corrupt JSON, version or
-// fingerprint mismatch. Defective files are removed so the following
-// store rewrites them.
-func diskLoad(dir, version, fingerprint string, out any) bool {
-	if dir == "" {
-		return false
-	}
-	path := diskPath(dir, fingerprint)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	var env diskEnvelope
-	if err := json.Unmarshal(data, &env); err != nil ||
-		env.Version != version ||
-		env.Fingerprint != fingerprint ||
-		json.Unmarshal(env.Payload, out) != nil {
-		os.Remove(path)
-		return false
-	}
-	return true
-}
-
-// diskStore atomically writes the payload for a fingerprint
-// (temp file + rename, so readers never observe a partial write).
-func diskStore(dir, version, fingerprint string, payload any) error {
-	if dir == "" {
-		return nil
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("workload: encoding cache payload: %w", err)
-	}
-	data, err := json.Marshal(diskEnvelope{
-		Version:     version,
-		Fingerprint: fingerprint,
-		Payload:     raw,
-	})
-	if err != nil {
-		return fmt.Errorf("workload: encoding cache envelope: %w", err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("workload: creating cache dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".cell-*.tmp")
-	if err != nil {
-		return fmt.Errorf("workload: creating cache temp file: %w", err)
-	}
-	if _, err := fsfault.Write("cellfile.write", tmp, data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("workload: writing cache file: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("workload: closing cache file: %w", err)
-	}
-	if err := fsfault.Rename("cellfile.rename", tmp.Name(), diskPath(dir, fingerprint)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("workload: publishing cache file: %w", err)
-	}
-	return nil
-}
-
 // PurgeDiskCache deletes every cache file under dir ("" selects the
-// default directory): loose v1 cell records, the v2 segment file and
-// its index sidecar, and leftover temp files. The directory's
+// default directory): the segment file and its index sidecar, leftover
+// temp files, and any *.json files — the loose v1 per-cell records an
+// older build wrote, which nothing reads any more. The directory's
 // in-memory segment store is reset so the process does not keep serving
 // an index whose segment is gone. Other files are left alone; a missing
 // directory is not an error.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // rowsJSON encodes sweep rows for byte-identity comparison.
@@ -26,18 +27,6 @@ func gridRowsJSON(t *testing.T, rows []GridRow) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// cellRecordPaths returns the loose (v1) record path of every cell of
-// the grid, in cell order — the legacy layout the migration tests seed
-// and mangle.
-func cellRecordPaths(dir string, a Axes) []string {
-	a = a.normalized()
-	paths := make([]string, 0, a.Size())
-	for _, c := range a.Cells() {
-		paths = append(paths, diskPath(dir, cellFingerprint(a.experiment(c))))
-	}
-	return paths
 }
 
 // segmentRecordCount reports how many records the directory's segment
@@ -74,10 +63,11 @@ func looseRecordCount(t *testing.T, dir string) int {
 func TestDiskCacheWarmSweep(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fastSweep()
+	a := AxesFromSweep(cfg)
 
-	cold := NewSweepCache()
+	cold := NewGridCache()
 	cold.SetDiskDir(dir)
-	first, err := cold.Get(cfg, 0)
+	first, err := cold.Get(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,21 +81,18 @@ func TestDiskCacheWarmSweep(t *testing.T) {
 	}
 
 	ResetSegmentStores()
-	warm := NewSweepCache()
+	warm := NewGridCache()
 	warm.SetDiskDir(dir)
 	before := EngineRunCount()
-	second, err := warm.Get(cfg, 0)
+	second, err := warm.Get(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if runs := EngineRunCount() - before; runs != 0 {
 		t.Fatalf("warm disk path ran %d experiments, want 0", runs)
 	}
-	if rowsJSON(t, second.Rows) != rowsJSON(t, first.Rows) {
+	if gridRowsJSON(t, second.Rows) != gridRowsJSON(t, first.Rows) {
 		t.Fatal("disk-loaded rows not byte-identical to computed rows")
-	}
-	if second.Config.Fingerprint() != cfg.Fingerprint() {
-		t.Fatal("loaded result lost its config")
 	}
 }
 
@@ -236,22 +223,36 @@ func TestOverlappingGridReusesSharedCells(t *testing.T) {
 // cells (and vice versa).
 func TestSweepSharesCellsWithGrid(t *testing.T) {
 	dir := t.TempDir()
+	SetDiskCacheDir(dir)
+	t.Cleanup(func() { SetDiskCacheDir(""); PurgeGridCache() })
 	cfg := fastSweep()
-
-	sc := NewSweepCache()
-	sc.SetDiskDir(dir)
-	if _, err := sc.Get(cfg, 0); err != nil {
+	PurgeGridCache()
+	if _, err := RunSweepCached(cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 
+	// A grid that strictly contains the sweep's plane: the sweep's cells
+	// load, only the second RTT's execute.
+	grid := AxesFromSweep(cfg)
+	grid.RTTs = []time.Duration{cfg.Net.BaseRTT, 2 * cfg.Net.BaseRTT}
 	gc := NewGridCache()
 	gc.SetDiskDir(dir)
 	before := EngineRunCount()
-	if _, err := gc.Get(AxesFromSweep(cfg), 0); err != nil {
+	if _, err := gc.Get(grid, 0); err != nil {
+		t.Fatal(err)
+	}
+	if runs := EngineRunCount() - before; runs != int64(cfg.Size()) {
+		t.Fatalf("grid over a cached sweep's plane ran %d experiments, want %d (the new RTT only)", runs, cfg.Size())
+	}
+
+	// And back: the sweep re-assembles from the store.
+	PurgeGridCache()
+	before = EngineRunCount()
+	if _, err := RunSweepCached(cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	if runs := EngineRunCount() - before; runs != 0 {
-		t.Fatalf("grid over a cached sweep's plane ran %d experiments, want 0", runs)
+		t.Fatalf("sweep over a grid's stored cells ran %d experiments, want 0", runs)
 	}
 }
 
@@ -260,18 +261,19 @@ func TestSweepSharesCellsWithGrid(t *testing.T) {
 func TestDiskCacheSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fastSweep()
-	c := NewSweepCache()
+	a := AxesFromSweep(cfg)
+	c := NewGridCache()
 	c.SetDiskDir(dir)
 
 	before := EngineRunCount()
 	const readers = 8
-	results := make([]*SweepResult, readers)
+	results := make([]*GridResult, readers)
 	var wg sync.WaitGroup
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.Get(cfg, 2)
+			res, err := c.Get(a, 2)
 			if err != nil {
 				t.Error(err)
 				return
@@ -296,9 +298,9 @@ func TestDiskCacheKeepClientResultsNotPersisted(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fastSweep()
 	cfg.KeepClientResults = true
-	c := NewSweepCache()
+	c := NewGridCache()
 	c.SetDiskDir(dir)
-	if _, err := c.Get(cfg, 0); err != nil {
+	if _, err := c.Get(AxesFromSweep(cfg), 0); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -312,9 +314,9 @@ func TestDiskCacheKeepClientResultsNotPersisted(t *testing.T) {
 
 func TestPurgeDiskCache(t *testing.T) {
 	dir := t.TempDir()
-	c := NewSweepCache()
+	c := NewGridCache()
 	c.SetDiskDir(dir)
-	if _, err := c.Get(fastSweep(), 0); err != nil {
+	if _, err := c.Get(fastAxes(), 0); err != nil {
 		t.Fatal(err)
 	}
 	keep := filepath.Join(dir, "NOTES.txt")
@@ -380,7 +382,6 @@ func TestSetDiskCacheDirProcessWide(t *testing.T) {
 	dir := t.TempDir()
 	SetDiskCacheDir(dir)
 	defer SetDiskCacheDir("")
-	defer PurgeSweepCache()
 	defer PurgeGridCache()
 
 	cfg := fastSweep()
@@ -389,7 +390,7 @@ func TestSetDiskCacheDirProcessWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PurgeSweepCache()
+	PurgeGridCache()
 	before := EngineRunCount()
 	second, err := RunSweepCached(cfg, 0)
 	if err != nil {

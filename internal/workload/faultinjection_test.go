@@ -13,7 +13,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -304,33 +303,6 @@ func TestCompactRenameFaultFallsBackToScan(t *testing.T) {
 	}
 	if st.ReclaimedBytes != 0 {
 		t.Errorf("second compaction reclaimed %d bytes, want 0", st.ReclaimedBytes)
-	}
-}
-
-// TestCellFileFaultDegrades: the loose-file (v1) write path is also
-// behind failpoints; diskStore errors propagate so callers can degrade.
-func TestCellFileFaultDegrades(t *testing.T) {
-	resetFaultState(t)
-	dir := t.TempDir()
-	for _, point := range []string{"cellfile.write", "cellfile.rename"} {
-		fsfault.Reset()
-		fsfault.Enable(point, fsfault.Fault{Err: fsfault.ErrInjectedEIO})
-		err := diskStore(dir, CellRecordVersion, "fp-faulted", SweepRow{Concurrency: 1})
-		if !errors.Is(err, fsfault.ErrInjectedEIO) {
-			t.Errorf("%s: diskStore error = %v, want injected EIO", point, err)
-		}
-		if fsfault.Fired(point) == 0 {
-			t.Errorf("%s never fired", point)
-		}
-		entries, readErr := os.ReadDir(dir)
-		if readErr != nil {
-			t.Fatal(readErr)
-		}
-		for _, ent := range entries {
-			if filepath.Ext(ent.Name()) == ".json" || isSegmentTempName(ent.Name()) {
-				t.Errorf("%s: file %q left behind by failed write", point, ent.Name())
-			}
-		}
 	}
 }
 

@@ -126,7 +126,7 @@ func TestNetPointSeedOffsetMatchesReference(t *testing.T) {
 			}
 		}
 		// The base network point must keep offset 0 (the anchor that
-		// holds AxesFromSweep grids bit-identical to RunSweep).
+		// holds AxesFromSweep grids bit-identical to the reference sweep).
 		base := GridCell{RTT: a.Net.BaseRTT, Buffer: a.Net.Buffer, CC: a.Net.CC, CrossFraction: a.Net.Cross.Fraction}
 		if off := a.netPointSeedOffset(base); off != 0 {
 			t.Fatalf("axes %d: base point offset %d, want 0", ai, off)

@@ -6,7 +6,7 @@ package workload
 // directory serialize their writes instead of stranding each other's
 // records as dead space. Readers never take it — segment reads are
 // CRC-guarded and already tolerate concurrent appends — so the warm
-// per-cell read path is lock-free by construction.
+// read path is lock-free by construction.
 //
 // Acquisition is bounded: non-blocking attempts with exponential
 // backoff up to lockTimeout. A writer that cannot get the lock inside

@@ -201,9 +201,8 @@ func TestStaleTempSweep(t *testing.T) {
 		}
 	}
 
-	// ensureLoaded (via a load) runs the sweep.
-	var row SweepRow
-	segmentStore(dir).load("no-such-fp", &row)
+	// ensureLoaded (via a read) runs the sweep.
+	loadOne(segmentStore(dir), "no-such-fp", GridCell{})
 
 	for name, want := range files {
 		_, err := os.Stat(filepath.Join(dir, name))

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/tcpsim"
 	"repro/internal/units"
 )
@@ -80,7 +81,8 @@ type Axes struct {
 
 // AxesFromSweep lowers a Table 2 sweep onto the grid: singleton network
 // axes, identical cell ordering and per-cell seeds, hence bit-identical
-// rows (TestGridMatchesSweep holds the two executors together).
+// rows (TestGridMatchesSweep holds the grid against a serial reference
+// sweep).
 func AxesFromSweep(cfg SweepConfig) Axes {
 	return Axes{
 		Duration:          cfg.Duration,
@@ -278,7 +280,8 @@ type GridCell struct {
 // Cells enumerates the grid in deterministic row order: network axes
 // outermost (sizes, then RTTs, buffers, CCs, cross fractions), then the
 // Table 2 plane in sweep order (flow counts outer, concurrencies inner).
-// With singleton network axes this is exactly RunSweep's cell order.
+// With singleton network axes this is exactly the Table 2 sweep's
+// order (SweepResult.Rows).
 // Multi-hop grids enumerate sizes, then edge capacities, WAN RTTs,
 // ingress buffers, and CCs, composing each hop point down to the
 // effective bottleneck coordinates.
@@ -403,7 +406,7 @@ const netSeedStride = 1_000_003
 //   - The base network point (RTT, buffer, CC and cross fraction all
 //     equal to the Net's own values) has offset 0, so AxesFromSweep
 //     grids keep the Table 2 sweep's seed formula exactly and stay
-//     bit-identical to RunSweep.
+//     bit-identical to the Table 2 sweep.
 //   - Transfer size never enters the seed — the sweep formula has no
 //     size term, and the grid preserves that property: cells differing
 //     only in size deliberately share their loss-randomization stream,
@@ -477,9 +480,9 @@ func (a Axes) experiment(c GridCell) Experiment {
 }
 
 // Fingerprint returns a canonical key covering every Axes field that
-// affects grid output, in the same spirit as SweepConfig.Fingerprint.
-// The "grid;" prefix keeps the two keyspaces disjoint, so sweep and grid
-// entries never collide in a shared disk cache directory.
+// affects grid output: GridCache's memo key, for grids and — through
+// AxesFromSweep — for Table 2 sweeps alike. The "grid;" prefix keeps it
+// disjoint from cellFingerprint's "cell;" keys.
 func (a Axes) Fingerprint() string {
 	n := a.normalized()
 	var b strings.Builder
@@ -689,20 +692,51 @@ func executeCells(a Axes, cells []GridCell, rows []GridRow, workers int, onRow f
 	return nil
 }
 
-// runSweepViaGrid computes a Table 2 sweep through the incremental grid
-// pipeline — the path SweepCache.Get takes, so the figure pipeline and
-// the CLIs all exercise the planner and cell store. Bit-identical to
-// RunSweep/RunSweepParallel (enforced by TestSweepDeterminism's cached
-// driver). Empty axes are rejected by the caller (SweepCache.Get)
-// before the memo entry is created.
-func runSweepViaGrid(cfg SweepConfig, workers int, store *cellStore) (*SweepResult, error) {
-	g, err := runGridIncremental(AxesFromSweep(cfg), workers, store)
+// runExperimentRow executes one experiment and condenses it into a
+// SweepRow — the one place a row is built, so every grid, sweep and
+// cache path produces identical rows for identical experiments. With a scratch the
+// assembly reuses the worker's buffers end to end and the only per-cell
+// allocation is the row's escaping TransferTimes slice
+// (TestCellAssemblyAllocs gates this); rows are bit-identical either
+// way. When keep is set the full Result escapes into the row, so the
+// scratch is refused and every buffer is freshly owned.
+func runExperimentRow(e Experiment, keep bool, eng *tcpsim.Engine, sc *runScratch) (SweepRow, error) {
+	if keep {
+		sc = nil
+	}
+	res, err := runWithEngineScratch(e, eng, sc)
 	if err != nil {
-		return nil, err
+		return SweepRow{}, err
 	}
-	out := &SweepResult{Config: cfg, Rows: make([]SweepRow, len(g.Rows))}
-	for i := range g.Rows {
-		out.Rows[i] = g.Rows[i].SweepRow
+	times := make([]float64, len(res.Clients))
+	var durations *stats.Sample
+	if sc != nil {
+		sc.sample.Reset()
+		durations = &sc.sample
+	} else {
+		durations = stats.NewSample()
 	}
-	return out, nil
+	for i, c := range res.Clients {
+		times[i] = c.TransferTime()
+		durations.Add(times[i])
+	}
+	p50, _ := durations.Quantile(0.50)
+	p90, _ := durations.Quantile(0.90)
+	p99, _ := durations.Quantile(0.99)
+	row := SweepRow{
+		Concurrency:   e.Concurrency,
+		ParallelFlows: e.ParallelFlows,
+		OfferedLoad:   e.OfferedLoad(),
+		Utilization:   res.MeanUtilization,
+		Worst:         res.WorstFCT,
+		P50:           units.Seconds(p50),
+		P90:           units.Seconds(p90),
+		P99:           units.Seconds(p99),
+		SSS:           res.SSS,
+		TransferTimes: times,
+	}
+	if keep {
+		row.Result = res
+	}
+	return row, nil
 }

@@ -158,12 +158,51 @@ func TestAxesFingerprintDistinguishesAxes(t *testing.T) {
 	}
 }
 
-// TestGridMatchesSweep holds the two executors together: lowering a
-// Table 2 sweep onto the grid must produce bit-identical rows (same
-// cells, same order, same per-cell seeds).
+// referenceSweep is the serial Table 2 sweep, kept as the test-only
+// reference the grid executor is held against: one reused engine, flow
+// counts outer and concurrencies inner, per-cell seed = base seed +
+// conc·100 + P. It is written out independently of Axes, so a change
+// to the grid's cell order or seed derivation shows up as a diff.
+func referenceSweep(cfg SweepConfig) (*SweepResult, error) {
+	if len(cfg.Concurrencies) == 0 || len(cfg.ParallelFlows) == 0 {
+		return nil, fmt.Errorf("workload: empty sweep axes")
+	}
+	eng := tcpsim.NewEngine()
+	var sc runScratch
+	out := &SweepResult{Config: cfg, Rows: make([]SweepRow, 0, cfg.Size())}
+	for _, p := range cfg.ParallelFlows {
+		for _, conc := range cfg.Concurrencies {
+			row, err := referenceSweepCell(cfg, conc, p, eng, &sc)
+			if err != nil {
+				return nil, fmt.Errorf("workload: sweep cell conc=%d P=%d: %w", conc, p, err)
+			}
+			out.Rows = append(out.Rows, row)
+		}
+	}
+	return out, nil
+}
+
+// referenceSweepCell executes one reference sweep cell on the given
+// engine. sc may be nil (fresh buffers per cell).
+func referenceSweepCell(cfg SweepConfig, conc, p int, eng *tcpsim.Engine, sc *runScratch) (SweepRow, error) {
+	e := Experiment{
+		Duration:      cfg.Duration,
+		Concurrency:   conc,
+		ParallelFlows: p,
+		TransferSize:  cfg.TransferSize,
+		Strategy:      cfg.Strategy,
+		Net:           cfg.Net,
+	}
+	e.Net.Seed = cfg.Net.Seed + int64(conc*100+p)
+	return runExperimentRow(e, cfg.KeepClientResults, eng, sc)
+}
+
+// TestGridMatchesSweep holds the executor to the reference sweep:
+// lowering a Table 2 sweep onto the grid must produce bit-identical
+// rows (same cells, same order, same per-cell seeds).
 func TestGridMatchesSweep(t *testing.T) {
 	cfg := fastSweep()
-	sweep, err := RunSweep(cfg)
+	sweep, err := referenceSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +309,7 @@ func TestGridSeedsVaryAcrossNetPoints(t *testing.T) {
 
 	// The base network point reduces to the Table 2 sweep's seed formula
 	// (offset 0) — what keeps AxesFromSweep grids bit-identical to
-	// RunSweep.
+	// the reference sweep (referenceSweep).
 	sweepAxes := AxesFromSweep(fastSweep()).normalized()
 	for _, c := range sweepAxes.Cells() {
 		e := sweepAxes.experiment(c)

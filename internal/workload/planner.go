@@ -9,20 +9,13 @@ package workload
 // a sub-grid, a superset, a partially overlapping envelope probe — is
 // reused at cell granularity.
 //
-// The fetch phase runs on its own bounded worker pool: record loads are
-// I/O (segment reads + binary decode, or a loose-file read), so on
-// slow or NFS-like filesystems a serial fetch would serialize round
-// trips that overlap for free. Workers write disjoint row slots, and
-// the assembly below walks cells in grid order, so the result — rows,
-// missing-cell order, and every CacheStats counter — is byte-identical
-// to a serial fetch for any worker count.
-//
-// Dense requests (cells ≫ pool) additionally take a streaming first
-// pass: instead of one ReadAt per cell, the segment store reads
-// offset-sorted runs of records through pooled block buffers
-// (segstore.go loadStream) and the pool decodes behind the reader; any
-// cell the stream does not cleanly serve falls back to the per-cell
-// path, so the outcome is bit-identical to a pure per-cell fetch.
+// The fetch phase fingerprints every cell (on a bounded worker pool,
+// inline when the pool is 1) and then makes one streaming pass over the
+// segment store (segstore.go loadStream): requested records are read
+// in offset-sorted runs and decoded behind the reader. Workers write
+// disjoint row slots, and the assembly below walks cells in grid
+// order, so the result — rows, missing-cell order, and every CacheStats
+// counter — is byte-identical for any worker count.
 
 import (
 	"runtime"
@@ -44,11 +37,6 @@ var fetchPoolSize = func() int {
 	return fetchWorkersMax
 }
 
-// denseOpenMinCells is the request size at which planGrid switches from
-// per-cell fetches to the streaming first pass — "requested cells ≫
-// fetch pool". A var so tests force the streaming path on small grids.
-var denseOpenMinCells = 1024
-
 // gridPlan partitions one requested (normalized) grid.
 type gridPlan struct {
 	axes Axes
@@ -65,18 +53,17 @@ type gridPlan struct {
 	// persist gates the cell store: off when no store is configured or
 	// when rows pin client results (those stay memory-only).
 	persist bool
-	// fromSegment / fromDisk tally where the cached cells came from —
-	// the plan's own copy of what planGrid added to the process-wide
-	// counters, so one request's service can be attributed exactly even
-	// while other requests mutate the globals.
-	fromSegment, fromDisk int64
+	// fromSegment tallies the cached cells — the plan's own copy of
+	// what planGrid added to the process-wide counter, so one request's
+	// service can be attributed exactly even while other requests
+	// mutate the globals.
+	fromSegment int64
 }
 
-// planGrid fetches every cached cell of the grid from the store — on a
-// bounded parallel worker pool — and returns the plan describing what
-// remains. a must be normalized. With persistence off (nil store, no
-// directory, or KeepClientResults) every cell is missing and the plan
-// degenerates to a whole-grid run.
+// planGrid fetches every cached cell of the grid from the store and
+// returns the plan describing what remains. a must be normalized. With
+// persistence off (nil store, no directory, or KeepClientResults) every
+// cell is missing and the plan degenerates to a whole-grid run.
 func planGrid(a Axes, store *cellStore) *gridPlan {
 	cells := a.Cells()
 	p := &gridPlan{
@@ -92,13 +79,14 @@ func planGrid(a Axes, store *cellStore) *gridPlan {
 		return p
 	}
 	p.fps = make([]string, len(cells))
-	srcs := make([]cellSource, len(cells))
 	workers := min(fetchPoolSize(), len(cells))
-
-	if len(cells) >= denseOpenMinCells {
-		// Dense request: fingerprint every cell first (contiguous shards
-		// — cell i's fingerprint lands in fps[i] whatever the split),
-		// then one streaming pass over the segment.
+	if workers <= 1 {
+		for i, c := range cells {
+			p.fps[i] = cellFingerprint(a.experiment(c))
+		}
+	} else {
+		// Contiguous shards: cell i's fingerprint lands in fps[i]
+		// whatever the split.
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			lo, hi := len(cells)*w/workers, len(cells)*(w+1)/workers
@@ -111,95 +99,32 @@ func planGrid(a Axes, store *cellStore) *gridPlan {
 			}()
 		}
 		wg.Wait()
-		hit := make([]bool, len(cells))
-		store.loadStream(p.fps, hit, func(i int) *SweepRow { return &p.rows[i].SweepRow }, workers)
-		for i, c := range cells {
-			if hit[i] && acceptRow(p.rows[i].SweepRow, c) {
-				p.rows[i].Cell = c
-				srcs[i] = srcSegment
-			} else if hit[i] {
-				// Structurally foreign record: clear the slot and leave
-				// the cell to the per-cell fallback, whose re-read runs
-				// the exact dropKey + loose-v1 sequence load owns.
-				p.rows[i] = GridRow{}
-			}
-		}
 	}
-
-	// Per-cell fetch: everything in the sparse case; only the cells the
-	// stream did not serve in the dense case.
-	fetch := func(i int) {
-		if srcs[i] == srcSegment {
-			return
-		}
-		c := cells[i]
-		fp := p.fps[c.Index]
-		if fp == "" {
-			fp = cellFingerprint(a.experiment(c))
-			p.fps[c.Index] = fp
-		}
-		var row SweepRow
-		if src := store.load(fp, c, &row); src != srcMiss {
-			p.rows[c.Index] = GridRow{Cell: c, SweepRow: row}
-			srcs[i] = src
-		}
-	}
-	if workers <= 1 {
-		for i := range cells {
-			fetch(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					fetch(i)
-				}
-			}()
-		}
-		for i := range cells {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
-	// Assemble in grid order: the missing list and the counters come out
-	// identical whatever interleaving the pool (or the streaming pass)
-	// ran.
+	store.loadStream(p.fps, cells, p.rows, workers)
+	// Assemble in grid order: the missing list and the counter come out
+	// identical whatever interleaving the stream ran. A served row
+	// always carries TransferTimes (acceptRow); a miss is the zero row.
 	for i, c := range cells {
-		switch srcs[i] {
-		case srcSegment:
+		if len(p.rows[i].TransferTimes) > 0 {
 			p.fromSegment++
-		case srcDisk:
-			p.fromDisk++
-		default:
+		} else {
 			p.missing = append(p.missing, c)
 		}
 	}
 	cellsFromSegment.Add(p.fromSegment)
-	cellsFromDisk.Add(p.fromDisk)
 	return p
 }
 
-// runGridIncremental is the pipeline behind both caches: plan the grid
-// against the cell store (parallel fetch), execute only the missing
-// cells, persist each fresh record as its worker finishes it, assemble
-// the rows in grid order, and flush the segment index sidecar once.
-// Bit-identical to RunGridParallel for any store content, any worker
-// count, and any interleaving of prior grids — every cell is
+// runGridIncrementalStats is the pipeline behind the grid cache: plan
+// the grid against the cell store (streaming fetch), execute only the
+// missing cells, persist each fresh record as its worker finishes it,
+// assemble the rows in grid order, and flush the segment index sidecar
+// once. Bit-identical to RunGridParallel for any store content, any
+// worker count, and any interleaving of prior grids — every cell is
 // independently seeded from its own coordinates, so a loaded record and
-// a recomputed row are the same bytes.
-func runGridIncremental(a Axes, workers int, store *cellStore) (*GridResult, error) {
-	g, _, err := runGridIncrementalStats(a, workers, store)
-	return g, err
-}
-
-// runGridIncrementalStats is runGridIncremental plus an exact
+// a recomputed row are the same bytes. It also returns an exact
 // per-request CacheStats: the attribution is derived from the plan
-// itself (cached cells by source, missing cells as engine runs), not
+// itself (cached cells from the segment, missing cells as engine runs), not
 // from deltas of the process-wide counters, so it stays correct when
 // many requests run concurrently in one process — the situation a
 // long-lived server is always in. LockWaits, IndexLoad and BytesRead
@@ -214,7 +139,6 @@ func runGridIncrementalStats(a Axes, workers int, store *cellStore) (*GridResult
 	plan := planGrid(a, store)
 	stats := CacheStats{
 		CellsRequested:   int64(len(plan.rows)),
-		CellsFromDisk:    plan.fromDisk,
 		CellsFromSegment: plan.fromSegment,
 		EngineRuns:       int64(len(plan.missing)),
 	}

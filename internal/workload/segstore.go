@@ -9,9 +9,9 @@ package workload
 // loaded once per process from an atomic sidecar (`cells.idx`, binary
 // fixed-layout since the sidecar rework: codec in binrecord.go), so a
 // warm grid is one index load plus bounded-concurrency reads instead
-// of a directory walk. Dense warm opens (planner.go) go further:
-// instead of one ReadAt per cell they stream the segment in
-// offset-sorted runs through pooled block buffers (loadStream below).
+// of a directory walk. Every read — a one-cell request or a 10⁵-cell
+// open — goes through one path: loadStream streams the requested
+// records in offset-sorted runs through pooled buffers.
 //
 // Layout of one segment record:
 //
@@ -36,19 +36,19 @@ package workload
 //
 // Compaction (CompactDiskCache, `ssslab -compact-cache`) folds dead
 // segment space (records orphaned by corruption or superseded appends)
-// and loose v1 per-cell files into a fresh segment + sidecar, written
+// out of a fresh segment + sidecar, written
 // atomically (temp + rename; the sidecar is removed first so a crash
 // mid-swap leaves a scannable segment, not a lying index).
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -58,7 +58,7 @@ import (
 
 const (
 	// segmentFileName / segmentIndexName are the two store files under a
-	// cache directory; everything else there is loose v1 cell records.
+	// cache directory.
 	segmentFileName  = "cells.seg"
 	segmentIndexName = "cells.idx"
 
@@ -278,9 +278,6 @@ func (s *segStore) scanTail(from, fileSize int64) int64 {
 // dead space, and the cells it covered recompute (migration by
 // recompute, per the ARCHITECTURE.md version-bump checklist).
 func segPayloadKey(payload []byte) (segKey, bool) {
-	if !isBinPayload(payload) {
-		return segKey{}, false
-	}
 	fpBytes, ok := binRecordShape(payload)
 	if !ok {
 		return segKey{}, false
@@ -288,79 +285,18 @@ func segPayloadKey(payload []byte) (segKey, bool) {
 	return bytesSegKey(fpBytes), true
 }
 
-// decodeSegPayload decodes one CRC-valid framed binary payload into
-// out. The embedded fingerprint must match fp exactly; anything else —
-// including a pre-v4 JSON envelope payload — reports false and is a
-// single-cell miss.
-func decodeSegPayload(payload []byte, fp string, out *SweepRow) bool {
-	return isBinPayload(payload) && decodeBinRecord(payload, fp, out)
-}
-
-// segBufPool recycles record read buffers across the planner's 16-way
-// fetch pool: a warm 10⁵-cell open performs 10⁵ ReadAt calls whose
-// buffers would otherwise all be garbage. Buffers are pooled with their
-// capacity and regrown on demand (records are a few KB).
-var segBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// readRecord reads entry e through a pooled buffer and decodes it into
-// out, reporting false on any defect: short or failed read, bad frame,
-// CRC mismatch, or a payload neither record generation accepts for fp.
-func readRecord(rf *os.File, e segEntry, fp string, out *SweepRow) bool {
-	if e.length < segHeaderSize || e.length > segHeaderSize+segMaxRecord {
-		return false
-	}
-	bufp := segBufPool.Get().(*[]byte)
-	buf := *bufp
-	if int64(cap(buf)) < e.length {
-		buf = make([]byte, e.length)
-	}
-	buf = buf[:e.length]
-	ok := false
-	if _, err := rf.ReadAt(buf, e.off); err == nil {
-		segBytesRead.Add(e.length)
-		if string(buf[:4]) == segMagic &&
-			int64(binary.LittleEndian.Uint32(buf[4:8])) == e.length-segHeaderSize &&
-			crc32.ChecksumIEEE(buf[segHeaderSize:]) == binary.LittleEndian.Uint32(buf[8:12]) {
-			// Decode before returning the buffer: the decoder reads the
-			// payload in place until out is populated.
-			ok = decodeSegPayload(buf[segHeaderSize:], fp, out)
-		}
-	}
-	*bufp = buf[:0]
-	segBufPool.Put(bufp)
-	return ok
-}
-
-// load reads the record for fp into out, reporting false — a miss,
-// never an error — on any defect. A defective record's index entry is
-// dropped (the bytes become dead space for the next compaction) so the
-// cell recomputes and re-appends.
-func (s *segStore) load(fp string, out *SweepRow) bool {
-	key := fingerprintSegKey(fp)
-	s.mu.Lock()
-	s.ensureLoaded()
-	e, ok := s.index[key]
-	rf := s.rf
-	gen := s.gen
-	s.mu.Unlock()
-	if !ok || rf == nil {
-		return false
-	}
-	if !readRecord(rf, e, fp, out) {
-		s.drop(key, e, gen)
-		return false
-	}
-	return true
+// validFrame reports whether b is one whole segment record: the RSG2
+// magic, a length word that matches len(b), and a payload CRC that
+// matches the header's.
+func validFrame(b []byte) bool {
+	return len(b) >= segHeaderSize && string(b[:4]) == segMagic &&
+		int(binary.LittleEndian.Uint32(b[4:8])) == len(b)-segHeaderSize &&
+		crc32.ChecksumIEEE(b[segHeaderSize:]) == binary.LittleEndian.Uint32(b[8:12])
 }
 
 // drop removes a defective record's index entry — but only if the
 // index generation is unchanged and the entry still is what the failed
-// read observed. The ReadAt in load runs outside the lock, so a
+// read observed. The ReadAt in loadStream runs outside the lock, so a
 // concurrent compact (or ResetSegmentStores) may have failed that read
 // by closing the handle and already replaced the entry with a valid
 // relocated one; both guards together make an eviction of the new
@@ -388,12 +324,12 @@ func (s *segStore) dropKey(key segKey) {
 	s.mu.Unlock()
 }
 
-// ── Streaming dense reads ────────────────────────────────────────────
+// ── The read path ────────────────────────────────────────────────────
 
 const (
 	// segStreamSpan is the target span of one streaming read: requested
 	// records within one span coalesce into a single ReadAt through a
-	// pooled block buffer.
+	// pooled buffer.
 	segStreamSpan = 1 << 20
 	// segStreamGap is the largest dead-space hole a streaming run reads
 	// through rather than splitting into a separate syscall (unrequested
@@ -401,47 +337,59 @@ const (
 	segStreamGap = 64 << 10
 )
 
-// segStreamBufPool recycles the block buffers behind streaming reads —
-// a 10⁵-cell open otherwise allocates tens of MB of transient spans.
-var segStreamBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, segStreamSpan)
-		return &b
-	},
-}
+// segStreamBufPool recycles the run buffers behind loadStream — a
+// 10⁵-cell open otherwise allocates tens of MB of transient spans. A
+// buffer grows on demand to the run it serves (at most segStreamSpan,
+// or one record if that is larger), so a one-cell request reads into a
+// record-sized buffer, not a span-sized block.
+var segStreamBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// loadStream serves a dense batch of cells in bulk: instead of one
-// ReadAt per cell it sorts the requested records by segment offset,
-// groups them into sequential runs (≤segStreamSpan wide, reading
-// through holes ≤segStreamGap), reads each run with a single ReadAt
-// into a pooled block buffer, and decodes the records out of the block
-// on a worker pool running behind the reads. hit[i] is set only when
-// fps[i]'s record validated (frame magic, length, CRC) and decoded into
-// rowAt(i); everything else — no index entry, defective bytes, a read
-// racing a compaction — is left for the caller's per-cell fallback,
-// which preserves the exact per-cell miss/drop semantics of load. Rows
-// for distinct indices are written concurrently; rowAt must map
-// distinct i to non-overlapping rows.
-func (s *segStore) loadStream(fps []string, hit []bool, rowAt func(int) *SweepRow, workers int) {
+// loadStream is the store's one read path. It looks every fingerprint
+// up in the index, sorts the found records by segment offset, groups
+// them into sequential runs (≤segStreamSpan wide, reading through
+// holes ≤segStreamGap), reads each run with a single ReadAt, and
+// decodes the records on up to workers goroutines. A served record
+// lands in rows[i] together with cells[i]; its row always carries
+// TransferTimes (acceptRow). Every other slot stays the zero GridRow —
+// a miss the caller executes.
+//
+// loadStream owns the miss policy. A record that fails its frame,
+// length, CRC or decode check (or lies past the bytes a read returned:
+// a truncated segment, or a read racing a compaction) gets the
+// generation-guarded drop; one that decodes but does not belong to its
+// cell gets dropKey. Either way the cell recomputes and re-appends.
+// Distinct indices are written concurrently.
+func (s *segStore) loadStream(fps []string, cells []GridCell, rows []GridRow, workers int) {
 	type streamReq struct {
 		i int
 		e segEntry
 	}
 	s.mu.Lock()
 	s.ensureLoaded()
-	rf := s.rf
-	reqs := make([]streamReq, 0, len(fps))
-	for i, fp := range fps {
-		if e, ok := s.index[fingerprintSegKey(fp)]; ok &&
-			e.off >= 0 && e.length >= segHeaderSize && e.length <= segHeaderSize+segMaxRecord {
-			reqs = append(reqs, streamReq{i: i, e: e})
+	rf, gen := s.rf, s.gen
+	var reqs []streamReq
+	if rf != nil {
+		reqs = make([]streamReq, 0, len(fps))
+		for i, fp := range fps {
+			key := fingerprintSegKey(fp)
+			e, ok := s.index[key]
+			switch {
+			case !ok:
+			case e.off < 0 || e.length < segHeaderSize || e.length > segHeaderSize+segMaxRecord:
+				// A location no record can have (forged sidecar): drop
+				// it now, under the lock the lookup already holds.
+				delete(s.index, key)
+				s.dirty++
+			default:
+				reqs = append(reqs, streamReq{i: i, e: e})
+			}
 		}
 	}
 	s.mu.Unlock()
-	if rf == nil || len(reqs) == 0 {
+	if len(reqs) == 0 {
 		return
 	}
-	sort.Slice(reqs, func(a, b int) bool { return reqs[a].e.off < reqs[b].e.off })
+	slices.SortFunc(reqs, func(a, b streamReq) int { return cmp.Compare(a.e.off, b.e.off) })
 	// Group the offset-sorted requests into runs. A run always holds its
 	// first record whole (records larger than segStreamSpan become
 	// single-record runs); overlapping entries — only a forged sidecar
@@ -464,34 +412,35 @@ func (s *segStore) loadStream(fps []string, hit []bool, rowAt func(int) *SweepRo
 	runs = append(runs, cur)
 
 	serve := func(r streamRun) {
-		n := r.end - r.start
 		bufp := segStreamBufPool.Get().(*[]byte)
-		buf := *bufp
-		if int64(cap(buf)) < n {
-			buf = make([]byte, n)
+		if n := int(r.end - r.start); cap(*bufp) < n {
+			*bufp = make([]byte, n)
 		}
-		buf = buf[:n]
-		if _, err := rf.ReadAt(buf, r.start); err == nil {
-			segBytesRead.Add(n)
-			for _, q := range reqs[r.lo:r.hi] {
-				b := buf[q.e.off-r.start : q.e.off-r.start+q.e.length]
-				if string(b[:4]) == segMagic &&
-					int64(binary.LittleEndian.Uint32(b[4:8])) == q.e.length-segHeaderSize &&
-					crc32.ChecksumIEEE(b[segHeaderSize:]) == binary.LittleEndian.Uint32(b[8:12]) &&
-					// Decode before the buffer recycles: the JSON legacy
-					// path aliases it until the row is populated.
-					decodeSegPayload(b[segHeaderSize:], fps[q.i], rowAt(q.i)) {
-					hit[q.i] = true
+		buf := (*bufp)[:r.end-r.start]
+		got, _ := rf.ReadAt(buf, r.start)
+		segBytesRead.Add(int64(got))
+		for _, q := range reqs[r.lo:r.hi] {
+			lo := q.e.off - r.start
+			row := &rows[q.i]
+			// Decode before the buffer recycles: the decoder reads the
+			// payload in place.
+			if hi := lo + q.e.length; hi <= int64(got) && validFrame(buf[lo:hi]) &&
+				decodeBinRecord(buf[lo+segHeaderSize:hi], fps[q.i], &row.SweepRow) {
+				if acceptRow(row.SweepRow, cells[q.i]) {
+					row.Cell = cells[q.i]
+					continue
 				}
+				// Structurally foreign to its cell: the bytes are bad
+				// wherever they live, so relocation cannot save them.
+				*row = GridRow{}
+				s.dropKey(fingerprintSegKey(fps[q.i]))
+				continue
 			}
+			s.drop(fingerprintSegKey(fps[q.i]), q.e, gen)
 		}
-		*bufp = buf[:0]
 		segStreamBufPool.Put(bufp)
 	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	if workers <= 1 {
+	if workers = min(workers, len(runs)); workers <= 1 {
 		for _, r := range runs {
 			serve(r)
 		}
@@ -736,7 +685,7 @@ func (s *segStore) append(fp string, row SweepRow) error {
 // cover point and entries reflect a quiescent segment (the lock-held
 // resync folds in any foreign appends first — a sidecar must never
 // hide another writer's records below its cover point). Called once
-// per grid run (runGridIncremental), not per record. Failure —
+// per grid run (runGridIncrementalStats), not per record. Failure —
 // including failure to get the lock — is silent: the sidecar is an
 // accelerator, and the tail scan recovers everything it would have
 // said.
@@ -791,21 +740,17 @@ func (s *segStore) writeSidecar() error {
 type CompactStats struct {
 	// Records is the number of live records in the compacted segment.
 	Records int
-	// Folded is how many loose v1 per-cell files were migrated into the
-	// segment (and removed).
-	Folded int
 	// SegmentBytes is the compacted segment's size.
 	SegmentBytes int64
-	// ReclaimedBytes is the on-disk space freed: dead segment space plus
-	// the loose files folded away.
+	// ReclaimedBytes is the on-disk space freed: dead segment space.
 	ReclaimedBytes int64
 }
 
 // CompactDiskCache rewrites a cache directory's segment store from its
-// live contents: every readable segment record plus every loose v1
-// per-cell file folds into a fresh segment + sidecar; dead segment
-// space (corrupt or superseded records), folded loose files, and any
-// temp files a crashed writer left behind are reclaimed. dir ""
+// live contents: every readable segment record folds into a fresh
+// segment + sidecar; dead segment space (corrupt or superseded
+// records) and any temp files a crashed writer left behind are
+// reclaimed. dir ""
 // selects the default directory. A directory with no cache state
 // compacts to nothing successfully.
 func CompactDiskCache(dir string) (CompactStats, error) {
@@ -822,7 +767,7 @@ func CompactDiskCache(dir string) (CompactStats, error) {
 // the whole rewrite, so in-process appends and index lookups serialize
 // around it, and the directory writer lock, so cross-process appenders
 // queue (bounded by their lockTimeout) instead of appending to a
-// segment that is about to be replaced. A load whose ReadAt was already
+// segment that is about to be replaced. A stream whose ReadAt was already
 // in flight (reads run outside both locks) fails against the closed old
 // handle and reports a miss; its generation-guarded drop cannot evict
 // the relocated entry, so the cost is one recompute, never a lost
@@ -834,29 +779,13 @@ func (s *segStore) compact() (CompactStats, error) {
 
 	var st CompactStats
 
-	// A directory with nothing to compact — no indexed records, no
-	// loose cell files — is a successful no-op: compaction must not
-	// fabricate store files (or the directory itself, or even the lock
-	// file) where no cache state exists.
+	// A directory with nothing to compact — no indexed records — is a
+	// successful no-op: compaction must not fabricate store files (or
+	// the directory itself, or even the lock file) where no cache state
+	// exists.
 	if len(s.index) == 0 {
-		hasLoose := false
-		entries, err := os.ReadDir(s.dir)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return st, nil
-			}
-			return st, fmt.Errorf("workload: compacting cache: %w", err)
-		}
-		for _, ent := range entries {
-			if !ent.IsDir() && filepath.Ext(ent.Name()) == ".json" {
-				hasLoose = true
-				break
-			}
-		}
-		if !hasLoose {
-			removeSegmentTempFiles(s.dir)
-			return st, nil
-		}
+		removeSegmentTempFiles(s.dir)
+		return st, nil
 	}
 
 	lk, err := acquireDirLock(s.dir)
@@ -889,19 +818,9 @@ func (s *segStore) compact() (CompactStats, error) {
 	}
 	newIndex := make(map[segKey]segEntry, len(s.index))
 	var off int64
-	writeRec := func(key segKey, buf []byte) error {
-		if _, err := fsfault.Write("segstore.compact.write", tmp, buf); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("workload: writing compacted segment: %w", err)
-		}
-		newIndex[key] = segEntry{off: off, length: int64(len(buf))}
-		off += int64(len(buf))
-		return nil
-	}
 
-	// Live segment records first, deterministically ordered by key so
-	// two compactions of the same state write identical segments. Only
+	// Live records only, deterministically ordered by key so two
+	// compactions of the same state write identical segments. Only
 	// shape-valid binary records are live since the v4 bump (a v2 JSON
 	// payload never enters the index, so nothing folds it); they copy
 	// verbatim, one record in memory at a time. A defective record is
@@ -913,76 +832,28 @@ func (s *segStore) compact() (CompactStats, error) {
 	// Byte order of the hash keys == lexical order of their old hex
 	// renderings, so compacted segments keep the exact record order the
 	// string-keyed store produced.
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i][:], keys[j][:]) < 0 })
+	slices.SortFunc(keys, func(a, b segKey) int { return bytes.Compare(a[:], b[:]) })
 	for _, key := range keys {
 		e := s.index[key]
 		if s.rf == nil || e.length < segHeaderSize || e.length > segHeaderSize+segMaxRecord {
 			continue
 		}
 		buf := make([]byte, e.length)
-		if _, err := s.rf.ReadAt(buf, e.off); err != nil {
+		if _, err := s.rf.ReadAt(buf, e.off); err != nil || !validFrame(buf) {
 			continue
 		}
-		if string(buf[:4]) != segMagic ||
-			int64(binary.LittleEndian.Uint32(buf[4:8])) != e.length-segHeaderSize ||
-			crc32.ChecksumIEEE(buf[segHeaderSize:]) != binary.LittleEndian.Uint32(buf[8:12]) {
+		if _, ok := binRecordShape(buf[segHeaderSize:]); !ok {
 			continue
 		}
-		payload := buf[segHeaderSize:]
-		if !isBinPayload(payload) {
-			continue
+		if _, err := fsfault.Write("segstore.compact.write", tmp, buf); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return st, fmt.Errorf("workload: writing compacted segment: %w", err)
 		}
-		if _, ok := binRecordShape(payload); !ok {
-			continue
-		}
-		if err := writeRec(key, buf); err != nil {
-			return st, err
-		}
+		newIndex[key] = segEntry{off: off, length: e.length}
+		off += e.length
 	}
 
-	// Then fold loose v1 per-cell files: read, validate, re-frame as
-	// binary segment records. The v1 row schema is unchanged across
-	// every container generation, which is why migration-by-miss still
-	// covers the loose files.
-	entries, err := os.ReadDir(s.dir)
-	if err != nil && !os.IsNotExist(err) {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return st, fmt.Errorf("workload: compacting cache: %w", err)
-	}
-	var looseFolded []string
-	var looseBytes int64
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || filepath.Ext(name) != ".json" {
-			continue
-		}
-		path := filepath.Join(s.dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		var env diskEnvelope
-		var row SweepRow
-		if json.Unmarshal(data, &env) != nil ||
-			env.Version != looseCellRecordVersion ||
-			env.Fingerprint == "" ||
-			json.Unmarshal(env.Payload, &row) != nil {
-			continue // not a cell record (or corrupt): leave it alone
-		}
-		key := fingerprintSegKey(env.Fingerprint)
-		if _, dup := newIndex[key]; !dup {
-			buf, err := encodeSegRecord(env.Fingerprint, row)
-			if err != nil {
-				continue
-			}
-			if err := writeRec(key, buf); err != nil {
-				return st, err
-			}
-		}
-		looseFolded = append(looseFolded, path)
-		looseBytes += int64(len(data))
-	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return st, fmt.Errorf("workload: writing compacted segment: %w", err)
@@ -1000,7 +871,7 @@ func (s *segStore) compact() (CompactStats, error) {
 	}
 
 	// Swap the in-memory state over to the new segment. The generation
-	// bump invalidates in-flight loads' drop attempts: their failed
+	// bump invalidates in-flight streams' drop attempts: their failed
 	// reads (closed old handle) must not evict relocated entries, even
 	// ones whose new coordinates happen to equal the old.
 	if s.rf != nil {
@@ -1019,25 +890,21 @@ func (s *segStore) compact() (CompactStats, error) {
 		s.dirty = 0
 	}
 
-	// Reclaim the folded loose files and any temp files a crashed writer
-	// (or interrupted compaction) left behind.
-	for _, path := range looseFolded {
-		os.Remove(path)
-	}
+	// Reclaim any temp files a crashed writer (or interrupted
+	// compaction) left behind.
 	removeSegmentTempFiles(s.dir)
 
 	st.Records = len(newIndex)
-	st.Folded = len(looseFolded)
 	st.SegmentBytes = off
-	st.ReclaimedBytes = oldSegBytes + looseBytes - off
+	st.ReclaimedBytes = oldSegBytes - off
 	if st.ReclaimedBytes < 0 {
 		st.ReclaimedBytes = 0
 	}
 	return st, nil
 }
 
-// isSegmentTempName recognizes the store's temp files: v1 cell-record
-// temps plus segment/sidecar temps.
+// isSegmentTempName recognizes the store's temp files: segment and
+// sidecar temps, plus the loose-file temps (.cell-) older builds wrote.
 func isSegmentTempName(name string) bool {
 	if !strings.HasSuffix(name, ".tmp") {
 		return false

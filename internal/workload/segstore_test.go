@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,6 +74,67 @@ func writeSidecarFile(t *testing.T, dir string, cover int64, entries map[segKey]
 	if err := os.WriteFile(idxPathOf(dir), encodeSidecar(cover, entries), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// loadOne serves one cell's record through the read path the way a
+// one-cell request does, reporting whether the record was served.
+func loadOne(s *segStore, fp string, c GridCell) (SweepRow, bool) {
+	rows := make([]GridRow, 1)
+	s.loadStream([]string{fp}, []GridCell{c}, rows, 1)
+	return rows[0].SweepRow, len(rows[0].TransferTimes) > 0
+}
+
+// frameSegPayload frames an arbitrary payload as a segment record with
+// a valid header and CRC — a record only decode can reject.
+func frameSegPayload(payload []byte) []byte {
+	buf := make([]byte, segHeaderSize+len(payload))
+	copy(buf, segMagic)
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(payload))
+	copy(buf[segHeaderSize:], payload)
+	return buf
+}
+
+// requestShape serves grid a through cache c and returns its rows in
+// grid order. The shapes differ in how the read path sees the
+// requested records, not in what it must return.
+type requestShape func(t *testing.T, c *GridCache, a Axes) []GridRow
+
+// wholeGrid is one request for every cell: neighbouring records
+// coalesce into shared runs, so a defect sits in a block beside healthy
+// records.
+func wholeGrid(t *testing.T, c *GridCache, a Axes) []GridRow {
+	t.Helper()
+	g, err := c.Get(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Rows
+}
+
+// cellByCell is one one-cell request per cell of a flat grid: every
+// read is a one-record run. Rows are re-indexed to their position in a.
+func cellByCell(t *testing.T, c *GridCache, a Axes) []GridRow {
+	t.Helper()
+	cells := a.normalized().Cells()
+	rows := make([]GridRow, len(cells))
+	for i, cell := range cells {
+		one := a
+		one.Concurrencies = []int{cell.Concurrency}
+		one.ParallelFlows = []int{cell.ParallelFlows}
+		one.TransferSizes = []units.ByteSize{cell.TransferSize}
+		one.RTTs = []time.Duration{cell.RTT}
+		one.Buffers = []units.ByteSize{cell.Buffer}
+		one.CCs = []tcpsim.CongestionControl{cell.CC}
+		one.CrossFractions = []float64{cell.CrossFraction}
+		g, err := c.Get(one, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = g.Rows[0]
+		rows[i].Cell.Index, rows[i].Cell.NetIndex = cell.Index, cell.NetIndex
+	}
+	return rows
 }
 
 // TestSegmentWarmGrid is the v2 persistence contract: a cold cached run
@@ -176,8 +238,8 @@ func TestSegmentCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Records != a.Size() || st.Folded != 0 {
-		t.Fatalf("compaction stats = %+v, want %d records, 0 folded", st, a.Size())
+	if st.Records != a.Size() {
+		t.Fatalf("compaction stats = %+v, want %d records", st, a.Size())
 	}
 	if fi, err := os.Stat(segPathOf(dir)); err != nil || fi.Size() != st.SegmentBytes {
 		t.Fatalf("segment size %v != reported %d (err %v)", fi, st.SegmentBytes, err)
@@ -237,66 +299,66 @@ func TestCompactionEmptyStateIsNoOp(t *testing.T) {
 	}
 }
 
-// TestCompactionFoldsLegacyFiles: a v1-era directory (loose per-cell
-// files, no segment) compacts into a segment; the loose files are
-// removed and every cell then serves from the segment.
-func TestCompactionFoldsLegacyFiles(t *testing.T) {
-	dir := t.TempDir()
-	a := fastAxes()
-	rows := seedLegacyCellRecords(t, dir, a)
-	if n := looseRecordCount(t, dir); n != a.Size() {
-		t.Fatalf("seeded %d loose files, want %d", n, a.Size())
-	}
-
-	st, err := CompactDiskCache(dir)
+// writeLooseCellFiles writes one loose v1 per-cell file per grid cell —
+// the layout builds before the segment store wrote — and returns the
+// cold reference rows.
+func writeLooseCellFiles(t *testing.T, dir string, a Axes) []GridRow {
+	t.Helper()
+	g, err := RunGrid(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Records != a.Size() || st.Folded != a.Size() {
-		t.Fatalf("compaction stats = %+v, want %d records all folded", st, a.Size())
+	na := a.normalized()
+	for _, row := range g.Rows {
+		fp := cellFingerprint(na.experiment(row.Cell))
+		raw, err := json.Marshal(row.SweepRow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(legacyEnvelope{Version: "repro-cells/v1", Fingerprint: fp, Payload: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := fingerprintSegKey(fp)
+		if err := os.WriteFile(filepath.Join(dir, hex.EncodeToString(key[:])+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := looseRecordCount(t, dir); n != 0 {
-		t.Fatalf("%d loose files survived compaction, want 0", n)
-	}
-
-	ResetSegmentStores()
-	warm := NewGridCache()
-	warm.SetDiskDir(dir)
-	base := ReadCacheStats()
-	g, err := warm.Get(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := ReadCacheStats().Since(base)
-	if d.EngineRuns != 0 || d.CellsFromSegment != int64(a.Size()) || d.CellsFromDisk != 0 {
-		t.Fatalf("post-fold stats = %v, want all %d cells from segment", d, a.Size())
-	}
-	if gridRowsJSON(t, g.Rows) != gridRowsJSON(t, rows) {
-		t.Fatal("folded rows differ from the v1 originals")
-	}
+	return g.Rows
 }
 
-// TestLegacyMigrationByMiss: loose v1 files serve a grid (zero engine
-// runs) without any compaction — the segment simply misses and the
-// loader falls back per cell.
-func TestLegacyMigrationByMiss(t *testing.T) {
+// TestLooseFilesAreFullMiss: a directory holding only loose v1 per-cell
+// files is a clean full miss. Nothing reads them: compaction finds no
+// cache state, every cell executes, the rows are byte-identical to the
+// cold reference, and PurgeDiskCache removes the files.
+func TestLooseFilesAreFullMiss(t *testing.T) {
 	dir := t.TempDir()
 	a := fastAxes()
-	rows := seedLegacyCellRecords(t, dir, a)
+	rows := writeLooseCellFiles(t, dir, a)
 
-	warm := NewGridCache()
-	warm.SetDiskDir(dir)
+	if st, err := CompactDiskCache(dir); err != nil || st != (CompactStats{}) {
+		t.Fatalf("compaction of a loose-only directory = %+v, %v; want a no-op", st, err)
+	}
+	ResetSegmentStores()
+	c := NewGridCache()
+	c.SetDiskDir(dir)
 	base := ReadCacheStats()
-	g, err := warm.Get(a, 0)
+	g, err := c.Get(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := ReadCacheStats().Since(base)
-	if d.EngineRuns != 0 || d.CellsFromDisk != int64(a.Size()) || d.CellsFromSegment != 0 {
-		t.Fatalf("migration stats = %v, want all %d cells from loose v1 files", d, a.Size())
+	if d.EngineRuns != int64(a.Size()) || d.CellsFromSegment != 0 {
+		t.Fatalf("loose-only stats = %v, want all %d cells executed", d, a.Size())
 	}
 	if gridRowsJSON(t, g.Rows) != gridRowsJSON(t, rows) {
-		t.Fatal("migrated rows differ")
+		t.Fatal("rows differ from the cold reference")
+	}
+	if err := PurgeDiskCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	if n := looseRecordCount(t, dir); n != 0 {
+		t.Fatalf("%d loose files survived PurgeDiskCache, want 0", n)
 	}
 }
 
@@ -459,9 +521,10 @@ var segCorruptionCases = map[string]func(t *testing.T, dir string, a Axes) int{
 	// physical EOF past the dead frame.
 	"v2/v3 mixed segment": func(t *testing.T, dir string, a Axes) int {
 		na := a.normalized()
-		fp := cellFingerprint(na.experiment(na.Cells()[6]))
-		var row SweepRow
-		if !segmentStore(dir).load(fp, &row) {
+		cell := na.Cells()[6]
+		fp := cellFingerprint(na.experiment(cell))
+		row, ok := loadOne(segmentStore(dir), fp, cell)
+		if !ok {
 			t.Fatal("cell 6 not loadable from the seeded segment")
 		}
 		ResetSegmentStores()
@@ -488,34 +551,24 @@ var segCorruptionCases = map[string]func(t *testing.T, dir string, a Axes) int{
 	},
 }
 
-// forceDensePlans routes every grid through the planner's streaming
-// dense path for the duration of the test, however small the grid.
-func forceDensePlans(t *testing.T) {
-	t.Helper()
-	orig := denseOpenMinCells
-	denseOpenMinCells = 1
-	t.Cleanup(func() { denseOpenMinCells = orig })
-}
-
 // TestSegmentCorruptionRecovery: every class of segment damage is a
 // miss for the damaged cells ONLY — recovery recomputes exactly those,
 // assembles byte-identical to the cold reference, repairs the store
 // (follow-up warm open: zero runs), and a subsequent compaction leaves
-// a clean directory.
+// a clean directory. Here every cell is its own one-cell request, so
+// each damaged record is read as a one-record run.
 func TestSegmentCorruptionRecovery(t *testing.T) {
-	runSegCorruptionRecovery(t)
+	runSegCorruptionRecovery(t, cellByCell)
 }
 
-// TestSegmentCorruptionRecoveryDense re-runs the whole corruption table
-// through the planner's streaming dense path: a record the stream
-// rejects must fall back to the per-cell load and end in exactly the
-// same recompute set and bytes as the sparse path.
+// TestSegmentCorruptionRecoveryDense runs the same table with the whole
+// grid in one request: a damaged record shares its run with healthy
+// neighbours, which must still be served.
 func TestSegmentCorruptionRecoveryDense(t *testing.T) {
-	forceDensePlans(t)
-	runSegCorruptionRecovery(t)
+	runSegCorruptionRecovery(t, wholeGrid)
 }
 
-func runSegCorruptionRecovery(t *testing.T) {
+func runSegCorruptionRecovery(t *testing.T, serve requestShape) {
 	a := fastAxes()
 	cold, err := RunGrid(a)
 	if err != nil {
@@ -534,14 +587,11 @@ func runSegCorruptionRecovery(t *testing.T) {
 			c := NewGridCache()
 			c.SetDiskDir(dir)
 			before := EngineRunCount()
-			g, err := c.Get(a, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rows := serve(t, c, a)
 			if runs := EngineRunCount() - before; runs != wantRuns {
 				t.Errorf("recovery ran %d experiments, want %d (only the damaged cells)", runs, wantRuns)
 			}
-			if gridRowsJSON(t, g.Rows) != want {
+			if gridRowsJSON(t, rows) != want {
 				t.Error("recovered rows differ from cold reference")
 			}
 
@@ -651,7 +701,8 @@ func seedV2SegmentRecords(t *testing.T, dir string, a Axes) []GridRow {
 	for i, c := range na.Cells() {
 		fp := cellFingerprint(na.experiment(c))
 		rec := encodeLegacySegRecord(t, fp, cold.Rows[i].SweepRow)
-		idx.Entries[fingerprintKey(fp)] = [2]int64{int64(len(seg)), int64(len(rec))}
+		key := fingerprintSegKey(fp)
+		idx.Entries[hex.EncodeToString(key[:])] = [2]int64{int64(len(seg)), int64(len(rec))}
 		seg = append(seg, rec...)
 	}
 	idx.Size = int64(len(seg))
@@ -692,7 +743,7 @@ func TestV2SegmentStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := ReadCacheStats().Since(base)
-	if d.EngineRuns != int64(a.Size()) || d.CellsFromSegment != 0 || d.CellsFromDisk != 0 {
+	if d.EngineRuns != int64(a.Size()) || d.CellsFromSegment != 0 {
 		t.Fatalf("v2 staleness stats = %v, want all %d cells recomputed, none served", d, a.Size())
 	}
 	if gridRowsJSON(t, g.Rows) != gridRowsJSON(t, rows) {
@@ -823,8 +874,8 @@ var sidecarCorruptionCases = map[string]func(t *testing.T, data []byte) []byte{
 // TestSidecarCorruptionTable: every sidecar defect degrades to the full
 // tail scan — zero engine runs (the segment is the data), rows
 // byte-identical to the cold reference — and the scan leaves a repaired
-// binary sidecar behind. Runs the table through both the per-cell and
-// the streaming dense fetch paths.
+// binary sidecar behind. Runs the table with one-cell requests for
+// every cell (per-cell) and with the whole grid in one request (dense).
 func TestSidecarCorruptionTable(t *testing.T) {
 	a := fastAxes()
 	cold, err := RunGrid(a)
@@ -833,11 +884,8 @@ func TestSidecarCorruptionTable(t *testing.T) {
 	}
 	want := gridRowsJSON(t, cold.Rows)
 
-	for _, mode := range []string{"per-cell", "dense"} {
+	for mode, serve := range map[string]requestShape{"per-cell": cellByCell, "dense": wholeGrid} {
 		t.Run(mode, func(t *testing.T) {
-			if mode == "dense" {
-				forceDensePlans(t)
-			}
 			for name, corrupt := range sidecarCorruptionCases {
 				t.Run(name, func(t *testing.T) {
 					dir := t.TempDir()
@@ -854,10 +902,7 @@ func TestSidecarCorruptionTable(t *testing.T) {
 					c := NewGridCache()
 					c.SetDiskDir(dir)
 					base := ReadCacheStats()
-					g, err := c.Get(a, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
+					rows := serve(t, c, a)
 					d := ReadCacheStats().Since(base)
 					if d.EngineRuns != 0 {
 						t.Errorf("sidecar defect cost %d engine runs, want 0 (full scan recovers the segment)", d.EngineRuns)
@@ -865,7 +910,7 @@ func TestSidecarCorruptionTable(t *testing.T) {
 					if d.CellsFromSegment != int64(a.Size()) {
 						t.Errorf("served %d cells from segment, want %d", d.CellsFromSegment, a.Size())
 					}
-					if gridRowsJSON(t, g.Rows) != want {
+					if gridRowsJSON(t, rows) != want {
 						t.Error("rows after sidecar defect differ from cold reference")
 					}
 
@@ -887,8 +932,7 @@ func TestSidecarCorruptionTable(t *testing.T) {
 
 // TestFetchPoolDeterminism: the planner's warm-open result — rows,
 // stats, everything — is byte-identical for ANY fetch pool size,
-// including odd sizes that split the grid unevenly, and for the
-// streaming dense path versus the per-cell path.
+// including odd sizes that split the grid unevenly.
 func TestFetchPoolDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	a := fastAxes()
@@ -896,36 +940,106 @@ func TestFetchPoolDeterminism(t *testing.T) {
 	want := gridRowsJSON(t, rows)
 
 	origPool := fetchPoolSize
-	origDense := denseOpenMinCells
-	t.Cleanup(func() {
-		fetchPoolSize = origPool
-		denseOpenMinCells = origDense
-	})
+	t.Cleanup(func() { fetchPoolSize = origPool })
 
-	for _, dense := range []bool{false, true} {
-		for _, n := range []int{1, 2, 3, 5, 7, 16, 31} {
-			fetchPoolSize = func() int { return n }
-			if dense {
-				denseOpenMinCells = 1
-			} else {
-				denseOpenMinCells = 1 << 30
-			}
-			ResetSegmentStores()
-			warm := NewGridCache()
-			warm.SetDiskDir(dir)
-			base := ReadCacheStats()
-			g, err := warm.Get(a, 0)
-			if err != nil {
-				t.Fatalf("dense=%v workers=%d: %v", dense, n, err)
-			}
-			d := ReadCacheStats().Since(base)
-			if d.EngineRuns != 0 || d.CellsFromSegment != int64(a.Size()) {
-				t.Errorf("dense=%v workers=%d: stats = %v, want all %d cells from segment", dense, n, d, a.Size())
-			}
-			if gridRowsJSON(t, g.Rows) != want {
-				t.Errorf("dense=%v workers=%d: rows not byte-identical", dense, n)
-			}
+	for _, n := range []int{1, 2, 3, 5, 7, 16, 31} {
+		fetchPoolSize = func() int { return n }
+		ResetSegmentStores()
+		warm := NewGridCache()
+		warm.SetDiskDir(dir)
+		base := ReadCacheStats()
+		g, err := warm.Get(a, 0)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", n, err)
 		}
+		d := ReadCacheStats().Since(base)
+		if d.EngineRuns != 0 || d.CellsFromSegment != int64(a.Size()) {
+			t.Errorf("workers=%d: stats = %v, want all %d cells from segment", n, d, a.Size())
+		}
+		if gridRowsJSON(t, g.Rows) != want {
+			t.Errorf("workers=%d: rows not byte-identical", n)
+		}
+	}
+}
+
+// TestWarmOpenRacesCompaction: a warm open racing an in-process
+// CompactDiskCache on the same resident store is served byte-identical
+// to the cold reference. A stream whose read lands on the compacted-away
+// handle misses and recomputes; its generation-guarded drop must not
+// evict the entry compaction relocated — after the race the index still
+// holds every cell, and the next warm open runs zero engines. Run it
+// under -race as well: the stream reads outside the store lock.
+func TestWarmOpenRacesCompaction(t *testing.T) {
+	a := fastAxes()
+	cold, err := RunGrid(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gridRowsJSON(t, cold.Rows)
+	dir := t.TempDir()
+	seedCellRecords(t, dir, a)
+	t.Cleanup(ResetSegmentStores)
+
+	for round := 0; round < 20; round++ {
+		var rows []GridRow
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			c := NewGridCache()
+			c.SetDiskDir(dir)
+			g, err := c.Get(a, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rows = g.Rows
+		}()
+		go func() {
+			defer wg.Done()
+			if _, err := CompactDiskCache(dir); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		if gridRowsJSON(t, rows) != want {
+			t.Fatalf("round %d: rows of a warm open racing compaction differ from the cold reference", round)
+		}
+		if n := segmentRecordCount(dir); n != a.Size() {
+			t.Fatalf("round %d: index holds %d entries after the race, want %d", round, n, a.Size())
+		}
+		next := NewGridCache()
+		next.SetDiskDir(dir)
+		before := EngineRunCount()
+		if _, err := next.Get(a, 0); err != nil {
+			t.Fatal(err)
+		}
+		if runs := EngineRunCount() - before; runs != 0 {
+			t.Fatalf("round %d: warm open after the race ran %d experiments, want 0", round, runs)
+		}
+	}
+
+	// The interleaving the race above cannot force: a stream looked an
+	// entry up, a compaction relocated it (to the very same coordinates
+	// — the store is already compacted), and the stream's read failed
+	// against the closed handle. Its drop must leave the entry alone.
+	s := segmentStore(dir)
+	key, observed := segEntryOf(t, dir, a, 5)
+	s.mu.Lock()
+	gen := s.gen
+	s.mu.Unlock()
+	if _, err := CompactDiskCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, relocated := segEntryOf(t, dir, a, 5); relocated != observed {
+		t.Fatalf("re-compaction moved the entry %+v -> %+v; the check below needs equal coordinates", observed, relocated)
+	}
+	s.drop(key, observed, gen)
+	if n := segmentRecordCount(dir); n != a.Size() {
+		t.Fatalf("a stale drop evicted the relocated entry: index holds %d entries, want %d", n, a.Size())
 	}
 }
 
@@ -945,9 +1059,8 @@ func TestCloseDiskCacheReleasesStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	na := a.normalized()
-	fp := cellFingerprint(na.experiment(na.Cells()[0]))
-	var row SweepRow
-	if !segmentStore(dir).load(fp, &row) {
+	cell := na.Cells()[0]
+	if _, ok := loadOne(segmentStore(dir), cellFingerprint(na.experiment(cell)), cell); !ok {
 		t.Fatal("seeded cell not loadable")
 	}
 

@@ -20,7 +20,7 @@ type SweepConfig struct {
 	Strategy      Strategy
 	Net           tcpsim.Config
 	// KeepClientResults retains the full per-client *Result on every
-	// SweepRow. Default off: large sweeps (and anything held by the sweep
+	// SweepRow. Default off: large sweeps (and anything held by the grid
 	// cache) would otherwise pin every client transfer in memory. The
 	// compact per-row TransferTimes — all AllTransferTimes needs — is
 	// recorded regardless.
@@ -68,28 +68,6 @@ type SweepRow struct {
 type SweepResult struct {
 	Config SweepConfig
 	Rows   []SweepRow
-}
-
-// RunSweep executes every cell of the sweep serially on one reused
-// simulation engine. RunSweepParallel produces bit-identical results on
-// a worker pool.
-func RunSweep(cfg SweepConfig) (*SweepResult, error) {
-	if len(cfg.Concurrencies) == 0 || len(cfg.ParallelFlows) == 0 {
-		return nil, fmt.Errorf("workload: empty sweep axes")
-	}
-	eng := tcpsim.NewEngine()
-	var sc runScratch
-	out := &SweepResult{Config: cfg, Rows: make([]SweepRow, 0, cfg.Size())}
-	for _, p := range cfg.ParallelFlows {
-		for _, conc := range cfg.Concurrencies {
-			row, err := runCell(cfg, conc, p, eng, &sc)
-			if err != nil {
-				return nil, fmt.Errorf("workload: sweep cell conc=%d P=%d: %w", conc, p, err)
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
 }
 
 // SeriesByFlows returns one (utilization, worst-case seconds) series per

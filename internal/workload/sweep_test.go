@@ -37,7 +37,7 @@ func TestDefaultSweepMatchesTable2(t *testing.T) {
 
 func TestRunSweep(t *testing.T) {
 	cfg := fastSweep()
-	res, err := RunSweep(cfg)
+	res, err := RunSweepCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +58,13 @@ func TestRunSweep(t *testing.T) {
 func TestRunSweepEmptyAxes(t *testing.T) {
 	cfg := fastSweep()
 	cfg.Concurrencies = nil
-	if _, err := RunSweep(cfg); err == nil {
+	if _, err := RunSweepCached(cfg, 0); err == nil {
 		t.Fatal("empty axes accepted")
 	}
 }
 
 func TestSeriesByFlows(t *testing.T) {
-	res, err := RunSweep(fastSweep())
+	res, err := RunSweepCached(fastSweep(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSeriesByFlows(t *testing.T) {
 
 func TestAllTransferTimes(t *testing.T) {
 	cfg := fastSweep()
-	res, err := RunSweep(cfg)
+	res, err := RunSweepCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAllTransferTimes(t *testing.T) {
 }
 
 func TestFitCurveFromSweep(t *testing.T) {
-	res, err := RunSweep(fastSweep())
+	res, err := RunSweepCached(fastSweep(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSweepNonLinearKnee(t *testing.T) {
 	cfg := fastSweep()
 	cfg.Concurrencies = []int{1, 5, 8} // 16%, 80%, 128% offered
 	cfg.ParallelFlows = []int{8}
-	res, err := RunSweep(cfg)
+	res, err := RunSweepCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

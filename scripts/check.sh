@@ -54,6 +54,11 @@ else
     rm -f "$smoke"
 fi
 
+echo "== internal/workload size (informational) =="
+# ROADMAP tracks the non-test line count of the cache hierarchy's
+# package; printed for the record, never gated.
+echo "internal/workload non-test lines: $(cat $(ls internal/workload/*.go | grep -v _test) | wc -l)"
+
 echo "== tracked BENCH_sweep.json unmodified =="
 # The smoke run writes only to its throwaway path; fail loudly if any
 # step accidentally rewrote the tracked record.
