@@ -151,8 +151,9 @@ func subgridAxes() (super, sub workload.Axes) {
 // edge→WAN→ingress hop chain swept over edge capacity × WAN RTT ×
 // ingress buffer
 // (2×2×2 = 8 cells). Small on purpose — the scenario measures the
-// multi-hop warm-open path (hop coordinates round-tripped through v4
-// cell records and the compacted segment store), not the simulator.
+// multi-hop warm-open path (hop-axis cells, keyed by their composed
+// coordinates, reassembled from v4 cell records and the compacted
+// segment store), not the simulator.
 func multiHopAxes() workload.Axes {
 	return workload.Axes{
 		Duration:      time.Second,
@@ -357,8 +358,8 @@ func run(args []string, out io.Writer) error {
 
 	// The multi-hop warm-open path: an edge→WAN grid cold-seeded once,
 	// compacted, and then reassembled from the segment store the way a
-	// fresh process would — hop coordinates (edge cap, WAN RTT, ingress
-	// buffer) round-tripped through v4 cell records. engine_runs is gated
+	// fresh process would — every hop point (edge cap, WAN RTT, ingress
+	// buffer) found again under its composed coordinates. engine_runs is gated
 	// at 0 by -compare: a multi-hop re-run that simulates means the hop
 	// axes broke cache identity.
 	hopDir, err := os.MkdirTemp("", "benchjson-multihop")

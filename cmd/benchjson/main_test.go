@@ -6,38 +6,60 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-func TestBenchJSONQuick(t *testing.T) {
+// quickRun is the one -quick suite run both TestBenchJSONQuick and
+// TestCompareAgainstTrackedBaseline check: it writes the report and
+// compares it against the repo's tracked BENCH_sweep.json, and the run
+// writes the report before comparing, so a drift still leaves the report
+// for TestBenchJSONQuick to inspect.
+var quickRun struct {
+	once   sync.Once
+	report []byte // the written report file
+	out    string // run's stdout
+	err    error  // run's error (a compare drift included)
+}
+
+func runQuickSuite(t *testing.T) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("benchjson smoke run is itself a benchmark")
 	}
-	out := filepath.Join(t.TempDir(), "BENCH_sweep.json")
-	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-o", out}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	quickRun.once.Do(func() {
+		out := filepath.Join(t.TempDir(), "BENCH_sweep.json")
+		var buf bytes.Buffer
+		quickRun.err = run([]string{"-quick", "-o", out, "-compare", filepath.Join("..", "..", "BENCH_sweep.json")}, &buf)
+		quickRun.out = buf.String()
+		quickRun.report, _ = os.ReadFile(out)
+	})
+}
+
+func TestBenchJSONQuick(t *testing.T) {
+	runQuickSuite(t)
+	if quickRun.report == nil {
+		t.Fatalf("no report written: %v", quickRun.err)
 	}
 	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
+	if err := json.Unmarshal(quickRun.report, &rep); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	if rep.Schema != "bench_sweep/v1" {
 		t.Errorf("schema = %q", rep.Schema)
 	}
 	want := map[string]bool{
-		"tcpsim_engine_steady": false,
-		"tcpsim_run_cold":      false,
-		"sweep_quick_serial":   false,
-		"sweep_quick_parallel": false,
-		"runall_quick_cold":    false,
-		"runall_quick_cached":  false,
-		"grid_subgrid_warm":    false,
-		"grid_segment_warm":    false,
+		"tcpsim_engine_steady":  false,
+		"tcpsim_run_cold":       false,
+		"sweep_quick_serial":    false,
+		"sweep_quick_parallel":  false,
+		"runall_quick_cold":     false,
+		"runall_quick_cached":   false,
+		"grid_subgrid_warm":     false,
+		"grid_segment_warm":     false,
+		"grid_multihop_warm":    false,
+		"grid_open_100k":        false,
+		"service_warm_decision": false,
 	}
 	for _, e := range rep.Results {
 		if _, ok := want[e.Name]; ok {
@@ -56,7 +78,7 @@ func TestBenchJSONQuick(t *testing.T) {
 			if e.Metrics["worst_s"] <= 0 || e.Metrics["sss"] < 1 {
 				t.Errorf("%s: implausible sweep metrics %v", e.Name, e.Metrics)
 			}
-		case "grid_subgrid_warm", "grid_segment_warm":
+		case "grid_subgrid_warm", "grid_segment_warm", "grid_multihop_warm", "grid_open_100k", "service_warm_decision":
 			// The cache invariants the -compare gate tracks at 0: warm
 			// assemblies must never simulate.
 			if runs, ok := e.Metrics["engine_runs"]; !ok || runs != 0 {
@@ -129,16 +151,11 @@ func TestCompareReports(t *testing.T) {
 // quick run's deterministic metrics must match the repo's tracked
 // BENCH_sweep.json exactly (the simulation is seeded and bit-stable).
 func TestCompareAgainstTrackedBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchjson smoke run is itself a benchmark")
+	runQuickSuite(t)
+	if quickRun.err != nil {
+		t.Fatalf("compare against tracked baseline failed: %v", quickRun.err)
 	}
-	out := filepath.Join(t.TempDir(), "BENCH_new.json")
-	var buf bytes.Buffer
-	err := run([]string{"-quick", "-o", out, "-compare", filepath.Join("..", "..", "BENCH_sweep.json")}, &buf)
-	if err != nil {
-		t.Fatalf("compare against tracked baseline failed: %v", err)
-	}
-	if !strings.Contains(buf.String(), "compare vs") {
-		t.Errorf("missing compare summary:\n%s", buf.String())
+	if !strings.Contains(quickRun.out, "compare vs") {
+		t.Errorf("missing compare summary:\n%s", quickRun.out)
 	}
 }

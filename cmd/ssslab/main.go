@@ -361,46 +361,19 @@ func runGridSim(out io.Writer, axes workload.Axes, complexity float64, localStr,
 		return err
 	}
 	a := g.Axes
-	multiHop := len(a.Path) > 1
-	if multiHop {
+	if len(a.Path) > 1 {
 		fmt.Fprintf(out, "grid: %s (%s, %d-hop path)\n", scenario.GridHeader(a), a.Strategy, len(a.Path))
 	} else {
 		fmt.Fprintf(out, "grid: %s (%s, %v bottleneck)\n", scenario.GridHeader(a), a.Strategy, a.Net.Capacity)
 	}
 
+	// On a multi-hop grid the hop knobs are the coordinates; the composed
+	// bottleneck shows up through Worst/Util/SSS like any other measured
+	// behavior.
 	rc := core.DefaultRegimeClassifier()
-	var t *plot.Table
-	if multiHop {
-		// Hop knobs are the coordinates; the composed bottleneck shows up
-		// through Worst/Util/SSS like any other measured behavior.
-		t = &plot.Table{Header: []string{
-			"Size", "ECap", "WANRTT", "IBuf", "CC", "Conc", "P",
-			"Offered", "Util", "Worst", "SSS", "Regime",
-		}}
-	} else {
-		t = &plot.Table{Header: []string{
-			"Size", "RTT", "Buffer", "CC", "Cross", "Conc", "P",
-			"Offered", "Util", "Worst", "SSS", "Regime",
-		}}
-	}
+	t := &plot.Table{Header: scenario.CoordHeader(a, "Offered", "Util", "Worst", "SSS", "Regime")}
 	for _, row := range g.Rows {
-		c := row.Cell
-		coords := []string{c.TransferSize.String(), c.RTT.String(), scenario.BufferLabel(c.Buffer),
-			c.CC.String(), fmt.Sprintf("%g", c.CrossFraction)}
-		if multiHop {
-			ecap, wrtt := "base", "base"
-			if c.EdgeCap > 0 {
-				ecap = c.EdgeCap.String()
-			}
-			if c.WANRTT > 0 {
-				wrtt = c.WANRTT.String()
-			}
-			coords = []string{c.TransferSize.String(), ecap, wrtt,
-				scenario.BufferLabel(c.IngressBuffer), c.CC.String()}
-		}
-		t.AddRow(append(coords,
-			fmt.Sprintf("%d", c.Concurrency),
-			fmt.Sprintf("%d", c.ParallelFlows),
+		t.AddRow(scenario.CoordRow(row.Cell,
 			fmt.Sprintf("%.0f%%", row.OfferedLoad*100),
 			fmt.Sprintf("%.0f%%", row.Utilization*100),
 			row.Worst.Round(time.Millisecond).String(),

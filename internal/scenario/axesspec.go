@@ -204,86 +204,43 @@ func ParsePath(spec string) (tcpsim.Path, error) {
 	return p, nil
 }
 
-// Apply parses the lists onto a base grid and returns the result.
+// setList parses one axis list and, when it is non-empty, replaces the
+// grid axis *dst with it.
+func setList[T any](dst *[]T, flag, s string, parse func(string) (T, error)) error {
+	vals, err := parseList(flag, s, parse)
+	if len(vals) > 0 {
+		*dst = vals
+	}
+	return err
+}
+
+// Apply parses the lists onto a base grid and returns the result. A
+// parse error, reported for the first bad list in flag order, returns
+// base unchanged.
 func (f AxesSpec) Apply(base workload.Axes) (workload.Axes, error) {
-	concs, err := parseList("-concs", f.Concs, strconv.Atoi)
-	if err != nil {
-		return base, err
-	}
-	flows, err := parseList("-pflows", f.Flows, strconv.Atoi)
-	if err != nil {
-		return base, err
-	}
-	sizes, err := parseList("-sizes", f.Sizes, units.ParseByteSize)
-	if err != nil {
-		return base, err
-	}
-	rtts, err := parseList("-rtts", f.RTTs, time.ParseDuration)
-	if err != nil {
-		return base, err
-	}
-	buffers, err := parseList("-buffers", f.Buffers, parseBuffer)
-	if err != nil {
-		return base, err
-	}
-	ccs, err := parseList("-ccs", f.CCs, tcpsim.ParseCongestionControl)
-	if err != nil {
-		return base, err
-	}
-	crosses, err := parseList("-crosses", f.Crosses, func(tok string) (float64, error) {
-		return strconv.ParseFloat(tok, 64)
-	})
-	if err != nil {
-		return base, err
-	}
-	path, err := ParsePath(f.Hops)
-	if err != nil {
-		return base, err
-	}
-	edgeCaps, err := parseList("-edge-caps", f.EdgeCaps, units.ParseBitRate)
-	if err != nil {
-		return base, err
-	}
-	wanRTTs, err := parseList("-wan-rtts", f.WANRTTs, time.ParseDuration)
-	if err != nil {
-		return base, err
-	}
-	ingressBuffers, err := parseList("-ingress-buffers", f.IngressBuffers, parseBuffer)
-	if err != nil {
-		return base, err
-	}
-	if len(concs) > 0 {
-		base.Concurrencies = concs
-	}
-	if len(flows) > 0 {
-		base.ParallelFlows = flows
-	}
-	if len(sizes) > 0 {
-		base.TransferSizes = sizes
-	}
-	if len(rtts) > 0 {
-		base.RTTs = rtts
-	}
-	if len(buffers) > 0 {
-		base.Buffers = buffers
-	}
-	if len(ccs) > 0 {
-		base.CCs = ccs
-	}
-	if len(crosses) > 0 {
-		base.CrossFractions = crosses
-	}
+	a := base
+	path, pathErr := ParsePath(f.Hops)
 	if len(path) > 0 {
-		base.Path = path
+		a.Path = path
 	}
-	if len(edgeCaps) > 0 {
-		base.EdgeCaps = edgeCaps
+	for _, err := range [...]error{
+		setList(&a.Concurrencies, "-concs", f.Concs, strconv.Atoi),
+		setList(&a.ParallelFlows, "-pflows", f.Flows, strconv.Atoi),
+		setList(&a.TransferSizes, "-sizes", f.Sizes, units.ParseByteSize),
+		setList(&a.RTTs, "-rtts", f.RTTs, time.ParseDuration),
+		setList(&a.Buffers, "-buffers", f.Buffers, parseBuffer),
+		setList(&a.CCs, "-ccs", f.CCs, tcpsim.ParseCongestionControl),
+		setList(&a.CrossFractions, "-crosses", f.Crosses, func(tok string) (float64, error) {
+			return strconv.ParseFloat(tok, 64)
+		}),
+		pathErr,
+		setList(&a.EdgeCaps, "-edge-caps", f.EdgeCaps, units.ParseBitRate),
+		setList(&a.WANRTTs, "-wan-rtts", f.WANRTTs, time.ParseDuration),
+		setList(&a.IngressBuffers, "-ingress-buffers", f.IngressBuffers, parseBuffer),
+	} {
+		if err != nil {
+			return base, err
+		}
 	}
-	if len(wanRTTs) > 0 {
-		base.WANRTTs = wanRTTs
-	}
-	if len(ingressBuffers) > 0 {
-		base.IngressBuffers = ingressBuffers
-	}
-	return base, nil
+	return a, nil
 }

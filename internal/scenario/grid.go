@@ -10,6 +10,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -41,10 +42,9 @@ func DecideGrid(g *workload.GridResult, base core.Params, opts core.DecideOpts) 
 	}
 	out := make([]GridDecision, 0, len(g.Rows))
 	for _, row := range g.Rows {
-		cap := cellCapacity(g.Axes, row.Cell)
-		rate := row.EffectiveRate(cap)
-		if rate <= 0 {
-			return nil, fmt.Errorf("scenario: grid cell %d has non-positive worst FCT", row.Cell.Index)
+		cap, rate, err := measuredLink(g.Axes, row)
+		if err != nil {
+			return nil, err
 		}
 		p := base
 		p.UnitSize = row.Cell.TransferSize
@@ -61,14 +61,26 @@ func DecideGrid(g *workload.GridResult, base core.Params, opts core.DecideOpts) 
 
 // cellCapacity is the link capacity backing one cell's measurement:
 // the composed bottleneck on a multi-hop grid (GridCell.Capacity),
-// the grid's flat base link otherwise. Every decision over a grid
-// row goes through this so multi-hop cells are judged against the
-// bottleneck that actually carried them.
+// the grid's flat base link otherwise.
 func cellCapacity(a workload.Axes, c workload.GridCell) units.BitRate {
 	if c.Capacity > 0 {
 		return c.Capacity
 	}
 	return a.Net.Capacity
+}
+
+// measuredLink lowers one measured grid row to the transfer side of a
+// decision: the capacity of the link that carried it and the effective
+// rate it measured (GridRow.EffectiveRate, the paper's conservative α).
+// Every decision over grid rows goes through here, so multi-hop cells
+// are judged against the bottleneck that actually carried them.
+func measuredLink(a workload.Axes, row workload.GridRow) (units.BitRate, units.ByteRate, error) {
+	cap := cellCapacity(a, row.Cell)
+	rate := row.EffectiveRate(cap)
+	if rate <= 0 {
+		return 0, 0, fmt.Errorf("scenario: grid cell %d has non-positive worst FCT", row.Cell.Index)
+	}
+	return cap, rate, nil
 }
 
 // Flip marks two cells adjacent along one axis (all other coordinates
@@ -79,59 +91,119 @@ type Flip struct {
 	From, To GridDecision
 }
 
-// gridAxisNames lists the flip axes of a flat grid in report order.
-// These names appear in archived portfolio JSON (frontier strings), so
-// they are frozen.
-var gridAxisNames = []string{"size", "rtt", "buffer", "cc", "cross", "flows", "conc"}
-
-// hopAxisNames lists the flip axes of a multi-hop grid: the hop knobs
-// replace the flat link axes (rtt/buffer/cross are composed OUTPUTS
-// there, not independent coordinates).
-var hopAxisNames = []string{"size", "ecap", "wrtt", "ibuf", "cc", "flows", "conc"}
-
-// axisNamesFor picks the flip-axis vocabulary for a decision's grid.
-// Multi-hop cells are recognizable by their composed Capacity, which
-// flat cells always leave 0.
-func axisNamesFor(d GridDecision) []string {
-	if d.Row.Cell.Capacity > 0 {
-		return hopAxisNames
-	}
-	return gridAxisNames
+// gridAxis is one coordinate of a grid cell: the name flip reports use,
+// the header of its table column, and its rendering.
+type gridAxis struct {
+	name, header string
+	value        func(c workload.GridCell) string
 }
 
-// axisValue renders one decision's coordinate on the named axis.
-func axisValue(d GridDecision, axis string) string {
-	c := d.Row.Cell
-	switch axis {
-	case "size":
-		return c.TransferSize.String()
-	case "rtt":
-		return c.RTT.String()
-	case "buffer":
-		return BufferLabel(c.Buffer)
-	case "cc":
-		return c.CC.String()
-	case "cross":
-		return fmt.Sprintf("%g", c.CrossFraction)
-	case "flows":
-		return fmt.Sprintf("%d", c.ParallelFlows)
-	case "conc":
-		return fmt.Sprintf("%d", c.Concurrency)
-	case "ecap":
-		if c.EdgeCap == 0 {
-			return "base"
-		}
-		return c.EdgeCap.String()
-	case "wrtt":
-		if c.WANRTT == 0 {
-			return "base"
-		}
-		return c.WANRTT.String()
-	case "ibuf":
-		return BufferLabel(c.IngressBuffer)
-	default:
-		return "?"
+var (
+	sizeAxis  = gridAxis{"size", "Size", func(c workload.GridCell) string { return c.TransferSize.String() }}
+	ccAxis    = gridAxis{"cc", "CC", func(c workload.GridCell) string { return c.CC.String() }}
+	flowsAxis = gridAxis{"flows", "P", func(c workload.GridCell) string { return strconv.Itoa(c.ParallelFlows) }}
+	concAxis  = gridAxis{"conc", "Conc", func(c workload.GridCell) string { return strconv.Itoa(c.Concurrency) }}
+
+	// flatAxes and hopAxes are the coordinates of a flat and of a
+	// multi-hop grid, in flip-report order. On a multi-hop grid the hop
+	// knobs replace the flat link axes (rtt/buffer/cross are composed
+	// outputs there, not independent coordinates). The names appear in
+	// archived portfolio JSON (frontier strings), so they are frozen.
+	flatAxes = []gridAxis{
+		sizeAxis,
+		{"rtt", "RTT", func(c workload.GridCell) string { return c.RTT.String() }},
+		{"buffer", "Buffer", func(c workload.GridCell) string { return BufferLabel(c.Buffer) }},
+		ccAxis,
+		{"cross", "Cross", func(c workload.GridCell) string { return fmt.Sprintf("%g", c.CrossFraction) }},
+		flowsAxis, concAxis,
 	}
+	hopAxes = []gridAxis{
+		sizeAxis,
+		{"ecap", "ECap", func(c workload.GridCell) string { return baseLabel(c.EdgeCap == 0, c.EdgeCap) }},
+		{"wrtt", "WANRTT", func(c workload.GridCell) string { return baseLabel(c.WANRTT == 0, c.WANRTT) }},
+		{"ibuf", "IBuf", func(c workload.GridCell) string { return BufferLabel(c.IngressBuffer) }},
+		ccAxis, flowsAxis, concAxis,
+	}
+)
+
+// baseLabel names a hop-knob value; "base" marks a hop the grid does
+// not sweep, which keeps the path's own value.
+func baseLabel(isBase bool, v fmt.Stringer) string {
+	if isBase {
+		return "base"
+	}
+	return v.String()
+}
+
+// axesOf picks a cell's coordinate vocabulary. Multi-hop cells are
+// recognizable by their composed Capacity, which flat cells leave 0.
+func axesOf(c workload.GridCell) []gridAxis {
+	if c.Capacity > 0 {
+		return hopAxes
+	}
+	return flatAxes
+}
+
+// coord renders a cell's coordinate on the named axis.
+func coord(c workload.GridCell, axis string) string {
+	for _, ax := range axesOf(c) {
+		if ax.name == axis {
+			return ax.value(c)
+		}
+	}
+	return "?"
+}
+
+// flatColumns and hopColumns are the coordinate columns of a grid
+// table: the network axes in report order, then the Table 2 plane as
+// Conc, P.
+var (
+	flatColumns = columns(flatAxes)
+	hopColumns  = columns(hopAxes)
+)
+
+// columns reorders a vocabulary into table columns: its last two axes
+// (flows, conc) swap places.
+func columns(axes []gridAxis) []gridAxis {
+	n := len(axes)
+	return append(axes[:n-2:n-2], axes[n-1], axes[n-2])
+}
+
+// coordHeader and coordRow render a table's coordinate columns, then
+// the rest of its columns.
+func coordHeader(cols []gridAxis, rest ...string) []string {
+	out := make([]string, 0, len(cols)+len(rest))
+	for _, ax := range cols {
+		out = append(out, ax.header)
+	}
+	return append(out, rest...)
+}
+
+func coordRow(cols []gridAxis, c workload.GridCell, rest ...string) []string {
+	out := make([]string, 0, len(cols)+len(rest))
+	for _, ax := range cols {
+		out = append(out, ax.value(c))
+	}
+	return append(out, rest...)
+}
+
+// CoordHeader returns the header of a table over the (normalized) grid
+// a: the coordinate columns (the hop knobs on a multi-hop grid, the
+// flat link axes otherwise), then rest.
+func CoordHeader(a workload.Axes, rest ...string) []string {
+	if len(a.Path) > 1 {
+		return coordHeader(hopColumns, rest...)
+	}
+	return coordHeader(flatColumns, rest...)
+}
+
+// CoordRow renders one cell's coordinate columns, matching CoordHeader,
+// then rest.
+func CoordRow(c workload.GridCell, rest ...string) []string {
+	if c.Capacity > 0 {
+		return coordRow(hopColumns, c, rest...)
+	}
+	return coordRow(flatColumns, c, rest...)
 }
 
 // BufferLabel names a buffer-axis value; 0 is tcpsim's half-BDP
@@ -145,45 +217,59 @@ func BufferLabel(b units.ByteSize) string {
 }
 
 // otherCoords keys every coordinate except the named axis.
-func otherCoords(d GridDecision, axis string) string {
-	names := axisNamesFor(d)
-	parts := make([]string, 0, len(names)-1)
-	for _, a := range names {
-		if a != axis {
-			parts = append(parts, a+"="+axisValue(d, a))
+func otherCoords(c workload.GridCell, axis string) string {
+	axes := axesOf(c)
+	parts := make([]string, 0, len(axes)-1)
+	for _, ax := range axes {
+		if ax.name != axis {
+			parts = append(parts, ax.name+"="+ax.value(c))
 		}
 	}
 	return strings.Join(parts, " ")
 }
 
-// Flips scans decisions in grid order and returns every break-even
-// boundary: adjacent cells along one axis, all other coordinates equal,
-// with differing choices. Grid row order keeps each axis's cells in
-// axis-value order within a fixed remainder, so one ordered pass per
-// axis finds every boundary.
-func Flips(ds []GridDecision) []Flip {
+// scanFlips is the ordered break-even scan behind Flips and
+// PlacementFlips: for each axis of the grid, it reports every pair of
+// cells adjacent along that axis, all other coordinates equal, whose
+// verdicts differ. Grid row order keeps each axis's cells in axis-value
+// order within a fixed remainder, so one ordered pass per axis finds
+// every boundary.
+func scanFlips[D any](ds []D, cell func(D) workload.GridCell, differ func(a, b D) bool, emit func(axis string, from, to D)) {
 	if len(ds) == 0 {
-		return nil
+		return
 	}
-	var flips []Flip
-	for _, axis := range axisNamesFor(ds[0]) {
-		last := make(map[string]GridDecision)
+	for _, ax := range axesOf(cell(ds[0])) {
+		last := make(map[string]D)
 		for _, d := range ds {
-			key := otherCoords(d, axis)
-			if prev, ok := last[key]; ok && prev.Decision.Choice != d.Decision.Choice {
-				flips = append(flips, Flip{Axis: axis, From: prev, To: d})
+			key := otherCoords(cell(d), ax.name)
+			if prev, ok := last[key]; ok && differ(prev, d) {
+				emit(ax.name, prev, d)
 			}
 			last[key] = d
 		}
 	}
+}
+
+// flipLine renders one flip as a report line.
+func flipLine(axis string, from, to workload.GridCell, fromVerdict, toVerdict fmt.Stringer) string {
+	return fmt.Sprintf("%s %s -> %s: %s -> %s (%s)",
+		axis, coord(from, axis), coord(to, axis), fromVerdict, toVerdict, otherCoords(to, axis))
+}
+
+// Flips scans decisions in grid order and returns every break-even
+// boundary: adjacent cells along one axis, all other coordinates equal,
+// with differing choices.
+func Flips(ds []GridDecision) []Flip {
+	var flips []Flip
+	scanFlips(ds, func(d GridDecision) workload.GridCell { return d.Row.Cell },
+		func(a, b GridDecision) bool { return a.Decision.Choice != b.Decision.Choice },
+		func(axis string, from, to GridDecision) { flips = append(flips, Flip{Axis: axis, From: from, To: to}) })
 	return flips
 }
 
 // String renders one flip as a report line.
 func (f Flip) String() string {
-	return fmt.Sprintf("%s %s -> %s: %s -> %s (%s)",
-		f.Axis, axisValue(f.From, f.Axis), axisValue(f.To, f.Axis),
-		f.From.Decision.Choice, f.To.Decision.Choice, otherCoords(f.To, f.Axis))
+	return flipLine(f.Axis, f.From.Row.Cell, f.To.Row.Cell, f.From.Decision.Choice, f.To.Decision.Choice)
 }
 
 // FlipReport renders the break-even flip block — the same lines every
@@ -203,29 +289,19 @@ func FlipReport(ds []GridDecision, indent string) string {
 }
 
 // RenderGrid formats grid decisions as an aligned table followed by the
-// break-even flip report.
+// break-even flip report. The coordinate columns are the flat grid's.
 func RenderGrid(ds []GridDecision) string {
-	t := &plot.Table{Header: []string{
-		"Size", "RTT", "Buffer", "CC", "Cross", "Conc", "P",
-		"Worst", "R_eff", "T_local", "T_pct", "Gain", "Decision",
-	}}
+	t := &plot.Table{Header: coordHeader(flatColumns,
+		"Worst", "R_eff", "T_local", "T_pct", "Gain", "Decision")}
 	for _, d := range ds {
-		c := d.Row.Cell
-		t.AddRow(
-			c.TransferSize.String(),
-			c.RTT.String(),
-			BufferLabel(c.Buffer),
-			c.CC.String(),
-			fmt.Sprintf("%g", c.CrossFraction),
-			fmt.Sprintf("%d", c.Concurrency),
-			fmt.Sprintf("%d", c.ParallelFlows),
+		t.AddRow(coordRow(flatColumns, d.Row.Cell,
 			d.Row.Worst.Round(time.Millisecond).String(),
 			d.Params.TransferRate.String(),
 			d.Decision.Breakdown.TLocal.Round(time.Millisecond).String(),
 			d.Decision.Breakdown.TPct.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.2f", d.Decision.Gain),
 			d.Decision.Choice.String(),
-		)
+		)...)
 	}
 	var b strings.Builder
 	b.WriteString(t.String())

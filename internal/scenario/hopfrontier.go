@@ -41,10 +41,9 @@ func DecidePlacementGrid(g *workload.GridResult, base core.Params, opts core.Pla
 	}
 	out := make([]PlacementGridDecision, 0, len(g.Rows))
 	for _, row := range g.Rows {
-		cap := cellCapacity(g.Axes, row.Cell)
-		rate := row.EffectiveRate(cap)
-		if rate <= 0 {
-			return nil, fmt.Errorf("scenario: grid cell %d has non-positive worst FCT", row.Cell.Index)
+		cap, rate, err := measuredLink(g.Axes, row)
+		if err != nil {
+			return nil, err
 		}
 		p := base
 		p.UnitSize = row.Cell.TransferSize
@@ -72,28 +71,18 @@ type PlacementFlip struct {
 // String renders one placement flip in the Flip line format, with the
 // placement verdicts in the decision slots.
 func (f PlacementFlip) String() string {
-	return fmt.Sprintf("%s %s -> %s: %s -> %s (%s)",
-		f.Axis, axisValue(f.From.GridDecision, f.Axis), axisValue(f.To.GridDecision, f.Axis),
-		f.From.Placement.Placement, f.To.Placement.Placement, otherCoords(f.To.GridDecision, f.Axis))
+	return flipLine(f.Axis, f.From.Row.Cell, f.To.Row.Cell, f.From.Placement.Placement, f.To.Placement.Placement)
 }
 
 // PlacementFlips scans decisions in grid order — the same ordered pass
 // Flips makes — comparing placements instead of binary choices.
 func PlacementFlips(ds []PlacementGridDecision) []PlacementFlip {
-	if len(ds) == 0 {
-		return nil
-	}
 	var flips []PlacementFlip
-	for _, axis := range axisNamesFor(ds[0].GridDecision) {
-		last := make(map[string]PlacementGridDecision)
-		for _, d := range ds {
-			key := otherCoords(d.GridDecision, axis)
-			if prev, ok := last[key]; ok && prev.Placement.Placement != d.Placement.Placement {
-				flips = append(flips, PlacementFlip{Axis: axis, From: prev, To: d})
-			}
-			last[key] = d
-		}
-	}
+	scanFlips(ds, func(d PlacementGridDecision) workload.GridCell { return d.Row.Cell },
+		func(a, b PlacementGridDecision) bool { return a.Placement.Placement != b.Placement.Placement },
+		func(axis string, from, to PlacementGridDecision) {
+			flips = append(flips, PlacementFlip{Axis: axis, From: from, To: to})
+		})
 	return flips
 }
 
@@ -111,26 +100,16 @@ func bottleneckName(pd core.PlacementDecision) string {
 // hop coordinates, measured behavior, the bottleneck hop, and the
 // placement verdict — followed by the hop-frontier report.
 func RenderPlacementGrid(ds []PlacementGridDecision) string {
-	t := &plot.Table{Header: []string{
-		"Size", "ECap", "WANRTT", "IBuf", "CC", "Conc", "P",
-		"Worst", "R_eff", "Bottleneck", "Gain", "Placement",
-	}}
+	t := &plot.Table{Header: coordHeader(hopColumns,
+		"Worst", "R_eff", "Bottleneck", "Gain", "Placement")}
 	for _, d := range ds {
-		c := d.Row.Cell
-		t.AddRow(
-			c.TransferSize.String(),
-			axisValue(d.GridDecision, "ecap"),
-			axisValue(d.GridDecision, "wrtt"),
-			BufferLabel(c.IngressBuffer),
-			c.CC.String(),
-			fmt.Sprintf("%d", c.Concurrency),
-			fmt.Sprintf("%d", c.ParallelFlows),
+		t.AddRow(coordRow(hopColumns, d.Row.Cell,
 			d.Row.Worst.Round(time.Millisecond).String(),
 			d.Params.TransferRate.String(),
 			bottleneckName(d.Placement),
 			fmt.Sprintf("%.2f", d.Decision.Gain),
 			d.Placement.Placement.String(),
-		)
+		)...)
 	}
 	var b strings.Builder
 	b.WriteString(t.String())

@@ -147,10 +147,9 @@ func DecidePortfolio(pf *Portfolio, g *workload.GridResult) (*PortfolioGrid, err
 	}
 	out := &PortfolioGrid{Portfolio: pf, Axes: g.Axes, Cells: make([]PortfolioCell, 0, len(g.Rows))}
 	for _, row := range g.Rows {
-		cap := cellCapacity(g.Axes, row.Cell)
-		rate := row.EffectiveRate(cap)
-		if rate <= 0 {
-			return nil, fmt.Errorf("scenario: grid cell %d has non-positive worst FCT", row.Cell.Index)
+		cap, rate, err := measuredLink(g.Axes, row)
+		if err != nil {
+			return nil, err
 		}
 		cell := PortfolioCell{Row: row, Rate: rate, Decisions: make([]PortfolioDecision, 0, len(pf.Workloads))}
 		for i, w := range pf.Workloads {
@@ -212,25 +211,14 @@ func (pg *PortfolioGrid) Frontiers() []ScenarioFrontier {
 // the portfolio that should stream at that cell — followed by each
 // scenario's break-even frontier.
 func RenderPortfolio(pg *PortfolioGrid) string {
-	header := []string{"Size", "RTT", "Buffer", "CC", "Cross", "Conc", "P", "Worst", "R_eff"}
+	header := coordHeader(flatColumns, "Worst", "R_eff")
 	for _, w := range pg.Portfolio.Workloads {
 		header = append(header, w.Name)
 	}
 	header = append(header, "Stream")
 	t := &plot.Table{Header: header}
 	for _, c := range pg.Cells {
-		cell := c.Row.Cell
-		row := []string{
-			cell.TransferSize.String(),
-			cell.RTT.String(),
-			BufferLabel(cell.Buffer),
-			cell.CC.String(),
-			fmt.Sprintf("%g", cell.CrossFraction),
-			fmt.Sprintf("%d", cell.Concurrency),
-			fmt.Sprintf("%d", cell.ParallelFlows),
-			c.Row.Worst.Round(time.Millisecond).String(),
-			c.Rate.String(),
-		}
+		row := coordRow(flatColumns, c.Row.Cell, c.Row.Worst.Round(time.Millisecond).String(), c.Rate.String())
 		for _, d := range c.Decisions {
 			row = append(row, d.Decision.Choice.String())
 		}
@@ -392,23 +380,15 @@ func (pg *PortfolioGrid) WriteCSV(w io.Writer) error {
 	for _, c := range pg.Cells {
 		cell := c.Row.Cell
 		for i, d := range c.Decisions {
-			if err := cw.Write([]string{
-				strconv.Itoa(cell.Index),
-				cell.TransferSize.String(),
-				cell.RTT.String(),
-				BufferLabel(cell.Buffer),
-				cell.CC.String(),
-				f(cell.CrossFraction),
-				strconv.Itoa(cell.Concurrency),
-				strconv.Itoa(cell.ParallelFlows),
+			row := coordRow(flatColumns, cell,
 				f(c.Row.Worst.Seconds()),
 				f(float64(c.Rate)),
 				pg.Portfolio.Workloads[i].Name,
 				d.Decision.Choice.String(),
 				f(d.Decision.Gain),
 				f(d.Decision.Breakdown.TLocal.Seconds()),
-				f(d.Decision.Breakdown.TPct.Seconds()),
-			}); err != nil {
+				f(d.Decision.Breakdown.TPct.Seconds()))
+			if err := cw.Write(append([]string{strconv.Itoa(cell.Index)}, row...)); err != nil {
 				return err
 			}
 		}

@@ -196,6 +196,11 @@ func (r DecideRequest) Lower() (Workload, *workload.Axes, error) {
 	if err != nil {
 		return w, nil, err
 	}
+	// Reject inconsistent axes here, as a request error, rather than
+	// inside the grid cache after the caller has taken an engine slot.
+	if err := a.Validate(); err != nil {
+		return w, nil, err
+	}
 	if n := a.Size(); n != 1 {
 		return w, nil, fmt.Errorf("scenario: cell spec lowers to %d cells, want exactly 1 (POST /v1/portfolio decides whole grids)", n)
 	}
@@ -327,20 +332,10 @@ func DecideModel(w Workload) (*DecideResponse, error) {
 
 // hopParams lowers a cell's hop chain to the model's topology-agnostic
 // form: the grid's path with the cell's hop-axis coordinates applied,
-// mirroring how the simulator composes the cell's bottleneck.
+// exactly as the simulator composed the cell's bottleneck.
 func hopParams(p tcpsim.Path, c workload.GridCell) []core.HopParams {
 	out := make([]core.HopParams, 0, len(p))
-	for _, h := range p {
-		switch h.Role {
-		case tcpsim.HopEdge:
-			if c.EdgeCap > 0 {
-				h.Capacity = c.EdgeCap
-			}
-		case tcpsim.HopWAN:
-			if c.WANRTT > 0 {
-				h.RTT = c.WANRTT
-			}
-		}
+	for _, h := range p.WithAxes(c.EdgeCap, c.WANRTT, c.IngressBuffer) {
 		out = append(out, core.HopParams{
 			Name:          h.Role.String(),
 			Capacity:      h.Capacity,
@@ -433,6 +428,9 @@ func (r PortfolioRequest) Lower() (*Portfolio, workload.Axes, error) {
 	}
 	a, err := r.Grid.Axes()
 	if err != nil {
+		return nil, workload.Axes{}, err
+	}
+	if err := a.Validate(); err != nil {
 		return nil, workload.Axes{}, err
 	}
 	return pf, a, nil

@@ -87,8 +87,17 @@ func TestDecideRequestSchemaGate(t *testing.T) {
 				t.Errorf("schema %q with %s: err = %v", schema, field, err)
 			}
 		}
-		// The same body under v2 is accepted.
+		// The same body under v2 is accepted — once it is a valid grid:
+		// edge_caps alone sweeps a hop that no path has, which Lower
+		// rejects with the grid validator's message.
 		req.Schema = "v2"
+		if field == "edge_caps" {
+			want := "workload: hop axes (EdgeCaps/WANRTTs/IngressBuffers) require a multi-hop Path"
+			if _, _, err := req.Lower(); err == nil || err.Error() != want {
+				t.Errorf("v2 with edge_caps and no hops: err = %v, want %q", err, want)
+			}
+			req.Cell = &GridSpec{AxesSpec: AxesSpec{Hops: twoHopSpec, EdgeCaps: "10Gbps"}}
+		}
 		if _, _, err := req.Lower(); err != nil {
 			t.Errorf("v2 with %s: %v", field, err)
 		}

@@ -417,6 +417,43 @@ func TestSchemaVersioning(t *testing.T) {
 	}
 }
 
+// TestMalformedHopAxesRejected: a v2 body whose hop and link axes
+// contradict each other is a client error. It answers 400 with the grid
+// validator's exact message, before any engine slot or simulation.
+func TestMalformedHopAxesRejected(t *testing.T) {
+	ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	w := `"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}`
+	cases := []struct{ path, body, want string }{
+		{"/v1/decide",
+			`{"schema":"v2",` + w + `,"cell":{"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms","rtts":"8ms"}}`,
+			"workload: multi-hop grids sweep WANRTTs, not the flat RTTs axis"},
+		{"/v1/decide",
+			`{"schema":"v2",` + w + `,"cell":{"hops":"wan:100Gbps:30ms","edge_caps":"10Gbps"}}`,
+			"workload: hop axes (EdgeCaps/WANRTTs/IngressBuffers) require a multi-hop Path"},
+		{"/v1/decide",
+			`{"schema":"v2",` + w + `,"cell":{"hops":"edge:10Gbps:2ms,ingress:40Gbps:1ms","wan_rtts":"20ms"}}`,
+			"workload: WANRTTs axis requires a wan hop in the path"},
+		{"/v1/portfolio",
+			`{"schema":"v2","portfolio":{"workloads":[{` + w[len(`"workload":{`):] + `]},` +
+				`"grid":{"duration_s":1,"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms","buffers":"auto,2MB"}}`,
+			"workload: multi-hop grids sweep IngressBuffers, not the flat Buffers axis"},
+	}
+	before := workload.EngineRunCount()
+	for _, tc := range cases {
+		resp, data := post(t, ts.URL+tc.path, []byte(tc.body))
+		var e errorResponse
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatalf("%s: decoding %s: %v", tc.path, data, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Error != tc.want {
+			t.Errorf("%s %s:\n got %d %q\nwant 400 %q", tc.path, tc.body, resp.StatusCode, e.Error, tc.want)
+		}
+	}
+	if runs := workload.EngineRunCount() - before; runs != 0 {
+		t.Errorf("malformed hop-axis requests ran %d simulations, want 0", runs)
+	}
+}
+
 // ---- resident state vs. sibling batch writers (re-exec harness) ----
 
 const (

@@ -129,6 +129,26 @@ func (p Path) Hop(role HopRole) (Hop, bool) {
 	return Hop{}, false
 }
 
+// WithAxes returns a copy of the path with one grid point's hop-axis
+// overrides applied: the edge hop's capacity, the WAN hop's RTT, and
+// the ingress hop's buffer. A capacity or RTT of 0 means "not swept"
+// and leaves that hop alone; the buffer override is unconditional,
+// because a buffer of 0 is itself a value (the half-BDP default).
+func (p Path) WithAxes(edgeCap units.BitRate, wanRTT time.Duration, ingressBuf units.ByteSize) Path {
+	out := append(Path(nil), p...)
+	for i := range out {
+		switch h := &out[i]; {
+		case h.Role == HopEdge && edgeCap > 0:
+			h.Capacity = edgeCap
+		case h.Role == HopWAN && wanRTT > 0:
+			h.RTT = wanRTT
+		case h.Role == HopIngress:
+			h.Buffer = ingressBuf
+		}
+	}
+	return out
+}
+
 // Bottleneck returns the hop with the least residual capacity (raw
 // capacity minus the share its cross-traffic consumes); the first such
 // hop wins ties. It panics on an empty path — callers gate on len(p).

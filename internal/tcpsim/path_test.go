@@ -87,6 +87,33 @@ func TestPathHopLookup(t *testing.T) {
 	}
 }
 
+// TestPathWithAxes: each hop knob reaches only its own hop, a zero
+// capacity or RTT leaves the hop alone while a zero buffer is applied,
+// and the receiver is never modified.
+func TestPathWithAxes(t *testing.T) {
+	p := Path{
+		{Role: HopEdge, Capacity: 10e9, RTT: 2 * time.Millisecond, Buffer: units.MB},
+		{Role: HopWAN, Capacity: 100e9, RTT: 30 * time.Millisecond, Buffer: 8 * units.MB},
+		{Role: HopIngress, Capacity: 40e9, RTT: time.Millisecond, Buffer: 4 * units.MB},
+	}
+	orig := append(Path(nil), p...)
+	got := p.WithAxes(60e9, 20*time.Millisecond, 2*units.MB)
+	want := Path{
+		{Role: HopEdge, Capacity: 60e9, RTT: 2 * time.Millisecond, Buffer: units.MB},
+		{Role: HopWAN, Capacity: 100e9, RTT: 20 * time.Millisecond, Buffer: 8 * units.MB},
+		{Role: HopIngress, Capacity: 40e9, RTT: time.Millisecond, Buffer: 2 * units.MB},
+	}
+	for i := range want {
+		if got[i] != want[i] || p[i] != orig[i] {
+			t.Fatalf("hop %d: got %+v want %+v (receiver now %+v)", i, got[i], want[i], p[i])
+		}
+	}
+	zero := p.WithAxes(0, 0, 0)
+	if zero[0] != p[0] || zero[1] != p[1] || zero[2].Buffer != 0 {
+		t.Fatalf("WithAxes(0, 0, 0) = %+v", zero)
+	}
+}
+
 // TestSingleHopEffectiveIsIdentity: a 1-hop path composes to exactly
 // that hop's link over the base endpoint parameters — the structural
 // guarantee behind single-hop grids staying bit-identical to flat Net.

@@ -11,10 +11,10 @@ package workload
 // exactly these axes, so the break-even analysis must cover them.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -100,149 +100,177 @@ func AxesFromSweep(cfg SweepConfig) Axes {
 // flat link written differently and is folded away by normalized().
 func (a Axes) multiHop() bool { return len(a.Path) > 1 }
 
-// normalized fills empty network axes with the base Net's single point.
-// A 1-hop Path is folded into Net here — after normalization the grid
-// is indistinguishable from one described by a flat Net, which is the
-// structural guarantee that single-hop paths stay bit-identical (same
-// fingerprint, same seeds, same rows, same cache records). A multi-hop
-// Path composes into Net's link parameters and fills the hop axes with
-// the path's own values as singletons.
+// normalized composes any Path into Net and fills empty axes with their
+// singletons from the link-axis table. A Path of at most one hop is then
+// dropped: a 1-hop grid becomes indistinguishable from the flat grid (same
+// fingerprint, seeds, rows and cache records). A multi-hop Path keeps its
+// hops, and its hop axes fill with the path's own values.
 func (a Axes) normalized() Axes {
-	if len(a.Path) == 1 {
-		a.Net = a.Path.Effective(a.Net)
+	a.Net = a.Path.Effective(a.Net)
+	if !a.multiHop() {
 		a.Path = nil
-	} else if a.multiHop() {
-		a.Net = a.Path.Effective(a.Net)
-		if len(a.EdgeCaps) == 0 {
-			h, _ := a.Path.Hop(tcpsim.HopEdge)
-			a.EdgeCaps = []units.BitRate{h.Capacity}
-		}
-		if len(a.WANRTTs) == 0 {
-			h, _ := a.Path.Hop(tcpsim.HopWAN)
-			a.WANRTTs = []time.Duration{h.RTT}
-		}
-		if len(a.IngressBuffers) == 0 {
-			h, _ := a.Path.Hop(tcpsim.HopIngress)
-			a.IngressBuffers = []units.ByteSize{h.Buffer}
-		}
 	}
-	if len(a.RTTs) == 0 {
-		a.RTTs = []time.Duration{a.Net.BaseRTT}
-	}
-	if len(a.Buffers) == 0 {
-		a.Buffers = []units.ByteSize{a.Net.Buffer}
-	}
+	a.RTTs = rttAxis.filled(a.Path, a.Net, a.RTTs)
+	a.Buffers = bufferAxis.filled(a.Path, a.Net, a.Buffers)
+	a.CrossFractions = crossAxis.filled(a.Path, a.Net, a.CrossFractions)
+	a.EdgeCaps = edgeCapAxis.filled(a.Path, a.Net, a.EdgeCaps)
+	a.WANRTTs = wanRTTAxis.filled(a.Path, a.Net, a.WANRTTs)
+	a.IngressBuffers = ingressBufferAxis.filled(a.Path, a.Net, a.IngressBuffers)
 	if len(a.CCs) == 0 {
 		a.CCs = []tcpsim.CongestionControl{a.Net.CC}
-	}
-	if len(a.CrossFractions) == 0 {
-		a.CrossFractions = []float64{a.Net.Cross.Fraction}
 	}
 	return a
 }
 
-// Validate checks that every axis has at least one value, that any Path
-// is structurally sound, and that hop axes are consistent with the path
-// (hop axes require a multi-hop path containing the matching hop;
-// multi-hop grids sweep hop axes, not the flat link axes). Per-cell
-// parameter validation (positive RTTs, known CC, cross fraction range,
-// ...) happens when each cell's Experiment runs. Validate is stable
-// under normalized(): a normalized Axes validates iff its source did.
+// linkAxis is one row of the link-axis table: one of the six axes of the
+// network link, and the rules Validate and normalized() apply to it. A
+// flat axis (RTTs, Buffers, CrossFractions) applies on a flat grid; on a
+// multi-hop grid it may hold only the composed singleton normalized()
+// fills in. A hop axis (EdgeCaps, WANRTTs, IngressBuffers) applies on a
+// multi-hop grid whose path has its hop; without the hop it may hold only
+// the {0} placeholder, and on a flat grid nothing at all.
+type linkAxis[T comparable] struct {
+	hop  bool           // a hop axis rather than a flat one
+	role tcpsim.HopRole // the hop a hop axis sweeps
+	// fill is the singleton normalized() puts in an empty axis: the
+	// composed link's value, or the hop's own (0 for an absent hop).
+	fill func(link tcpsim.Config, h tcpsim.Hop) T
+	// inRange checks each value of a hop axis where it applies.
+	inRange func(T) bool
+	// misplaced and outOfRange are the exact rejection texts.
+	misplaced, outOfRange string
+}
+
+// The link-axis table, in Validate's check order.
+var (
+	rttAxis = linkAxis[time.Duration]{
+		fill:      func(link tcpsim.Config, _ tcpsim.Hop) time.Duration { return link.BaseRTT },
+		misplaced: "workload: multi-hop grids sweep WANRTTs, not the flat RTTs axis",
+	}
+	bufferAxis = linkAxis[units.ByteSize]{
+		fill:      func(link tcpsim.Config, _ tcpsim.Hop) units.ByteSize { return link.Buffer },
+		misplaced: "workload: multi-hop grids sweep IngressBuffers, not the flat Buffers axis",
+	}
+	crossAxis = linkAxis[float64]{
+		fill:      func(link tcpsim.Config, _ tcpsim.Hop) float64 { return link.Cross.Fraction },
+		misplaced: "workload: multi-hop grids fix cross-traffic per hop; the flat CrossFractions axis does not apply",
+	}
+	edgeCapAxis = linkAxis[units.BitRate]{
+		hop: true, role: tcpsim.HopEdge,
+		fill:       func(_ tcpsim.Config, h tcpsim.Hop) units.BitRate { return h.Capacity },
+		inRange:    func(c units.BitRate) bool { return c > 0 },
+		misplaced:  "workload: EdgeCaps axis requires an edge hop in the path",
+		outOfRange: "workload: EdgeCaps values must be positive",
+	}
+	wanRTTAxis = linkAxis[time.Duration]{
+		hop: true, role: tcpsim.HopWAN,
+		fill:       func(_ tcpsim.Config, h tcpsim.Hop) time.Duration { return h.RTT },
+		inRange:    func(r time.Duration) bool { return r > 0 },
+		misplaced:  "workload: WANRTTs axis requires a wan hop in the path",
+		outOfRange: "workload: WANRTTs values must be positive",
+	}
+	ingressBufferAxis = linkAxis[units.ByteSize]{
+		hop: true, role: tcpsim.HopIngress,
+		fill:       func(_ tcpsim.Config, h tcpsim.Hop) units.ByteSize { return h.Buffer },
+		inRange:    func(b units.ByteSize) bool { return b >= 0 },
+		misplaced:  "workload: IngressBuffers axis requires an ingress hop in the path",
+		outOfRange: "workload: IngressBuffers values must be non-negative",
+	}
+)
+
+// check returns the rejection text for the axis values vals on a grid
+// over path p whose composed base link is link, or "" when they pass.
+func (r linkAxis[T]) check(p tcpsim.Path, link tcpsim.Config, vals []T) string {
+	multi := len(p) > 1
+	h, hasHop := p.Hop(r.role)
+	switch {
+	case r.hop && !multi:
+		if len(vals) > 0 {
+			return "workload: hop axes (EdgeCaps/WANRTTs/IngressBuffers) require a multi-hop Path"
+		}
+	case r.hop && hasHop:
+		for _, v := range vals {
+			if !r.inRange(v) {
+				return r.outOfRange
+			}
+		}
+	case multi:
+		if len(vals) > 1 || (len(vals) == 1 && vals[0] != r.fill(link, h)) {
+			return r.misplaced
+		}
+	}
+	return ""
+}
+
+// filled returns vals, or the singleton normalized() puts in their
+// place when they are empty and the axis belongs to the grid (hop axes
+// stay empty on a flat grid). p and link are already normalized.
+func (r linkAxis[T]) filled(p tcpsim.Path, link tcpsim.Config, vals []T) []T {
+	if len(vals) > 0 || (r.hop && len(p) < 2) {
+		return vals
+	}
+	h, _ := p.Hop(r.role)
+	return []T{r.fill(link, h)}
+}
+
+// Validate checks that any Path is structurally sound, that the six link
+// axes follow the link-axis table, and that the Table 2 plane and sizes
+// are non-empty. Per-cell parameter validation (positive RTTs, known CC,
+// ...) happens when each cell's Experiment runs. Validate is stable under
+// normalized(): a normalized Axes validates iff its source did.
 func (a Axes) Validate() error {
 	if err := a.Path.Validate(); err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
-	if !a.multiHop() {
-		if len(a.EdgeCaps)+len(a.WANRTTs)+len(a.IngressBuffers) > 0 {
-			return fmt.Errorf("workload: hop axes (EdgeCaps/WANRTTs/IngressBuffers) require a multi-hop Path")
-		}
-	} else {
-		if err := a.validateMultiHop(); err != nil {
-			return err
+	link := a.Path.Effective(a.Net)
+	for _, msg := range [...]string{
+		rttAxis.check(a.Path, link, a.RTTs),
+		bufferAxis.check(a.Path, link, a.Buffers),
+		crossAxis.check(a.Path, link, a.CrossFractions),
+		edgeCapAxis.check(a.Path, link, a.EdgeCaps),
+		wanRTTAxis.check(a.Path, link, a.WANRTTs),
+		ingressBufferAxis.check(a.Path, link, a.IngressBuffers),
+	} {
+		if msg != "" {
+			return errors.New(msg)
 		}
 	}
-	n := a.normalized()
 	switch {
-	case len(n.Concurrencies) == 0:
+	case len(a.Concurrencies) == 0:
 		return fmt.Errorf("workload: empty grid axis Concurrencies")
-	case len(n.ParallelFlows) == 0:
+	case len(a.ParallelFlows) == 0:
 		return fmt.Errorf("workload: empty grid axis ParallelFlows")
-	case len(n.TransferSizes) == 0:
+	case len(a.TransferSizes) == 0:
 		return fmt.Errorf("workload: empty grid axis TransferSizes")
 	}
 	return nil
 }
 
-// validateMultiHop checks the hop-axis rules for a multi-hop grid. The
-// flat link axes are rejected unless they hold exactly the singleton
-// normalized() itself fills in (so re-validating a normalized Axes
-// still passes) — a multi-hop grid's RTT, buffer, and cross-traffic
-// vary only through its hops.
-func (a Axes) validateMultiHop() error {
-	eff := a.Path.Effective(a.Net)
-	if len(a.RTTs) > 1 || (len(a.RTTs) == 1 && a.RTTs[0] != eff.BaseRTT) {
-		return fmt.Errorf("workload: multi-hop grids sweep WANRTTs, not the flat RTTs axis")
+// flatCaps is a flat grid's capacity axis: the base link's capacity only.
+var flatCaps = []units.BitRate{0}
+
+// linkAxes returns a normalized grid's link-axis triple, the axes its
+// network points sweep between size and CC: ({0}, RTTs, Buffers) on a
+// flat grid, (EdgeCaps, WANRTTs, IngressBuffers) on a multi-hop one.
+func (a Axes) linkAxes() ([]units.BitRate, []time.Duration, []units.ByteSize) {
+	if a.multiHop() {
+		return a.EdgeCaps, a.WANRTTs, a.IngressBuffers
 	}
-	if len(a.Buffers) > 1 || (len(a.Buffers) == 1 && a.Buffers[0] != eff.Buffer) {
-		return fmt.Errorf("workload: multi-hop grids sweep IngressBuffers, not the flat Buffers axis")
-	}
-	if len(a.CrossFractions) > 1 || (len(a.CrossFractions) == 1 && a.CrossFractions[0] != eff.Cross.Fraction) {
-		return fmt.Errorf("workload: multi-hop grids fix cross-traffic per hop; the flat CrossFractions axis does not apply")
-	}
-	// A hop axis needs its hop; when the hop is absent the axis may
-	// hold only the {0} placeholder normalized() fills in.
-	if _, ok := a.Path.Hop(tcpsim.HopEdge); !ok {
-		if len(a.EdgeCaps) > 1 || (len(a.EdgeCaps) == 1 && a.EdgeCaps[0] != 0) {
-			return fmt.Errorf("workload: EdgeCaps axis requires an edge hop in the path")
-		}
-	} else {
-		for _, c := range a.EdgeCaps {
-			if c <= 0 {
-				return fmt.Errorf("workload: EdgeCaps values must be positive")
-			}
-		}
-	}
-	if _, ok := a.Path.Hop(tcpsim.HopWAN); !ok {
-		if len(a.WANRTTs) > 1 || (len(a.WANRTTs) == 1 && a.WANRTTs[0] != 0) {
-			return fmt.Errorf("workload: WANRTTs axis requires a wan hop in the path")
-		}
-	} else {
-		for _, r := range a.WANRTTs {
-			if r <= 0 {
-				return fmt.Errorf("workload: WANRTTs values must be positive")
-			}
-		}
-	}
-	if _, ok := a.Path.Hop(tcpsim.HopIngress); !ok {
-		if len(a.IngressBuffers) > 1 || (len(a.IngressBuffers) == 1 && a.IngressBuffers[0] != 0) {
-			return fmt.Errorf("workload: IngressBuffers axis requires an ingress hop in the path")
-		}
-	} else {
-		for _, b := range a.IngressBuffers {
-			if b < 0 {
-				return fmt.Errorf("workload: IngressBuffers values must be non-negative")
-			}
-		}
-	}
-	return nil
+	return flatCaps, a.RTTs, a.Buffers
 }
 
 // NetPoints returns the number of distinct network points: the size of
-// the TransferSizes × RTTs × Buffers × CCs × CrossFractions product for
-// a flat grid, and of TransferSizes × EdgeCaps × WANRTTs ×
-// IngressBuffers × CCs for a multi-hop grid.
+// the TransferSizes × link-axis triple × CCs × CrossFractions product
+// (CrossFractions is a singleton on a multi-hop grid).
 func (a Axes) NetPoints() int {
 	n := a.normalized()
-	if n.multiHop() {
-		return len(n.TransferSizes) * len(n.EdgeCaps) * len(n.WANRTTs) * len(n.IngressBuffers) * len(n.CCs)
-	}
-	return len(n.TransferSizes) * len(n.RTTs) * len(n.Buffers) * len(n.CCs) * len(n.CrossFractions)
+	caps, rtts, bufs := n.linkAxes()
+	return len(n.TransferSizes) * len(caps) * len(rtts) * len(bufs) * len(n.CCs) * len(n.CrossFractions)
 }
 
 // Size returns the total number of cells in the grid.
 func (a Axes) Size() int {
-	n := a.normalized()
-	return a.NetPoints() * len(n.Concurrencies) * len(n.ParallelFlows)
+	return a.NetPoints() * len(a.Concurrencies) * len(a.ParallelFlows)
 }
 
 // GridCell is one grid coordinate: a network point plus one Table 2
@@ -250,9 +278,8 @@ func (a Axes) Size() int {
 type GridCell struct {
 	// Index is the cell's row position in GridResult.Rows.
 	Index int
-	// NetIndex identifies the network point (position in the size × RTT
-	// × buffer × CC × cross product); cells sharing a NetIndex differ
-	// only within the Table 2 plane.
+	// NetIndex identifies the network point (position in the network
+	// product); cells sharing a NetIndex differ only in the Table 2 plane.
 	NetIndex      int
 	TransferSize  units.ByteSize
 	RTT           time.Duration
@@ -261,134 +288,63 @@ type GridCell struct {
 	CrossFraction float64
 	Concurrency   int
 	ParallelFlows int
-	// Capacity overrides the base Net's link capacity when positive.
-	// Flat grids leave it 0 (the base capacity applies everywhere, and
-	// the zero keeps their experiments — and hence fingerprints, seeds,
-	// and cache records — bit-identical to the pre-path layout);
-	// multi-hop grids set it to the composed bottleneck's capacity.
+	// Capacity is the composed bottleneck's capacity on a multi-hop
+	// grid. Flat cells leave it 0, so the base Net's capacity applies and
+	// their experiments stay bit-identical to the pre-path layout.
 	Capacity units.BitRate
-	// EdgeCap, WANRTT, and IngressBuffer record the cell's hop-axis
-	// coordinates on a multi-hop grid (0 when the hop is absent or the
-	// grid is flat). RTT, Buffer, Capacity, and CrossFraction above
-	// hold the *composed* path behavior; these hold the hop knobs that
-	// produced it, for reporting and decision attribution.
+	// EdgeCap, WANRTT, and IngressBuffer are a multi-hop cell's hop
+	// knobs (0 when the hop is absent or the grid is flat); RTT, Buffer,
+	// Capacity, and CrossFraction above hold the composed link they made.
 	EdgeCap       units.BitRate
 	WANRTT        time.Duration
 	IngressBuffer units.ByteSize
 }
 
-// Cells enumerates the grid in deterministic row order: network axes
-// outermost (sizes, then RTTs, buffers, CCs, cross fractions), then the
-// Table 2 plane in sweep order (flow counts outer, concurrencies inner).
-// With singleton network axes this is exactly the Table 2 sweep's
-// order (SweepResult.Rows).
-// Multi-hop grids enumerate sizes, then edge capacities, WAN RTTs,
-// ingress buffers, and CCs, composing each hop point down to the
-// effective bottleneck coordinates.
+// Cells enumerates the grid in deterministic row order: sizes, then the
+// link-axis triple, CCs and cross fractions, then the Table 2 plane in
+// sweep order (flow counts outer, concurrencies inner). A flat grid's
+// triple is ({0}, RTTs, Buffers), so with singleton network axes this is
+// the Table 2 sweep's order (SweepResult.Rows). A multi-hop grid's triple
+// is (EdgeCaps, WANRTTs, IngressBuffers) and its cross axis a singleton;
+// each hop point is composed down to its bottleneck, and the cell stores
+// the composed coordinates, which alone key its seed and cell record.
 func (a Axes) Cells() []GridCell {
 	n := a.normalized()
-	if n.multiHop() {
-		return n.multiHopCells()
-	}
-	cells := make([]GridCell, 0, a.Size())
-	netIdx := 0
-	for _, size := range n.TransferSizes {
-		for _, rtt := range n.RTTs {
-			for _, buf := range n.Buffers {
-				for _, cc := range n.CCs {
-					for _, cross := range n.CrossFractions {
-						for _, p := range n.ParallelFlows {
-							for _, conc := range n.Concurrencies {
-								cells = append(cells, GridCell{
-									Index:         len(cells),
-									NetIndex:      netIdx,
-									TransferSize:  size,
-									RTT:           rtt,
-									Buffer:        buf,
-									CC:            cc,
-									CrossFraction: cross,
-									Concurrency:   conc,
-									ParallelFlows: p,
-								})
-							}
-						}
-						netIdx++
-					}
-				}
-			}
-		}
-	}
-	return cells
-}
-
-// multiHopCells enumerates a multi-hop grid (receiver must be
-// normalized). Each hop point — an (edge capacity, WAN RTT, ingress
-// buffer) override applied to the path — is composed down to its
-// effective bottleneck, and the *composed* coordinates (RTT, buffer,
-// cross fraction, capacity) are stored on the cell. Everything
-// downstream (seed derivation, experiment lowering, record
-// fingerprints) therefore sees an ordinary cell: a multi-hop cell and
-// a flat cell with the same composed coordinates share seeds exactly
-// as the intrinsic-seed contract requires.
-func (n Axes) multiHopCells() []GridCell {
+	caps, rtts, bufs := n.linkAxes()
 	cells := make([]GridCell, 0, n.Size())
 	netIdx := 0
 	for _, size := range n.TransferSizes {
-		for _, ecap := range n.EdgeCaps {
-			for _, wrtt := range n.WANRTTs {
-				for _, ibuf := range n.IngressBuffers {
+		for _, ecap := range caps {
+			for _, rtt := range rtts {
+				for _, buf := range bufs {
+					pt := GridCell{TransferSize: size, RTT: rtt, Buffer: buf}
+					if n.multiHop() {
+						eff := n.Path.WithAxes(ecap, rtt, buf).Effective(n.Net)
+						pt = GridCell{TransferSize: size, RTT: eff.BaseRTT, Buffer: eff.Buffer,
+							CrossFraction: eff.Cross.Fraction, Capacity: eff.Capacity,
+							EdgeCap: ecap, WANRTT: rtt, IngressBuffer: buf}
+					}
 					for _, cc := range n.CCs {
-						eff := pathWithCell(n.Path, ecap, wrtt, ibuf).Effective(n.Net)
-						for _, p := range n.ParallelFlows {
-							for _, conc := range n.Concurrencies {
-								cells = append(cells, GridCell{
-									Index:         len(cells),
-									NetIndex:      netIdx,
-									TransferSize:  size,
-									RTT:           eff.BaseRTT,
-									Buffer:        eff.Buffer,
-									CC:            cc,
-									CrossFraction: eff.Cross.Fraction,
-									Capacity:      eff.Capacity,
-									EdgeCap:       ecap,
-									WANRTT:        wrtt,
-									IngressBuffer: ibuf,
-									Concurrency:   conc,
-									ParallelFlows: p,
-								})
+						for _, cross := range n.CrossFractions {
+							pt.CC, pt.NetIndex = cc, netIdx
+							if !n.multiHop() {
+								pt.CrossFraction = cross
 							}
+							for _, p := range n.ParallelFlows {
+								for _, conc := range n.Concurrencies {
+									c := pt
+									c.Index, c.Concurrency, c.ParallelFlows = len(cells), conc, p
+									cells = append(cells, c)
+								}
+							}
+							netIdx++
 						}
-						netIdx++
 					}
 				}
 			}
 		}
 	}
 	return cells
-}
-
-// pathWithCell returns a copy of the path with one hop point's axis
-// overrides applied: the edge hop's capacity, the WAN hop's RTT, and
-// the ingress hop's buffer (0 = tcpsim's half-BDP default, so the
-// buffer override is unconditional; capacity and RTT overrides of 0
-// mean "hop absent from this grid's axes" and leave the hop alone).
-func pathWithCell(p tcpsim.Path, ecap units.BitRate, wrtt time.Duration, ibuf units.ByteSize) tcpsim.Path {
-	out := append(tcpsim.Path(nil), p...)
-	for i := range out {
-		switch out[i].Role {
-		case tcpsim.HopEdge:
-			if ecap > 0 {
-				out[i].Capacity = ecap
-			}
-		case tcpsim.HopWAN:
-			if wrtt > 0 {
-				out[i].RTT = wrtt
-			}
-		case tcpsim.HopIngress:
-			out[i].Buffer = ibuf
-		}
-	}
-	return out
 }
 
 // netSeedStride separates the seed ranges of distinct network points, so
@@ -485,108 +441,64 @@ func (a Axes) experiment(c GridCell) Experiment {
 // disjoint from cellFingerprint's "cell;" keys.
 func (a Axes) Fingerprint() string {
 	n := a.normalized()
-	var b strings.Builder
-	b.Grow(512)
+	b := make([]byte, 0, 512)
 	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-	fmt.Fprintf(&b, "grid;dur=%d;conc=", int64(n.Duration))
-	for i, c := range n.Concurrencies {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(c))
-	}
-	b.WriteString(";pflows=")
-	for i, p := range n.ParallelFlows {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(p))
-	}
-	b.WriteString(";sizes=")
-	for i, s := range n.TransferSizes {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(f(float64(s)))
-	}
-	b.WriteString(";rtts=")
-	for i, r := range n.RTTs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatInt(int64(r), 10))
-	}
-	b.WriteString(";bufs=")
-	for i, q := range n.Buffers {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(f(float64(q)))
-	}
-	b.WriteString(";ccs=")
-	for i, cc := range n.CCs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(int(cc)))
-	}
-	b.WriteString(";crosses=")
-	for i, x := range n.CrossFractions {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(f(x))
-	}
+	b = fmt.Appendf(b, "grid;dur=%d", int64(n.Duration))
+	b = appendList(b, ";conc=", n.Concurrencies, appendInt)
+	b = appendList(b, ";pflows=", n.ParallelFlows, appendInt)
+	b = appendList(b, ";sizes=", n.TransferSizes, appendFloat)
+	b = appendList(b, ";rtts=", n.RTTs, appendInt)
+	b = appendList(b, ";bufs=", n.Buffers, appendFloat)
+	b = appendList(b, ";ccs=", n.CCs, appendInt)
+	b = appendList(b, ";crosses=", n.CrossFractions, appendFloat)
 	// Hop terms render only on multi-hop grids: a 1-hop path has been
 	// folded into Net by normalized(), so its fingerprint — and hence
 	// its memo entry and every cell record — is byte-identical to the
 	// equivalent flat grid's.
 	if n.multiHop() {
-		b.WriteString(";hops=")
+		b = append(b, ";hops="...)
 		for i, h := range n.Path {
 			if i > 0 {
-				b.WriteByte('|')
+				b = append(b, '|')
 			}
-			b.WriteString(h.Role.String())
-			b.WriteByte(':')
-			b.WriteString(f(float64(h.Capacity)))
-			b.WriteByte(':')
-			b.WriteString(strconv.FormatInt(int64(h.RTT), 10))
-			b.WriteByte(':')
-			b.WriteString(f(float64(h.Buffer)))
-			b.WriteByte(':')
-			b.WriteString(f(h.CrossFraction))
+			b = append(b, h.Role.String()...)
+			b = appendFloat(append(b, ':'), h.Capacity)
+			b = appendInt(append(b, ':'), h.RTT)
+			b = appendFloat(append(b, ':'), h.Buffer)
+			b = appendFloat(append(b, ':'), h.CrossFraction)
 		}
-		b.WriteString(";ecaps=")
-		for i, c := range n.EdgeCaps {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(f(float64(c)))
-		}
-		b.WriteString(";wrtts=")
-		for i, r := range n.WANRTTs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.FormatInt(int64(r), 10))
-		}
-		b.WriteString(";ibufs=")
-		for i, q := range n.IngressBuffers {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(f(float64(q)))
-		}
+		b = appendList(b, ";ecaps=", n.EdgeCaps, appendFloat)
+		b = appendList(b, ";wrtts=", n.WANRTTs, appendInt)
+		b = appendList(b, ";ibufs=", n.IngressBuffers, appendFloat)
 	}
 	net := n.Net
-	fmt.Fprintf(&b, ";strat=%d;keep=%t", int(n.Strategy), n.KeepClientResults)
-	fmt.Fprintf(&b, ";cap=%s;mss=%s;icw=%d;rto=%d;seed=%d;maxt=%s;rq=%t",
+	b = fmt.Appendf(b, ";strat=%d;keep=%t", int(n.Strategy), n.KeepClientResults)
+	b = fmt.Appendf(b, ";cap=%s;mss=%s;icw=%d;rto=%d;seed=%d;maxt=%s;rq=%t",
 		f(float64(net.Capacity)), f(float64(net.MSS)),
 		net.InitCwndSegments, int64(net.RTO), net.Seed, f(net.MaxTime), net.RecordQueue)
-	fmt.Fprintf(&b, ";xper=%d;xduty=%s;xjit=%t",
+	b = fmt.Appendf(b, ";xper=%d;xduty=%s;xjit=%t",
 		int64(net.Cross.Period), f(net.Cross.Duty), net.Cross.PhaseJitter)
-	return b.String()
+	return string(b)
+}
+
+// appendList appends key and then vals, comma-separated — one term of a
+// grid fingerprint.
+func appendList[T any](b []byte, key string, vals []T, appendVal func([]byte, T) []byte) []byte {
+	b = append(b, key...)
+	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendVal(b, v)
+	}
+	return b
+}
+
+// appendInt and appendFloat render one fingerprint value exactly as
+// strconv.Itoa/FormatInt and FormatFloat(x, 'g', -1, 64) do.
+func appendInt[T ~int | ~int64](b []byte, v T) []byte { return strconv.AppendInt(b, int64(v), 10) }
+func appendFloat[T ~float64](b []byte, v T) []byte {
+	return strconv.AppendFloat(b, float64(v), 'g', -1, 64)
 }
 
 // GridRow is one grid cell's outcome: the cell coordinate plus the same

@@ -94,8 +94,8 @@ if ! diff <(sed '$d' "$cold_report") <(sed '$d' "$warm_report") >> "$OUT_LOG"; t
 fi
 
 # ---- multi-hop round: the same cold → compact → warm byte-identity
-# guarantee for a 2-hop (edge→WAN) grid, whose v4 cell records carry hop
-# coordinates. 2 ecaps × 2 wrtts × 2 concs × 2 P = 16 cells — small,
+# guarantee for a 2-hop (edge→WAN) grid, whose cells are keyed by their
+# composed coordinates. 2 ecaps × 2 wrtts × 2 concs × 2 P = 16 cells — small,
 # because this round gates hop-axis cache identity, not scale.
 hop_cold="$CACHE_DIR/report-hop-cold.txt"
 hop_warm="$CACHE_DIR/report-hop-warm.txt"
@@ -111,7 +111,8 @@ hopgrid > "$hop_cold"
 hop_cold_line=$(tail -n 1 "$hop_cold")
 echo "hop cold: $hop_cold_line" | tee -a "$OUT_LOG"
 # The flat round's compacted segment is still in CACHE_DIR: the hop
-# cells must all miss it (hop coordinates key differently) and simulate.
+# cells must all miss it (their composed capacities and RTTs are not the
+# flat grid's) and simulate.
 want_hop_cold='^cache-stats: cells=16 memo=0 disk=0 segment=0 engine-runs=16 lock-waits=0 index-load=[^ ]+ bytes-read=[0-9]+$'
 printf '%s\n' "$hop_cold_line" | grep -Eq "$want_hop_cold" \
     || fail "cold 2-hop run did not simulate all 16 cells" "$want_hop_cold" "$hop_cold_line"
