@@ -18,8 +18,9 @@
 // grid_multihop_warm, grid_open_100k, and service_warm_decision, any
 // regression of the cell store's sub-grid reuse, segment warm-open
 // (small, multi-hop, and 100,000-cell scale), or resident-service
-// warm-request guarantees; timings are never compared, so the gate is
-// noise-free.
+// warm-request guarantees, and via grid_cold_append's engine_runs = 64
+// (one engine run per cold cell) any cold run that re-runs or skips
+// cells; timings are never compared, so the gate is noise-free.
 package main
 
 import (
@@ -145,6 +146,43 @@ func subgridAxes() (super, sub workload.Axes) {
 	sub = super
 	sub.RTTs = super.RTTs[2:]
 	return super, sub
+}
+
+// coldAppendAxes is the grid_cold_append scenario's grid: 64 cheap
+// QuickSweep-sized cells (2 conc × 2 P × 8 RTTs × 2 buffers, 1 s each),
+// so the store's share of a cold cell — encode, batch append, sidecar
+// flush — is visible next to the engine's.
+func coldAppendAxes() workload.Axes {
+	rtts := make([]time.Duration, 8)
+	for i := range rtts {
+		rtts[i] = time.Duration(2*i+2) * time.Millisecond
+	}
+	return workload.Axes{
+		Duration:      time.Second,
+		Concurrencies: []int{1, 2},
+		ParallelFlows: []int{1, 2},
+		TransferSizes: []units.ByteSize{0.1 * units.GB},
+		RTTs:          rtts,
+		Buffers:       []units.ByteSize{0, units.MB},
+		Strategy:      workload.SpawnSimultaneous,
+		Net:           tcpsim.DefaultConfig(),
+	}
+}
+
+// coldAppend runs a cold into a fresh directory under parent on one
+// worker — execute, encode, batch append, flush — and returns the run
+// and its stats. The directory's resident store is released and its
+// files removed before returning.
+func coldAppend(parent string, a workload.Axes) (*workload.GridResult, workload.CacheStats, error) {
+	dir, err := os.MkdirTemp(parent, "run-")
+	if err != nil {
+		return nil, workload.CacheStats{}, err
+	}
+	defer os.RemoveAll(dir)
+	defer workload.CloseDiskCache(dir)
+	c := workload.NewGridCache()
+	c.SetDiskDir(dir)
+	return c.GetStats(a, 1)
 }
 
 // multiHopAxes is the grid_multihop_warm scenario's grid: an
@@ -283,6 +321,31 @@ func run(args []string, out io.Writer) error {
 	report.Results = append(report.Results, measure("runall_quick_cached", nil, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.RunAll(quickCfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+
+	// The cold path end to end: 64 cells executed and persisted into a
+	// fresh directory per iteration, on one worker. engine_runs (64) is
+	// gated by -compare, so a cold run that stops persisting — or starts
+	// re-running cells — fails the bench gate; allocs_per_op is recorded.
+	coldParent, err := os.MkdirTemp("", "benchjson-cold")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(coldParent)
+	coldAxes := coldAppendAxes()
+	coldRes, coldSt, err := coldAppend(coldParent, coldAxes)
+	if err != nil {
+		return err
+	}
+	coldMetrics := gridMetrics(coldRes)
+	coldMetrics["engine_runs"] = float64(coldSt.EngineRuns)
+	report.Results = append(report.Results, measure("grid_cold_append", coldMetrics, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := coldAppend(coldParent, coldAxes); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -569,7 +632,8 @@ func run(args []string, out io.Writer) error {
 // grid_multihop_warm, grid_open_100k, and service_warm_decision, where
 // the tracked value 0 turns the sub-grid reuse, segment warm-open
 // (flat and multi-hop), and resident-service warm-request guarantees
-// into bench-gate invariants.
+// into bench-gate invariants, and for grid_cold_append, where it is the
+// grid's cell count.
 var deterministicMetrics = []string{"sss", "worst_s", "engine_runs"}
 
 // compareReports checks every deterministic metric present in both

@@ -55,6 +55,7 @@ func TestBenchJSONQuick(t *testing.T) {
 		"sweep_quick_parallel":  false,
 		"runall_quick_cold":     false,
 		"runall_quick_cached":   false,
+		"grid_cold_append":      false,
 		"grid_subgrid_warm":     false,
 		"grid_segment_warm":     false,
 		"grid_multihop_warm":    false,
@@ -77,6 +78,12 @@ func TestBenchJSONQuick(t *testing.T) {
 		case "sweep_quick_serial", "sweep_quick_parallel":
 			if e.Metrics["worst_s"] <= 0 || e.Metrics["sss"] < 1 {
 				t.Errorf("%s: implausible sweep metrics %v", e.Name, e.Metrics)
+			}
+		case "grid_cold_append":
+			// One engine run per cold cell, and a recorded allocation count.
+			if e.Metrics["engine_runs"] != float64(coldAppendAxes().Size()) || e.AllocsPerOp <= 0 {
+				t.Errorf("%s: engine_runs = %v, allocs/op = %d; want %d runs and a recorded count",
+					e.Name, e.Metrics["engine_runs"], e.AllocsPerOp, coldAppendAxes().Size())
 			}
 		case "grid_subgrid_warm", "grid_segment_warm", "grid_multihop_warm", "grid_open_100k", "service_warm_decision":
 			// The cache invariants the -compare gate tracks at 0: warm

@@ -20,6 +20,7 @@ package tcpsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/stats"
@@ -116,14 +117,18 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Capacity <= 0 {
-		return fmt.Errorf("tcpsim: capacity must be > 0, got %v", c.Capacity)
+	// The float fields must also be finite: a NaN capacity used to pass
+	// (NaN <= 0 is false) and then stall the round loop forever, and
+	// finite operands are what make the loop's builtin min and max agree
+	// with math.Min and math.Max on every accepted config.
+	if !(c.Capacity > 0) || math.IsInf(float64(c.Capacity), 1) {
+		return fmt.Errorf("tcpsim: capacity must be finite and > 0, got %v", c.Capacity)
 	}
 	if c.BaseRTT <= 0 {
 		return fmt.Errorf("tcpsim: base RTT must be > 0, got %v", c.BaseRTT)
 	}
-	if c.MSS <= 0 {
-		return fmt.Errorf("tcpsim: MSS must be > 0, got %v", c.MSS)
+	if !(c.MSS > 0) || math.IsInf(float64(c.MSS), 1) {
+		return fmt.Errorf("tcpsim: MSS must be finite and > 0, got %v", c.MSS)
 	}
 	if c.InitCwndSegments <= 0 {
 		return fmt.Errorf("tcpsim: initial cwnd must be > 0 segments, got %d", c.InitCwndSegments)
@@ -131,8 +136,8 @@ func (c Config) Validate() error {
 	if c.RTO <= 0 {
 		return fmt.Errorf("tcpsim: RTO must be > 0, got %v", c.RTO)
 	}
-	if c.Buffer < 0 {
-		return fmt.Errorf("tcpsim: buffer must be >= 0, got %v", c.Buffer)
+	if !(c.Buffer >= 0) || math.IsInf(float64(c.Buffer), 1) {
+		return fmt.Errorf("tcpsim: buffer must be finite and >= 0, got %v", c.Buffer)
 	}
 	if c.CC != Reno && c.CC != Cubic {
 		return fmt.Errorf("tcpsim: unknown congestion control %d", int(c.CC))

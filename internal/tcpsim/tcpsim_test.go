@@ -23,6 +23,12 @@ func TestConfigValidate(t *testing.T) {
 		{"zero init cwnd", func(c *Config) { c.InitCwndSegments = 0 }},
 		{"zero rto", func(c *Config) { c.RTO = 0 }},
 		{"negative buffer", func(c *Config) { c.Buffer = -1 }},
+		{"nan capacity", func(c *Config) { c.Capacity = units.BitRate(math.NaN()) }},
+		{"infinite capacity", func(c *Config) { c.Capacity = units.BitRate(math.Inf(1)) }},
+		{"nan mss", func(c *Config) { c.MSS = units.ByteSize(math.NaN()) }},
+		{"infinite mss", func(c *Config) { c.MSS = units.ByteSize(math.Inf(1)) }},
+		{"nan buffer", func(c *Config) { c.Buffer = units.ByteSize(math.NaN()) }},
+		{"infinite buffer", func(c *Config) { c.Buffer = units.ByteSize(math.Inf(1)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,6 +65,12 @@ func TestRunErrors(t *testing.T) {
 	bad = []FlowSpec{{ID: 1, Arrival: 0, Size: -5}}
 	if _, err := Run(cfg, bad); !errors.Is(err, ErrBadFlowSpec) {
 		t.Errorf("negative size: %v", err)
+	}
+	for _, size := range []float64{math.NaN(), math.Inf(1)} {
+		bad = []FlowSpec{{ID: 1, Arrival: 0, Size: units.ByteSize(size)}}
+		if _, err := Run(cfg, bad); !errors.Is(err, ErrBadFlowSpec) {
+			t.Errorf("size %v: %v", size, err)
+		}
 	}
 }
 

@@ -190,7 +190,7 @@ func (s *cellStore) loadStream(fps []string, cells []GridCell, rows []GridRow, w
 }
 
 // storeRetries / storeRetryDelay shape the transient-fault retry in
-// store: a failed append is retried storeRetries times with
+// commit: a failed batch append is retried storeRetries times with
 // exponentially growing sleeps (delay, 2·delay, …) before the store
 // degrades. Vars so tests shrink the delay.
 var (
@@ -198,15 +198,69 @@ var (
 	storeRetryDelay = 5 * time.Millisecond
 )
 
-// store appends the record for fp to the segment, best-effort: cache
-// writes must never fail a run. Transient failures (a flaky device, a
-// momentary ENOSPC) are retried with backoff — a short write's torn
-// bytes become dead space and the retry re-appends cleanly — and only
-// a persistently failing append degrades the whole store to
-// persistence-off. Lock-acquisition timeouts skip the retries: the
-// acquisition itself already retried with backoff for the full
-// lockTimeout bound.
-func (s *cellStore) store(fp string, row SweepRow) {
+// batchMaxRecords / batchMaxBytes bound one grid run's pending batch:
+// when either is reached, the batch is appended to the segment. 32
+// records spread one lock cycle and resync (~10 µs) to well under a
+// microsecond per record; 256 KiB keeps a batch of large rows from
+// holding memory or the lock for long.
+const (
+	batchMaxRecords = 32
+	batchMaxBytes   = 256 << 10
+)
+
+// recordBatch is one grid run's group commit: workers encode their
+// freshly computed records off every lock and add them here, and the
+// batch is appended to the segment in one write under one writer-lock
+// acquisition (segStore.appendBatch) each time it reaches its bound,
+// and once more for the remainder at the end of the run. Records
+// become visible to other runs and processes per batch, and all of
+// them by the end of the run.
+type recordBatch struct {
+	store *cellStore
+	mu    sync.Mutex
+	buf   []byte       // framed records, concatenated
+	recs  []pendingRec // their keys and lengths, in buf order
+}
+
+// add queues one record, and commits the batch when it reaches its
+// bound. Other workers go on adding while it is committed; a batch may
+// overshoot the bound by the records added meanwhile.
+func (b *recordBatch) add(fp string, row SweepRow) {
+	rec, err := encodeSegRecord(fp, row)
+	if err != nil {
+		b.store.disable(err)
+		return
+	}
+	b.mu.Lock()
+	b.buf = append(b.buf, rec...)
+	b.recs = append(b.recs, pendingRec{key: fingerprintSegKey(fp), size: len(rec)})
+	full := len(b.recs) >= batchMaxRecords || len(b.buf) >= batchMaxBytes
+	b.mu.Unlock()
+	if full {
+		b.flush()
+	}
+}
+
+// flush commits whatever the batch holds.
+func (b *recordBatch) flush() {
+	b.mu.Lock()
+	buf, recs := b.buf, b.recs
+	b.buf, b.recs = nil, nil
+	b.mu.Unlock()
+	if len(recs) > 0 {
+		b.store.commit(buf, recs)
+	}
+}
+
+// commit appends a batch of framed records to the segment, best-effort:
+// cache writes must never fail a run. Transient failures (a flaky
+// device, a momentary ENOSPC) are retried with backoff — a short
+// write's torn record becomes dead space and the retry re-appends from
+// it, keeping every whole record that landed before it — and only a
+// batch that keeps failing degrades the whole store to persistence-off.
+// Lock-acquisition timeouts skip the retries: the acquisition itself
+// already retried with backoff for the full lockTimeout bound.
+func (s *cellStore) commit(buf []byte, recs []pendingRec) {
 	dir := s.activeDir()
 	if dir == "" {
 		return
@@ -214,7 +268,13 @@ func (s *cellStore) store(fp string, row SweepRow) {
 	seg := segmentStore(dir)
 	var err error
 	for attempt := 0; ; attempt++ {
-		if err = seg.append(fp, row); err == nil {
+		var done int
+		done, err = seg.appendBatch(buf, recs)
+		for _, r := range recs[:done] {
+			buf = buf[r.size:]
+		}
+		recs = recs[done:]
+		if err == nil {
 			return
 		}
 		if attempt >= storeRetries || errors.Is(err, errLockTimeout) {
@@ -226,7 +286,7 @@ func (s *cellStore) store(fp string, row SweepRow) {
 }
 
 // flush rewrites the segment index sidecar if this run changed it —
-// called once per grid run, so per-record appends stay sidecar-free.
+// called once per grid run, so batch appends stay sidecar-free.
 func (s *cellStore) flush() {
 	if dir := s.activeDir(); dir != "" {
 		segmentStore(dir).flushIndex()

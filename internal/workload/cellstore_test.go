@@ -10,6 +10,14 @@ import (
 	"time"
 )
 
+// store persists one record right away through a batch of one, the
+// way a grid run's last batch lands.
+func (s *cellStore) store(fp string, row SweepRow) {
+	b := &recordBatch{store: s}
+	b.add(fp, row)
+	b.flush()
+}
+
 // seedCellRecords runs the grid cold through a disk-backed cache so its
 // cell records exist under dir (in the segment file since v2),
 // returning the reference rows.

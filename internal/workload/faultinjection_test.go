@@ -331,3 +331,83 @@ func TestLockAcquireFault(t *testing.T) {
 		t.Error("fslock.acquire never fired")
 	}
 }
+
+// TestShortWriteTornBatch: a short write tears the third record of a
+// group-committed batch. The two whole records before it stay indexed
+// and are not re-appended; the retry appends from the torn record on.
+// So the warm run simulates nothing, its rows are byte-identical to the
+// cold run's, compaction reclaims exactly the torn bytes, and the
+// compacted segment holds one record per cell.
+func TestShortWriteTornBatch(t *testing.T) {
+	buf := resetFaultState(t)
+	dir := t.TempDir()
+	a := fastAxes()
+
+	// One worker executes the missing cells in grid order, so the
+	// batch's record order — and with it the tear point — is known.
+	na := a.normalized()
+	ref, err := RunGridParallel(a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	total := 0
+	for i, c := range na.Cells() {
+		rec, err := encodeSegRecord(cellFingerprint(na.experiment(c)), ref.Rows[i].SweepRow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, len(rec))
+		total += len(rec)
+	}
+	if len(sizes) < 3 || len(sizes) > batchMaxRecords {
+		t.Fatalf("grid of %d cells does not fit one batch with a third record", len(sizes))
+	}
+	torn := sizes[2] / 2
+	fsfault.Enable("segstore.append.write", fsfault.Fault{
+		AllowBytes: int64(sizes[0] + sizes[1] + torn), Err: io.ErrShortWrite, Once: true,
+	})
+
+	c := NewGridCache()
+	c.SetDiskDir(dir)
+	cold, st, err := c.GetStats(a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fsfault.Fired("segstore.append.write"); n != 1 {
+		t.Fatalf("append failpoint fired %d times, want 1", n)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("transient short write degraded the store: %q", buf.String())
+	}
+	fsfault.Reset()
+	if st.EngineRuns != int64(len(sizes)) {
+		t.Fatalf("cold run executed %d cells, want %d", st.EngineRuns, len(sizes))
+	}
+	if gridRowsJSON(t, cold.Rows) != gridRowsJSON(t, ref.Rows) {
+		t.Fatal("cold rows differ from RunGridParallel")
+	}
+	// Whole records before the tear were kept, not re-appended.
+	if got, want := fileSize(t, segPathOf(dir)), int64(total+torn); got != want {
+		t.Errorf("segment is %d bytes, want %d records' %d bytes plus the %d torn bytes", got, len(sizes), total, torn)
+	}
+
+	rows, d := warmRunStats(t, dir, a)
+	if d.EngineRuns != 0 {
+		t.Errorf("warm run over the torn batch executed %d experiments, want 0", d.EngineRuns)
+	}
+	if gridRowsJSON(t, rows) != gridRowsJSON(t, cold.Rows) {
+		t.Error("warm rows differ after the torn batch")
+	}
+
+	cs, err := CompactDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.ReclaimedBytes != int64(torn) {
+		t.Errorf("compaction reclaimed %d bytes, want the %d torn bytes", cs.ReclaimedBytes, torn)
+	}
+	if cs.Records != len(sizes) || cs.SegmentBytes != int64(total) {
+		t.Errorf("compacted segment holds %d records in %d bytes, want %d in %d", cs.Records, cs.SegmentBytes, len(sizes), total)
+	}
+}

@@ -1,7 +1,8 @@
 package workload
 
 // The cache-directory writer lock: an advisory, cross-process exclusive
-// lock (cells.lock) held around segment appends, sidecar flushes, and
+// lock (cells.lock) held around each batch of segment appends (one
+// acquisition per group commit, not per record), sidecar flushes, and
 // compaction, so two processes cold-running grids into one cache
 // directory serialize their writes instead of stranding each other's
 // records as dead space. Readers never take it — segment reads are
@@ -12,7 +13,7 @@ package workload
 // backoff up to lockTimeout. A writer that cannot get the lock inside
 // the bound degrades to the existing persistence-off-with-one-warning
 // path (the cache is an accelerator, never a requirement); the
-// errLockTimeout sentinel tells the retry layer in cellStore.store not
+// errLockTimeout sentinel tells the retry layer in cellStore.commit not
 // to burn further rounds on a lock that just spent the whole bound.
 //
 // Staleness: on Unix the lock is a kernel flock, released automatically
@@ -20,11 +21,13 @@ package workload
 // inert and is deliberately never removed (unlinking a lock file races
 // a concurrent acquirer holding the same inode). The portable fallback
 // (fslock_stub.go) uses O_EXCL sentinel files with age-based stale-lock
-// removal instead. The lock file's content (pid + timestamp, refreshed
-// by every holder) is diagnostic only and is surfaced in timeout
-// errors.
+// removal instead. The lock file's content — one fixed-width,
+// space-padded "pid=… time=…" line that every holder overwrites in
+// place, never truncating (see writeLockOwner) — is diagnostic only and
+// is surfaced in timeout errors.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -46,13 +49,13 @@ const (
 )
 
 // lockTimeout bounds one acquisition end to end. A var so tests shrink
-// it; real contention windows are per-append (sub-millisecond), so the
-// default only trips when a holder wedges or a foreign process holds
-// the lock across a long compaction.
+// it; real contention windows are one batch append (sub-millisecond),
+// so the default only trips when a holder wedges or a foreign process
+// holds the lock across a long compaction.
 var lockTimeout = 10 * time.Second
 
 // errLockTimeout marks an acquisition that exhausted lockTimeout.
-// cellStore.store skips its transient-error retries for it: the
+// cellStore.commit skips its transient-error retries for it: the
 // acquisition already retried with backoff for the whole bound.
 var errLockTimeout = errors.New("cache writer lock timed out")
 
@@ -107,24 +110,43 @@ func (l *fsLock) release() {
 	unlockFile(l.f, l.path)
 }
 
+// lockOwnerWidth is the fixed size of the owner record: "pid=… time=…"
+// padded with spaces and ended by a newline. The longest record, a
+// 20-digit pid and an RFC 3339 UTC time, is 50 bytes.
+const lockOwnerWidth = 64
+
 // writeLockOwner records the holder (pid + wall time) in the lock file,
 // best-effort: purely diagnostic, read back by readLockOwner for
-// timeout errors and by humans inspecting a wedged cache directory.
+// timeout errors and by humans inspecting a wedged cache directory. It
+// overwrites the record in place at a fixed width, so the padding
+// covers any record an earlier holder left. It never truncates: ext4
+// flushes a file truncated to zero when it is closed, which would cost
+// a data flush per acquisition.
 func writeLockOwner(f *os.File) {
 	if f == nil {
 		return
 	}
-	_ = f.Truncate(0)
-	_, _ = f.WriteAt([]byte(fmt.Sprintf("pid=%d time=%s\n", os.Getpid(),
-		time.Now().UTC().Format(time.RFC3339))), 0)
+	rec := make([]byte, 0, lockOwnerWidth)
+	rec = fmt.Appendf(rec, "pid=%d time=%s", os.Getpid(), time.Now().UTC().Format(time.RFC3339))
+	for len(rec) < lockOwnerWidth-1 {
+		rec = append(rec, ' ')
+	}
+	rec = append(rec, '\n')
+	_, _ = f.WriteAt(rec, 0)
 }
 
 // readLockOwner reports the recorded holder of the lock file, for
-// diagnostics only ("unknown" when unreadable or empty).
+// diagnostics only ("unknown" when unreadable or empty): the first
+// line, padding trimmed. Reading one line also ignores whatever a
+// foreign writer may have left beyond the fixed-width record.
 func readLockOwner(path string) string {
 	data, err := os.ReadFile(path)
-	if err != nil || len(data) == 0 {
+	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(data))
+	line, _, _ := bytes.Cut(data, []byte{'\n'})
+	if owner := strings.TrimSpace(string(line)); owner != "" {
+		return owner
+	}
+	return "unknown"
 }

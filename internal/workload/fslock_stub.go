@@ -15,8 +15,9 @@ import (
 )
 
 // staleLockAge is how old an O_EXCL sentinel must be before an acquirer
-// may break it. Writer critical sections are per-append (milliseconds)
-// or one compaction (seconds); minutes of age means a dead holder.
+// may break it. Writer critical sections are one batch append
+// (milliseconds) or one compaction (seconds); minutes of age means a
+// dead holder.
 const staleLockAge = 10 * time.Minute
 
 // tryLockFile makes one attempt at the sentinel lock.

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -211,6 +213,41 @@ func TestStaleTempSweep(t *testing.T) {
 			t.Errorf("%s removed by sweep, want kept", name)
 		case !want && err == nil:
 			t.Errorf("%s survived sweep, want removed", name)
+		}
+	}
+}
+
+// TestLockOwnerFixedWidth: every acquisition overwrites the owner
+// record in place at one fixed width, never truncating. The lock file
+// keeps a constant size across acquisitions, a longer stale record
+// planted beforehand leaves no tail behind, and readLockOwner returns
+// the trimmed "pid=… time=…" line.
+func TestLockOwnerFixedWidth(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, lockFileName)
+	stale := "pid=99999999999 time=2020-01-01T00:00:00Z stale-holder\n"
+	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := regexp.MustCompile(`^pid=` + strconv.Itoa(os.Getpid()) + ` time=\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ$`)
+	for i := 0; i < 100; i++ {
+		l, err := acquireDirLock(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.release()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != lockOwnerWidth {
+			t.Fatalf("acquisition %d: lock file is %d bytes, want the fixed %d", i, len(data), lockOwnerWidth)
+		}
+		if strings.Contains(string(data), "stale") || strings.Count(string(data), "\n") != 1 || data[len(data)-1] != '\n' {
+			t.Fatalf("acquisition %d: lock file %q is not one padded owner line", i, data)
+		}
+		if got := readLockOwner(path); !want.MatchString(got) {
+			t.Fatalf("acquisition %d: readLockOwner = %q, want %v", i, got, want)
 		}
 	}
 }

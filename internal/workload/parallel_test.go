@@ -2,6 +2,9 @@ package workload
 
 import (
 	"testing"
+	"time"
+
+	"repro/internal/units"
 )
 
 // TestParallelMatchesSerial: the executor's rows — full per-client
@@ -55,5 +58,58 @@ func TestParallelPropagatesCellErrors(t *testing.T) {
 	cfg.Net.MaxTime = 0.01 // every cell exceeds the horizon
 	if _, err := RunGridParallel(AxesFromSweep(cfg), 4); err == nil {
 		t.Fatal("horizon error swallowed")
+	}
+}
+
+// TestParallelColdRunPersists: a 4-worker cold run into a fresh
+// directory shares one record batch across its workers. Its rows are
+// byte-identical to a serial run with the cache off, every cell runs
+// the engine once and lands in the segment exactly once, and the next
+// warm open simulates nothing. Not skipped by -short, so the race
+// detector sees the shared batch.
+func TestParallelColdRunPersists(t *testing.T) {
+	a := fastAxes()
+	a.Concurrencies = []int{2, 4, 6}
+	a.RTTs = []time.Duration{8 * time.Millisecond, 16 * time.Millisecond, 32 * time.Millisecond, 64 * time.Millisecond}
+	a.Buffers = []units.ByteSize{0, units.MB, 2 * units.MB, 4 * units.MB}
+	n := a.Size()
+	if n <= 2*batchMaxRecords {
+		t.Fatalf("grid of %d cells spans fewer than three batches", n)
+	}
+	ref, err := RunGridParallel(a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	c := NewGridCache()
+	c.SetDiskDir(dir)
+	cold, st, err := c.GetStats(a, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EngineRuns != int64(n) {
+		t.Errorf("cold run: EngineRuns = %d, want %d", st.EngineRuns, n)
+	}
+	if gridRowsJSON(t, cold.Rows) != gridRowsJSON(t, ref.Rows) {
+		t.Error("parallel persisted rows differ from RunGridParallel(a, 1)")
+	}
+	if got := segmentRecordCount(dir); got != n {
+		t.Errorf("segment indexes %d records, want %d", got, n)
+	}
+
+	rows, d := warmRunStats(t, dir, a)
+	if d.EngineRuns != 0 {
+		t.Errorf("warm open executed %d experiments, want 0", d.EngineRuns)
+	}
+	if gridRowsJSON(t, rows) != gridRowsJSON(t, ref.Rows) {
+		t.Error("warm rows differ from RunGridParallel(a, 1)")
+	}
+	st2, err := CompactDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.ReclaimedBytes != 0 || st2.Records != n {
+		t.Errorf("compaction: %d records, %d bytes reclaimed; want %d records and no dead space", st2.Records, st2.ReclaimedBytes, n)
 	}
 }

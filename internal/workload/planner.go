@@ -117,10 +117,11 @@ func planGrid(a Axes, store *cellStore) *gridPlan {
 
 // runGridIncrementalStats is the pipeline behind the grid cache: plan
 // the grid against the cell store (streaming fetch), execute only the
-// missing cells, persist each fresh record as its worker finishes it,
-// assemble the rows in grid order, and flush the segment index sidecar
-// once. Bit-identical to RunGridParallel for any store content, any
-// worker count, and any interleaving of prior grids — every cell is
+// missing cells, group-commit the fresh records in batches
+// (recordBatch) as the workers finish them, assemble the rows in grid
+// order, and flush the segment index sidecar once. Bit-identical to
+// RunGridParallel for any store content, any worker count, and any
+// interleaving of prior grids — every cell is
 // independently seeded from its own coordinates, so a loaded record and
 // a recomputed row are the same bytes. It also returns an exact
 // per-request CacheStats: the attribution is derived from the plan
@@ -144,12 +145,20 @@ func runGridIncrementalStats(a Axes, workers int, store *cellStore) (*GridResult
 	}
 	if len(plan.missing) > 0 {
 		var onRow func(GridCell)
+		var batch *recordBatch
 		if plan.persist {
+			batch = &recordBatch{store: store}
 			onRow = func(c GridCell) {
-				store.store(plan.fps[c.Index], plan.rows[c.Index].SweepRow)
+				batch.add(plan.fps[c.Index], plan.rows[c.Index].SweepRow)
 			}
 		}
-		if err := executeCells(a, plan.missing, plan.rows, workers, onRow); err != nil {
+		err := executeCells(a, plan.missing, plan.rows, workers, onRow)
+		if batch != nil {
+			// The remainder lands before the sidecar flush, and on the
+			// error path too: every computed record is kept.
+			batch.flush()
+		}
+		if err != nil {
 			return nil, CacheStats{}, err
 		}
 	}

@@ -627,57 +627,68 @@ func CloseDiskCache(dir string) {
 	resetSegmentStore(dir)
 }
 
-// append writes one record to the segment and indexes it in memory,
-// holding the directory's cross-process writer lock around the
-// stat+write so concurrent processes' appends serialize and every index
-// entry points where its record actually landed. The sidecar is NOT
-// rewritten per record — flushIndex does that once per grid run — so a
-// crash between append and flush costs only a tail scan on the next
-// open, never data.
-func (s *segStore) append(fp string, row SweepRow) error {
-	buf, err := encodeSegRecord(fp, row)
-	if err != nil {
-		return err
-	}
+// pendingRec is one encoded record inside a batch buffer: its index key
+// and its framed length.
+type pendingRec struct {
+	key  segKey
+	size int
+}
+
+// appendBatch writes a batch of framed records — buf is their
+// concatenation, recs their keys and lengths in order — to the segment
+// in ONE write, under one hold of s.mu and of the directory's
+// cross-process writer lock, and indexes every record that landed. The
+// lock-held resync makes the index entries point where the records
+// actually landed even when other processes append to the same
+// directory. It returns how many leading records were committed: all
+// of them, or after a short write of n bytes every whole record below
+// n; the torn record's bytes are dead space (CRC-guarded, reclaimed by
+// compaction) and the caller retries from it, so a torn batch costs
+// only the torn record. The sidecar is NOT rewritten here — flushIndex
+// does that once per grid run — so a crash between append and flush
+// costs only a tail scan on the next open, never data.
+func (s *segStore) appendBatch(buf []byte, recs []pendingRec) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ensureLoaded()
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return fmt.Errorf("workload: creating cache dir: %w", err)
+		return 0, fmt.Errorf("workload: creating cache dir: %w", err)
 	}
 	lk, err := acquireDirLock(s.dir)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer lk.release()
 	s.resyncLocked()
 	if s.wf == nil {
 		wf, err := os.OpenFile(s.segPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return fmt.Errorf("workload: opening segment file: %w", err)
+			return 0, fmt.Errorf("workload: opening segment file: %w", err)
 		}
 		s.wf = wf
 	}
 	// Under the lock the resync'd counter IS the physical EOF, which is
 	// where this O_APPEND write lands.
 	off := s.size
-	if n, err := fsfault.Write("segstore.append.write", s.wf, buf); err != nil {
-		// A short write leaves a torn record at the tail: dead space the
-		// CRC guard skips and compaction reclaims. Advance past the torn
-		// bytes so a retried append indexes its record at the true EOF.
-		s.size = off + int64(n)
-		return fmt.Errorf("workload: appending cell record: %w", err)
-	}
+	n, werr := fsfault.Write("segstore.append.write", s.wf, buf)
 	if s.rf == nil {
 		// The segment may not have existed when the index loaded; reads
 		// need a handle now that it does. A failed open only costs
 		// misses until the next process.
 		s.rf, _ = os.Open(s.segPath())
 	}
-	s.index[fingerprintSegKey(fp)] = segEntry{off: off, length: int64(len(buf))}
-	s.size = off + int64(len(buf))
-	s.dirty++
-	return nil
+	done := 0
+	for pos := 0; done < len(recs) && pos+recs[done].size <= n; done++ {
+		s.index[recs[done].key] = segEntry{off: off + int64(pos), length: int64(recs[done].size)}
+		pos += recs[done].size
+	}
+	s.dirty += done
+	// Past the torn bytes too, so a retry indexes at the true EOF.
+	s.size = off + int64(n)
+	if werr != nil {
+		return done, fmt.Errorf("workload: appending cell records: %w", werr)
+	}
+	return done, nil
 }
 
 // flushIndex rewrites the sidecar atomically if the index changed since
