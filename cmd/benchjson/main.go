@@ -13,7 +13,7 @@
 // metric (sss, worst_s, engine_runs — simulation outputs and cache
 // behavior, machine-independent) drifts from the tracked report by more
 // than the relative tolerance -tol. CI uses this (scripts/benchcmp.sh)
-// to catch silent changes to the sweep dynamics — and, via the
+// to catch silent changes to the sweep and engine dynamics — and, via the
 // engine_runs = 0 of grid_subgrid_warm, grid_segment_warm,
 // grid_multihop_warm, grid_open_100k, and service_warm_decision, any
 // regression of the cell store's sub-grid reuse, segment warm-open
@@ -81,6 +81,19 @@ func saturatingBurst() []tcpsim.FlowSpec {
 		for c := 0; c < 6; c++ {
 			specs = append(specs, tcpsim.FlowSpec{ID: id, Arrival: float64(sec), Size: 0.5 * units.GB})
 			id++
+		}
+	}
+	return specs
+}
+
+// decideCell is one cell of the shape the decided benchmark seeds:
+// three one-second arrival waves of four clients, each moving 1 GB over
+// eight flows (96 flows), IDs as the workload package assigns them.
+func decideCell() []tcpsim.FlowSpec {
+	var specs []tcpsim.FlowSpec
+	for client := 0; client < 12; client++ {
+		for f := 0; f < 8; f++ {
+			specs = append(specs, tcpsim.FlowSpec{ID: client*1000 + f, Arrival: float64(client / 4), Size: units.GB / 8})
 		}
 	}
 	return specs
@@ -269,6 +282,31 @@ func run(args []string, out io.Writer) error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Run(cfg, burst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+
+	// The engine alone on the cold-cell shape: long congestion-avoidance
+	// runs of ~60 concurrent flows, the steps that dominate a cold grid.
+	// worst_s (the slowest flow's completion time) is gated by -compare;
+	// allocs_per_op is recorded and, on a reused engine, 0.
+	cellCfg := tcpsim.DefaultConfig()
+	cellCfg.CC = tcpsim.Cubic
+	cellCfg.Cross.Fraction = 0.1
+	cell := decideCell()
+	cellRes, err := eng.Run(cellCfg, cell)
+	if err != nil {
+		return err
+	}
+	cellWorst := 0.0
+	for _, f := range cellRes.Flows {
+		cellWorst = max(cellWorst, f.Duration())
+	}
+	report.Results = append(report.Results, measure("tcpsim_engine_cell", map[string]float64{"worst_s": cellWorst}, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Run(cellCfg, cell); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -50,6 +50,7 @@ func TestBenchJSONQuick(t *testing.T) {
 	}
 	want := map[string]bool{
 		"tcpsim_engine_steady":  false,
+		"tcpsim_engine_cell":    false,
 		"tcpsim_run_cold":       false,
 		"sweep_quick_serial":    false,
 		"sweep_quick_parallel":  false,
@@ -70,10 +71,13 @@ func TestBenchJSONQuick(t *testing.T) {
 			t.Errorf("%s: empty measurement %+v", e.Name, e)
 		}
 		switch e.Name {
-		case "tcpsim_engine_steady":
+		case "tcpsim_engine_steady", "tcpsim_engine_cell":
 			// The perf contract: warmed engine runs allocate nothing.
 			if e.AllocsPerOp != 0 {
-				t.Errorf("engine steady state allocates %d/op, want 0", e.AllocsPerOp)
+				t.Errorf("%s: engine steady state allocates %d/op, want 0", e.Name, e.AllocsPerOp)
+			}
+			if e.Name == "tcpsim_engine_cell" && e.Metrics["worst_s"] <= 0 {
+				t.Errorf("%s: implausible worst_s %v", e.Name, e.Metrics["worst_s"])
 			}
 		case "sweep_quick_serial", "sweep_quick_parallel":
 			if e.Metrics["worst_s"] <= 0 || e.Metrics["sss"] < 1 {

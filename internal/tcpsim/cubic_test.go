@@ -126,9 +126,8 @@ func TestCubicWindowShape(t *testing.T) {
 	// Unit-test the cubic window function itself: at tt == K the window
 	// equals wmax; it is concave-then-convex around that point.
 	e := NewEngine()
-	e.grow(1)
-	e.wmaxSeg[0] = 100
-	e.kCubic[0] = 2
+	e.wmaxSeg = append(e.wmaxSeg, 100)
+	e.kCubic = append(e.kCubic, 2)
 	f := cubicAt{e}
 	mss := 1000.0
 	atK := f.cubicWindow(2, mss)
@@ -148,7 +147,7 @@ func TestCubicWindowShape(t *testing.T) {
 	}
 }
 
-// cubicAt adapts the engine's slot-indexed cubic window to the old
+// cubicAt adapts the engine's active-indexed cubic window to the old
 // single-flow call shape used by this test.
 type cubicAt struct{ e *Engine }
 

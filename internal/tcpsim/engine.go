@@ -11,14 +11,14 @@ import (
 )
 
 // Engine is a reusable TCP simulation engine. It holds every buffer the
-// round loop needs — per-flow state as structure-of-arrays, the active
-// set, and the per-round scratch vectors — so that repeated Run calls on
-// workloads of similar size perform zero allocations in steady state
-// (enforced by TestEngineSteadyStateAllocs).
+// round loop needs — the pending queue, the active flows' state as dense
+// structure-of-arrays in active order, and the per-round scratch vectors
+// — so that repeated Run calls on workloads of similar size perform zero
+// allocations in steady state (enforced by TestEngineSteadyStateAllocs).
 //
 // The engine produces results bit-identical to the original pointer-based
 // implementation (see reference_test.go): flows are processed in stable
-// arrival order, the active set is compacted in place preserving order
+// arrival order, the active state is compacted in place preserving order
 // (a swap-compact would reorder the per-flow RNG severity draws and
 // change results), and every floating-point expression keeps the original
 // evaluation order. The round loop clamps with the builtin min and max,
@@ -37,12 +37,17 @@ import (
 type Engine struct {
 	rng *sim.RNG
 
-	// Per-flow state, indexed by slot (pending order: stable-sorted by
-	// arrival). Structure-of-arrays keeps the round loop walking dense
-	// float64 slices instead of chasing *flow pointers.
-	id         []int
-	arrival    []float64
-	size       []float64 // original payload, bytes
+	// Pending queue, indexed by slot (stable-sorted by arrival): what a
+	// flow needs before it starts and for its FlowResult.
+	id      []int
+	arrival []float64
+	size    []float64 // original payload, bytes
+
+	// Active-flow state, dense and in active order: index i is the i-th
+	// active flow. activate appends, and the compaction after a round in
+	// which flows finished moves every field together, so both per-round
+	// passes walk these slices in step with no gather through a slot.
+	slot       []int32   // pending slot, for the FlowResult
 	remaining  []float64 // bytes not yet acknowledged
 	cwnd       []float64 // congestion window, bytes
 	ssthresh   []float64 // slow-start threshold, bytes
@@ -52,18 +57,16 @@ type Engine struct {
 	kCubic     []float64 // CUBIC: time to regain wmax, seconds
 	retrans    []int64
 	timeouts   []int
-	endT       []float64
-	done       []bool
 
 	// Sort scratch: spec indices, stable-ordered by arrival.
 	order    []int32
 	orderTmp []int32
 
-	// Active set (slots) and per-round scratch, reused every round.
-	active  []int32
+	// Per-round scratch by active index, reused every round.
 	offered []float64
 	lost    []float64
 	weights []float64
+	endT    []float64 // finish time of a flow that finished this round
 
 	// Result storage, reused across runs.
 	finished    []FlowResult
@@ -81,9 +84,11 @@ func NewEngine() *Engine {
 	return &Engine{rng: sim.NewRNG(0)}
 }
 
-// grow sizes every per-flow buffer for n flows, reusing capacity. New
-// capacity doubles at minimum so sweeps whose cells ascend in size
-// (Table 2's concurrency axis) stop reallocating once, not per cell.
+// grow sizes every per-flow buffer for n flows, reusing capacity: the
+// pending queue and the per-round scratch to length n, the active state
+// to capacity n (Run empties it, activate appends). New capacity doubles
+// at minimum so sweeps whose cells ascend in size (Table 2's concurrency
+// axis) stop reallocating once, not per cell.
 func (e *Engine) grow(n int) {
 	if cap(e.arrival) < n {
 		c := 2 * cap(e.arrival)
@@ -93,23 +98,22 @@ func (e *Engine) grow(n int) {
 		e.id = make([]int, n, c)
 		e.arrival = make([]float64, n, c)
 		e.size = make([]float64, n, c)
-		e.remaining = make([]float64, n, c)
-		e.cwnd = make([]float64, n, c)
-		e.ssthresh = make([]float64, n, c)
-		e.stalledTo = make([]float64, n, c)
-		e.wmaxSeg = make([]float64, n, c)
-		e.epochStart = make([]float64, n, c)
-		e.kCubic = make([]float64, n, c)
-		e.retrans = make([]int64, n, c)
-		e.timeouts = make([]int, n, c)
-		e.endT = make([]float64, n, c)
-		e.done = make([]bool, n, c)
+		e.slot = make([]int32, 0, c)
+		e.remaining = make([]float64, 0, c)
+		e.cwnd = make([]float64, 0, c)
+		e.ssthresh = make([]float64, 0, c)
+		e.stalledTo = make([]float64, 0, c)
+		e.wmaxSeg = make([]float64, 0, c)
+		e.epochStart = make([]float64, 0, c)
+		e.kCubic = make([]float64, 0, c)
+		e.retrans = make([]int64, 0, c)
+		e.timeouts = make([]int, 0, c)
 		e.order = make([]int32, n, c)
 		e.orderTmp = make([]int32, n, c)
-		e.active = make([]int32, 0, c)
 		e.offered = make([]float64, n, c)
 		e.lost = make([]float64, n, c)
 		e.weights = make([]float64, n, c)
+		e.endT = make([]float64, n, c)
 		e.finished = make([]FlowResult, 0, c)
 		e.finishedTmp = make([]FlowResult, n, c)
 		return
@@ -117,22 +121,26 @@ func (e *Engine) grow(n int) {
 	e.id = e.id[:n]
 	e.arrival = e.arrival[:n]
 	e.size = e.size[:n]
-	e.remaining = e.remaining[:n]
-	e.cwnd = e.cwnd[:n]
-	e.ssthresh = e.ssthresh[:n]
-	e.stalledTo = e.stalledTo[:n]
-	e.wmaxSeg = e.wmaxSeg[:n]
-	e.epochStart = e.epochStart[:n]
-	e.kCubic = e.kCubic[:n]
-	e.retrans = e.retrans[:n]
-	e.timeouts = e.timeouts[:n]
-	e.endT = e.endT[:n]
-	e.done = e.done[:n]
 	e.order = e.order[:n]
 	e.orderTmp = e.orderTmp[:n]
 	e.offered = e.offered[:n]
 	e.lost = e.lost[:n]
 	e.weights = e.weights[:n]
+	e.endT = e.endT[:n]
+}
+
+// keepActive truncates the active state to its first k flows.
+func (e *Engine) keepActive(k int) {
+	e.slot = e.slot[:k]
+	e.remaining = e.remaining[:k]
+	e.cwnd = e.cwnd[:k]
+	e.ssthresh = e.ssthresh[:k]
+	e.stalledTo = e.stalledTo[:k]
+	e.wmaxSeg = e.wmaxSeg[:k]
+	e.epochStart = e.epochStart[:k]
+	e.kCubic = e.kCubic[:k]
+	e.retrans = e.retrans[:k]
+	e.timeouts = e.timeouts[:k]
 }
 
 // mergeSortStable sorts a in place via bottom-up merges through tmp
@@ -202,47 +210,49 @@ func sortSlotsByArrival(order, tmp []int32, specs []FlowSpec) {
 	mergeSortStable(order, tmp, specs, slotArrivalLess)
 }
 
-// flowResult assembles the FlowResult for a finished slot.
-func (e *Engine) flowResult(slot int32) FlowResult {
-	return FlowResult{
-		ID:          e.id[slot],
-		Arrival:     e.arrival[slot],
-		End:         e.endT[slot],
-		Bytes:       e.size[slot],
-		Retransmits: e.retrans[slot],
-		Timeouts:    e.timeouts[slot],
-	}
-}
-
 // activate moves flows whose arrival has passed from the pending queue
-// (slots next..n-1, arrival-sorted) into the active set; zero-size flows
-// complete instantly at arrival. Returns the new pending cursor.
-func (e *Engine) activate(now float64, next, n int) int {
+// (slots next..n-1, arrival-sorted) to the end of the active state;
+// zero-size flows complete instantly at arrival. Returns the new pending
+// cursor.
+func (e *Engine) activate(now float64, next, n int, initCwnd, maxWin float64) int {
 	for next < n && e.arrival[next] <= now {
 		slot := int32(next)
 		next++
-		if e.remaining[slot] <= 0 {
-			e.endT[slot] = e.arrival[slot]
-			e.finished = append(e.finished, e.flowResult(slot))
+		if e.size[slot] <= 0 {
+			e.finished = append(e.finished, FlowResult{
+				ID:      e.id[slot],
+				Arrival: e.arrival[slot],
+				End:     e.arrival[slot],
+				Bytes:   e.size[slot],
+			})
 			continue
 		}
-		e.active = append(e.active, slot)
+		e.slot = append(e.slot, slot)
+		e.remaining = append(e.remaining, e.size[slot])
+		e.cwnd = append(e.cwnd, initCwnd)
+		e.ssthresh = append(e.ssthresh, maxWin)
+		e.stalledTo = append(e.stalledTo, 0)
+		e.wmaxSeg = append(e.wmaxSeg, 0)
+		e.epochStart = append(e.epochStart, -1)
+		e.kCubic = append(e.kCubic, 0)
+		e.retrans = append(e.retrans, 0)
+		e.timeouts = append(e.timeouts, 0)
 	}
 	return next
 }
 
-// CUBIC helpers on SoA state (same formulas as RFC 8312 shapes in the
-// flow-struct engine).
+// CUBIC helpers on the i-th active flow (same formulas as RFC 8312
+// shapes in the flow-struct engine).
 
-func (e *Engine) cubicWindow(slot int32, tt, mss float64) float64 {
-	d := tt - e.kCubic[slot]
-	return (cubicC*d*d*d + e.wmaxSeg[slot]) * mss
+func (e *Engine) cubicWindow(i int, tt, mss float64) float64 {
+	d := tt - e.kCubic[i]
+	return (cubicC*d*d*d + e.wmaxSeg[i]) * mss
 }
 
-func (e *Engine) cubicOnLoss(slot int32, now, mss float64) {
-	e.wmaxSeg[slot] = e.cwnd[slot] / mss
-	e.epochStart[slot] = now
-	e.kCubic[slot] = math.Cbrt(e.wmaxSeg[slot] * (1 - cubicBeta) / cubicC)
+func (e *Engine) cubicOnLoss(i int, now, mss float64) {
+	e.wmaxSeg[i] = e.cwnd[i] / mss
+	e.epochStart[i] = now
+	e.kCubic[i] = math.Cbrt(e.wmaxSeg[i] * (1 - cubicBeta) / cubicC)
 }
 
 // sortFinishedStable stable-sorts the finished slice by (Arrival, ID).
@@ -286,6 +296,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 	maxWin := cfg.BDP() + buffer // no point growing cwnd beyond pipe+queue
 	initCwnd := float64(cfg.InitCwndSegments) * mss
 	maxTime := cfg.maxTime()
+	cubic := cfg.CC == Cubic
 
 	// Lay the flows out in stable arrival order (the pending queue).
 	n := len(specs)
@@ -299,17 +310,6 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		e.id[k] = s.ID
 		e.arrival[k] = s.Arrival
 		e.size[k] = s.Size.Bytes()
-		e.remaining[k] = s.Size.Bytes()
-		e.cwnd[k] = initCwnd
-		e.ssthresh[k] = maxWin
-		e.stalledTo[k] = 0
-		e.wmaxSeg[k] = 0
-		e.epochStart[k] = -1
-		e.kCubic[k] = 0
-		e.retrans[k] = 0
-		e.timeouts[k] = 0
-		e.endT[k] = 0
-		e.done[k] = false
 	}
 
 	// Reset reused result storage, keeping capacity. QueueDepth buffers
@@ -320,7 +320,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 	if cfg.RecordQueue {
 		e.res.QueueDepth = stats.Series{X: e.qx[:0], Y: e.qy[:0]}
 	}
-	e.active = e.active[:0]
+	e.keepActive(0)
 	e.finished = e.finished[:0]
 
 	t := e.arrival[0]
@@ -330,13 +330,14 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 	if err := e.counters.Record(t, 0, 0); err != nil {
 		return nil, err
 	}
-	nextPending := e.activate(t, 0, n)
+	nextPending := e.activate(t, 0, n, initCwnd, maxWin)
 
-	for len(e.active) > 0 || nextPending < n {
+	for len(e.remaining) > 0 || nextPending < n {
+		na := len(e.remaining)
 		if t > maxTime {
-			return nil, fmt.Errorf("%w (t=%.1fs, %d flows still active)", ErrHorizon, t, len(e.active))
+			return nil, fmt.Errorf("%w (t=%.1fs, %d flows still active)", ErrHorizon, t, na)
 		}
-		if len(e.active) == 0 {
+		if na == 0 {
 			// Idle gap: the residual queue drains through the link
 			// (count it served), then jump to the next arrival.
 			if queue > 0 {
@@ -348,7 +349,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 				queue = 0
 			}
 			t = e.arrival[nextPending]
-			nextPending = e.activate(t, nextPending, n)
+			nextPending = e.activate(t, nextPending, n, initCwnd, maxWin)
 			continue
 		}
 
@@ -361,19 +362,27 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		d := baseRTT + queue/roundCap
 
 		// Injections this round (offered/lost are per-active-index scratch;
-		// stale entries from larger prior rounds are never read).
-		na := len(e.active)
+		// stale entries from larger prior rounds are never read). The
+		// active state is resliced into locals of one length, so the
+		// passes below keep the slice headers in registers and carry no
+		// bounds checks.
+		remaining := e.remaining[:na]
+		cwnd := e.cwnd[:na]
+		ssthresh := e.ssthresh[:na]
+		stalledTo := e.stalledTo[:na]
+		epochStart := e.epochStart[:na]
+		wmaxSeg := e.wmaxSeg[:na]
 		offered := e.offered[:na]
 		lost := e.lost[:na]
 		weights := e.weights[:na]
 		total := 0.0
-		for i, slot := range e.active {
+		for i := range offered {
 			lost[i] = 0
-			if t < e.stalledTo[slot] {
+			if t < stalledTo[i] {
 				offered[i] = 0 // RTO stall: nothing sent this round
 				continue
 			}
-			w := min(e.cwnd[slot], e.remaining[slot])
+			w := min(cwnd[i], remaining[i])
 			offered[i] = w
 			total += w
 		}
@@ -394,7 +403,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		// grows the measured long tail).
 		if dropped > 0 && total > 0 {
 			wsum := 0.0
-			for i := range e.active {
+			for i := range offered {
 				if offered[i] <= 0 {
 					weights[i] = 0
 					continue
@@ -403,7 +412,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 				weights[i] = w * offered[i]
 				wsum += weights[i]
 			}
-			for i := range e.active {
+			for i := range offered {
 				if wsum <= 0 {
 					break
 				}
@@ -417,83 +426,81 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 
 		// Apply per-flow outcomes.
 		finishing := false
-		for i, slot := range e.active {
+		for i := range offered {
 			if offered[i] <= 0 {
 				continue
 			}
 			accepted := offered[i] - lost[i]
-			e.remaining[slot] -= accepted
+			remaining[i] -= accepted
 			if lost[i] > 0 {
-				e.retrans[slot] += int64(math.Ceil(lost[i] / mss))
+				e.retrans[i] += int64(math.Ceil(lost[i] / mss))
 				lossRatio := lost[i] / offered[i]
 				if lossRatio > 0.95 {
 					// Whole window lost: retransmission timeout.
-					e.timeouts[slot]++
-					if cfg.CC == Cubic {
-						e.cubicOnLoss(slot, t+d+rto, mss)
+					e.timeouts[i]++
+					if cubic {
+						e.cubicOnLoss(i, t+d+rto, mss)
 					}
-					e.ssthresh[slot] = max(e.cwnd[slot]/2, 2*mss)
-					e.cwnd[slot] = mss
-					e.stalledTo[slot] = t + d + rto
+					ssthresh[i] = max(cwnd[i]/2, 2*mss)
+					cwnd[i] = mss
+					stalledTo[i] = t + d + rto
 				} else {
 					// Fast recovery: multiplicative decrease.
-					switch cfg.CC {
-					case Cubic:
-						e.cubicOnLoss(slot, t+d, mss)
-						e.ssthresh[slot] = max(e.cwnd[slot]*cubicBeta, 2*mss)
-					default: // Reno
-						e.ssthresh[slot] = max(e.cwnd[slot]/2, 2*mss)
+					if cubic {
+						e.cubicOnLoss(i, t+d, mss)
+						ssthresh[i] = max(cwnd[i]*cubicBeta, 2*mss)
+					} else { // Reno
+						ssthresh[i] = max(cwnd[i]/2, 2*mss)
 					}
-					e.cwnd[slot] = e.ssthresh[slot]
+					cwnd[i] = ssthresh[i]
 				}
 			} else {
 				// Window growth.
 				switch {
-				case e.cwnd[slot] < e.ssthresh[slot]:
-					e.cwnd[slot] = min(e.cwnd[slot]*2, maxWin) // slow start
-				case cfg.CC == Cubic:
-					if e.epochStart[slot] < 0 {
+				case cwnd[i] < ssthresh[i]:
+					cwnd[i] = min(cwnd[i]*2, maxWin) // slow start
+				case cubic:
+					if epochStart[i] < 0 {
 						// Entering congestion avoidance without a prior
 						// loss: anchor the epoch here.
-						e.cubicOnLoss(slot, t, mss)
+						e.cubicOnLoss(i, t, mss)
 					}
-					tt := t + d - e.epochStart[slot]
-					target := e.cubicWindow(slot, tt, mss)
+					tt := t + d - epochStart[i]
+					target := e.cubicWindow(i, tt, mss)
 					// RFC 8312 TCP-friendly region: CUBIC never grows
 					// slower than an AIMD flow with the same β —
 					// W_est = β·W_max + 3(1−β)/(1+β)·(t/RTT) segments.
 					// Without this floor CUBIC stalls in small-window
 					// regimes (its concave region is seconds long).
-					wEst := (e.wmaxSeg[slot]*cubicBeta +
+					wEst := (wmaxSeg[i]*cubicBeta +
 						3*(1-cubicBeta)/(1+cubicBeta)*(tt/d)) * mss
 					if wEst > target {
 						target = wEst
 					}
-					if target < e.cwnd[slot] {
-						target = e.cwnd[slot] // windows do not shrink without loss
+					if target < cwnd[i] {
+						target = cwnd[i] // windows do not shrink without loss
 					}
-					if target > 1.5*e.cwnd[slot] {
-						target = 1.5 * e.cwnd[slot] // RFC 8312 max-probing cap
+					if target > 1.5*cwnd[i] {
+						target = 1.5 * cwnd[i] // RFC 8312 max-probing cap
 					}
-					e.cwnd[slot] = min(target, maxWin)
+					cwnd[i] = min(target, maxWin)
 				default: // Reno congestion avoidance
-					e.cwnd[slot] = min(e.cwnd[slot]+mss, maxWin)
+					cwnd[i] = min(cwnd[i]+mss, maxWin)
 				}
 			}
-			if e.remaining[slot] <= 0 {
-				e.done[slot] = true
+			if remaining[i] <= 0 {
 				finishing = true
 				// Finish within the round proportionally to how much of
 				// the round the last bytes needed.
 				frac := 1.0
 				if accepted > 0 {
-					need := e.remaining[slot] + accepted // remaining at round start
+					need := remaining[i] + accepted // remaining at round start
 					frac = need / accepted
 					if frac > 1 {
 						frac = 1
 					}
 				}
-				e.endT[slot] = t + d*frac
+				e.endT[i] = t + d*frac
 			}
 		}
 
@@ -505,28 +512,24 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 			e.res.QueueDepth.AddPoint(t, newQueue)
 		}
 
-		// Advance time and compact the active set in place. Compaction is
+		// Advance time and compact the active state in place, every
+		// field together, emitting each finished flow's result in active
+		// order. A flow has finished exactly when its remaining bytes
+		// reached zero this round: active flows start with a positive
+		// size and leave in the round they reach zero. Compaction is
 		// order-preserving on purpose: the severity RNG draws follow
 		// active order, so a swap-compact would change results. Most
 		// rounds finish no flow, and then compaction is the identity, so
-		// it is skipped: the pass was an eighth of Run on 8-flow cells.
+		// it is skipped.
 		t += d
 		if err := e.counters.Record(t, servedBytes, servedPkts); err != nil {
 			return nil, err
 		}
 		if finishing {
-			keep := e.active[:0]
-			for _, slot := range e.active {
-				if e.done[slot] {
-					e.finished = append(e.finished, e.flowResult(slot))
-				} else {
-					keep = append(keep, slot)
-				}
-			}
-			e.active = keep
+			e.compact()
 		}
 		queue = newQueue
-		nextPending = e.activate(t, nextPending, n)
+		nextPending = e.activate(t, nextPending, n, initCwnd, maxWin)
 	}
 
 	// Drain whatever is left in the buffer: the last flows' accepted
@@ -549,6 +552,39 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		e.qx, e.qy = e.res.QueueDepth.X, e.res.QueueDepth.Y
 	}
 	return &e.res, nil
+}
+
+// compact drops the flows that finished this round from the active
+// state, appending their results to finished in active order, and moves
+// the rest down in order.
+func (e *Engine) compact() {
+	k := 0
+	for i, rem := range e.remaining {
+		if rem <= 0 {
+			slot := e.slot[i]
+			e.finished = append(e.finished, FlowResult{
+				ID:          e.id[slot],
+				Arrival:     e.arrival[slot],
+				End:         e.endT[i],
+				Bytes:       e.size[slot],
+				Retransmits: e.retrans[i],
+				Timeouts:    e.timeouts[i],
+			})
+			continue
+		}
+		e.slot[k] = e.slot[i]
+		e.remaining[k] = rem
+		e.cwnd[k] = e.cwnd[i]
+		e.ssthresh[k] = e.ssthresh[i]
+		e.stalledTo[k] = e.stalledTo[i]
+		e.wmaxSeg[k] = e.wmaxSeg[i]
+		e.epochStart[k] = e.epochStart[i]
+		e.kCubic[k] = e.kCubic[i]
+		e.retrans[k] = e.retrans[i]
+		e.timeouts[k] = e.timeouts[i]
+		k++
+	}
+	e.keepActive(k)
 }
 
 // SoloClientFCT is the engine-reusing form of the package-level

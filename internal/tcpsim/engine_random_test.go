@@ -125,6 +125,21 @@ func sameBits(got, want *Result) error {
 	return nil
 }
 
+// matchReference runs one workload on e and on the reference round
+// loop: both must agree on every Result field bit for bit, or fail with
+// the same error.
+func matchReference(e *Engine, cfg Config, specs []FlowSpec) error {
+	want, wantErr := referenceRun(cfg, specs)
+	got, gotErr := e.Run(cfg, specs)
+	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+		return fmt.Errorf("engine err %v, reference err %v", gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return nil
+	}
+	return sameBits(got, want)
+}
+
 // TestEngineMatchesReferenceRandom is the differential oracle behind
 // the fixed golden cases: 600 seeded random workloads, each run on one
 // reused engine and on the reference round loop, must agree exactly on
@@ -136,15 +151,7 @@ func TestEngineMatchesReferenceRandom(t *testing.T) {
 	var cubic, jitter, recorded, zeroSize, oneMSS int
 	for i := 0; i < cases; i++ {
 		cfg, specs := randomCase(rng)
-		want, wantErr := referenceRun(cfg, specs)
-		got, gotErr := e.Run(cfg, specs)
-		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("case %d (%+v, %d flows): engine err %v, reference err %v", i, cfg, len(specs), gotErr, wantErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if err := sameBits(got, want); err != nil {
+		if err := matchReference(e, cfg, specs); err != nil {
 			t.Fatalf("case %d (%+v, %d flows): %v", i, cfg, len(specs), err)
 		}
 		if cfg.CC == Cubic {
@@ -175,6 +182,23 @@ func TestEngineMatchesReferenceRandom(t *testing.T) {
 			t.Errorf("only %d of %d cases exercise %s", n, cases, name)
 		}
 	}
+}
+
+// FuzzEngineMatchesReference extends the random oracle past its fixed
+// draw: each input seeds randomCase, and the workload it draws must run
+// bit-identically on one engine reused across inputs and on the
+// reference round loop, or fail with the same error.
+func FuzzEngineMatchesReference(f *testing.F) {
+	for _, seed := range []int64{1, 42, 20261017, -7} {
+		f.Add(seed)
+	}
+	e := NewEngine()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		cfg, specs := randomCase(sim.NewRNG(seed))
+		if err := matchReference(e, cfg, specs); err != nil {
+			t.Fatalf("seed %d (%+v, %d flows): %v", seed, cfg, len(specs), err)
+		}
+	})
 }
 
 // TestBuiltinMinMaxMatchMath pins the premise of the engine's builtin

@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,16 +11,22 @@ import (
 	"repro/internal/units"
 )
 
+// goldenWorkload is one fixed engine workload checked against the
+// reference round loop.
+type goldenWorkload struct {
+	name  string
+	cfg   Config
+	specs []FlowSpec
+}
+
 // goldenWorkloads covers every code path the round loop has: slow start,
 // congestion avoidance (Reno and CUBIC), proportional loss with
 // randomized severity, RTO stalls, idle gaps between arrivals, zero-size
 // flows, unsorted and tied arrivals, cross-traffic with phase jitter,
-// and queue-depth recording.
-func goldenWorkloads() []struct {
-	name  string
-	cfg   Config
-	specs []FlowSpec
-} {
+// and queue-depth recording. It ends with the cell shape the decided
+// benchmark seeds, whose long congestion-avoidance runs the random
+// oracle's small flows barely sample.
+func goldenWorkloads() []goldenWorkload {
 	burst := func() []FlowSpec {
 		var specs []FlowSpec
 		id := 0
@@ -55,11 +62,7 @@ func goldenWorkloads() []struct {
 	shallowCfg.Buffer = units.ByteSize(0.25 * shallowCfg.BDP())
 	shallowCfg.Seed = 7
 
-	return []struct {
-		name  string
-		cfg   Config
-		specs []FlowSpec
-	}{
+	cases := []goldenWorkload{
 		{"saturating burst reno", DefaultConfig(), burst()},
 		{"saturating burst cubic", cubicCfg, burst()},
 		{"cross traffic jitter", crossCfg, burst()},
@@ -74,10 +77,46 @@ func goldenWorkloads() []struct {
 		}},
 		{"single solo flow", DefaultConfig(), []FlowSpec{{ID: 9, Arrival: 0, Size: 0.5 * units.GB}}},
 	}
+
+	// Three one-second arrival waves of four clients with eight flows
+	// each (96 flows), IDs as the workload package assigns them
+	// (client*1000 + flow), moving perClient bytes per client.
+	cell := func(perClient units.ByteSize) []FlowSpec {
+		var specs []FlowSpec
+		for client := 0; client < 12; client++ {
+			for f := 0; f < 8; f++ {
+				specs = append(specs, FlowSpec{ID: client*1000 + f, Arrival: float64(client / 4), Size: perClient / 8})
+			}
+		}
+		return specs
+	}
+	for _, perClient := range []units.ByteSize{units.GB, 2 * units.GB} {
+		for _, cc := range []CongestionControl{Reno, Cubic} {
+			for _, cross := range []float64{0, 0.1} {
+				for _, buf := range []units.ByteSize{0, 4 * units.MB} {
+					bufName := "auto"
+					if buf > 0 {
+						bufName = buf.String()
+					}
+					cfg := DefaultConfig()
+					cfg.CC = cc
+					cfg.Cross.Fraction = cross
+					cfg.Buffer = buf
+					cfg.Seed = int64(len(cases))
+					cases = append(cases, goldenWorkload{
+						name:  fmt.Sprintf("96-flow cell %v per client %v cross %v buffer %s", perClient, cc, cross, bufName),
+						cfg:   cfg,
+						specs: cell(perClient),
+					})
+				}
+			}
+		}
+	}
+	return cases
 }
 
 // TestEngineMatchesReference is the golden test: the SoA engine must be
-// bit-identical (exact float equality, every field) to the seed
+// bit-identical (every float by its bits, every field) to the seed
 // pointer-based implementation on every workload class.
 func TestEngineMatchesReference(t *testing.T) {
 	for _, tc := range goldenWorkloads() {
@@ -89,6 +128,9 @@ func TestEngineMatchesReference(t *testing.T) {
 			got, err := Run(tc.cfg, tc.specs)
 			if err != nil {
 				t.Fatalf("engine: %v", err)
+			}
+			if err := sameBits(got, want); err != nil {
+				t.Errorf("not bit-identical: %v", err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				if len(got.Flows) != len(want.Flows) {

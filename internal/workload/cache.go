@@ -3,7 +3,9 @@ package workload
 import "sync"
 
 // memo is a single-flight memoization map: concurrent gets for the same
-// key run one compute and share the result. It backs GridCache.
+// key run one compute and share the result. A compute that fails is not
+// kept: every get that shared it returns its error, and the next get
+// computes again. It backs GridCache.
 type memo[T any] struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry[T]
@@ -27,6 +29,15 @@ func (m *memo[T]) get(key string, compute func() (T, error)) (T, error) {
 	}
 	m.mu.Unlock()
 	e.once.Do(func() { e.val, e.err = compute() })
+	if e.err != nil {
+		// Evict only this entry: a purge, or an earlier get's eviction
+		// followed by a fresh compute, may already have replaced it.
+		m.mu.Lock()
+		if m.entries[key] == e {
+			delete(m.entries, key)
+		}
+		m.mu.Unlock()
+	}
 	return e.val, e.err
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -230,9 +231,55 @@ func TestSweepCachePropagatesErrors(t *testing.T) {
 	if _, err := RunSweepCached(cfg, 2); err == nil {
 		t.Fatal("horizon error swallowed by cache")
 	}
-	// Deterministic config → deterministic failure: the cached error is
-	// the correct answer for repeat lookups too.
+	// Deterministic config → deterministic failure: the recomputed error
+	// is the correct answer for repeat lookups too.
 	if _, err := RunSweepCached(cfg, 2); err == nil {
 		t.Fatal("cached error lost on second lookup")
+	}
+}
+
+// TestMemoEvictsErrors: a failed compute is returned but not kept, so
+// the next get for the key computes again and memoizes its value.
+func TestMemoEvictsErrors(t *testing.T) {
+	var m memo[int]
+	calls := 0
+	compute := func() (int, error) {
+		calls++
+		if calls == 1 {
+			return 0, errors.New("transient")
+		}
+		return 42, nil
+	}
+	if _, err := m.get("k", compute); err == nil {
+		t.Fatal("first get: error swallowed")
+	}
+	if n := m.len(); n != 0 {
+		t.Fatalf("errored entry kept: %d entries", n)
+	}
+	for i := 0; i < 2; i++ {
+		v, err := m.get("k", compute)
+		if err != nil || v != 42 {
+			t.Fatalf("get %d after the error: %v, %v; want 42, nil", i+2, v, err)
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("compute ran %d times, want 2 (one error, then one memoized value)", calls)
+	}
+
+	// Concurrent gets that share a failing compute all see its error,
+	// and their evictions leave the map empty (run under -race).
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := m.get("bad", func() (int, error) { return 0, errors.New("permanent") }); err == nil {
+				t.Error("concurrent get: error swallowed")
+			}
+		}()
+	}
+	wg.Wait()
+	if n := m.len(); n != 1 {
+		t.Fatalf("after concurrent failures: %d entries, want only the memoized value", n)
 	}
 }
