@@ -84,7 +84,7 @@ func BenchmarkFig2b(b *testing.B) {
 	}
 }
 
-func reportSweep(b *testing.B, sweep *workload.SweepResult) {
+func reportSweep(b *testing.B, sweep *workload.GridResult) {
 	b.Helper()
 	worst := time.Duration(0)
 	sss := 0.0
@@ -524,7 +524,7 @@ func BenchmarkTCPSimEngineSteady(b *testing.B) {
 // sweep on a one-worker executor, the reference the cached/parallel
 // pipeline is compared against.
 func BenchmarkSweepQuickSerial(b *testing.B) {
-	a := workload.AxesFromSweep(experiments.QuickSweep())
+	a := experiments.QuickSweep()
 	for i := 0; i < b.N; i++ {
 		if _, err := workload.RunGridParallel(a, 1); err != nil {
 			b.Fatal(err)

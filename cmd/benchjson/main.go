@@ -111,22 +111,7 @@ func measure(name string, metrics map[string]float64, fn func(b *testing.B)) Ent
 	}
 }
 
-// sweepMetrics extracts the paper-facing outputs of a sweep.
-func sweepMetrics(sweep *workload.SweepResult) map[string]float64 {
-	worst := time.Duration(0)
-	sss := 0.0
-	for _, row := range sweep.Rows {
-		if row.Worst > worst {
-			worst = row.Worst
-		}
-		if row.SSS > sss {
-			sss = row.SSS
-		}
-	}
-	return map[string]float64{"worst_s": worst.Seconds(), "sss": sss}
-}
-
-// gridMetrics extracts the same outputs from a scenario grid.
+// gridMetrics extracts the paper-facing outputs of a grid.
 func gridMetrics(g *workload.GridResult) map[string]float64 {
 	worst := time.Duration(0)
 	sss := 0.0
@@ -139,6 +124,54 @@ func gridMetrics(g *workload.GridResult) map[string]float64 {
 		}
 	}
 	return map[string]float64{"worst_s": worst.Seconds(), "sss": sss}
+}
+
+// seedDir persists grid a into a fresh temporary directory and returns
+// the directory; the caller removes it.
+func seedDir(pattern string, a workload.Axes) (string, error) {
+	dir, err := os.MkdirTemp("", pattern)
+	if err != nil {
+		return "", err
+	}
+	c := workload.NewGridCache()
+	c.SetDiskDir(dir)
+	if _, err := c.Get(a, 0); err != nil {
+		os.RemoveAll(dir)
+		return "", err
+	}
+	return dir, nil
+}
+
+// warmOpen measures grid a assembled from the cell records in dir by a
+// fresh cache per open, so the memo never hides the disk-assembly cost.
+// With reset, each open first drops the resident segment index, paying
+// a fresh process's whole warm open: segment open, sidecar load, record
+// reads. One untimed open supplies the metrics; its engine_runs is
+// gated at 0 by -compare, so a warm open that simulates fails the bench
+// gate.
+func warmOpen(name, dir string, a workload.Axes, reset bool) (Entry, error) {
+	open := func() (*workload.GridResult, error) {
+		if reset {
+			workload.ResetSegmentStores()
+		}
+		c := workload.NewGridCache()
+		c.SetDiskDir(dir)
+		return c.Get(a, 0)
+	}
+	before := workload.EngineRunCount()
+	g, err := open()
+	if err != nil {
+		return Entry{}, err
+	}
+	metrics := gridMetrics(g)
+	metrics["engine_runs"] = float64(workload.EngineRunCount() - before)
+	return measure(name, metrics, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := open(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}), nil
 }
 
 // subgridAxes returns the superset grid persisted once and the strictly
@@ -325,14 +358,13 @@ func run(args []string, out io.Writer) error {
 
 	// The Table 2 sweep on the one executor: serial (one worker, the
 	// speedup reference) and on the full pool.
-	quickAxes := workload.AxesFromSweep(quickCfg)
-	serial, err := workload.RunGridParallel(quickAxes, 1)
+	serial, err := workload.RunGridParallel(quickCfg, 1)
 	if err != nil {
 		return err
 	}
 	report.Results = append(report.Results, measure("sweep_quick_serial", gridMetrics(serial), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := workload.RunGridParallel(quickAxes, 1); err != nil {
+			if _, err := workload.RunGridParallel(quickCfg, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -340,7 +372,7 @@ func run(args []string, out io.Writer) error {
 
 	report.Results = append(report.Results, measure("sweep_quick_parallel", gridMetrics(serial), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := workload.RunGridParallel(quickAxes, 0); err != nil {
+			if _, err := workload.RunGridParallel(quickCfg, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -390,158 +422,59 @@ func run(args []string, out io.Writer) error {
 	}))
 
 	// The incremental planner's headline path: a sub-grid assembled
-	// purely from a superset grid's cell records. engine_runs is gated
-	// at 0 by -compare — any regression in cell-granular reuse fails the
-	// bench gate, not just the unit tests.
-	cellDir, err := os.MkdirTemp("", "benchjson-cells")
+	// purely from a superset grid's cell records — any regression in
+	// cell-granular reuse fails the bench gate, not just the unit tests.
+	super, sub := subgridAxes()
+	cellDir, err := seedDir("benchjson-cells", super)
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(cellDir)
-	super, sub := subgridAxes()
-	seeder := workload.NewGridCache()
-	seeder.SetDiskDir(cellDir)
-	if _, err := seeder.Get(super, 0); err != nil {
-		return err
-	}
-	before := workload.EngineRunCount()
-	fresh := workload.NewGridCache()
-	fresh.SetDiskDir(cellDir)
-	subRes, err := fresh.Get(sub, 0)
+	e, err := warmOpen("grid_subgrid_warm", cellDir, sub, false)
 	if err != nil {
 		return err
 	}
-	subMetrics := gridMetrics(subRes)
-	subMetrics["engine_runs"] = float64(workload.EngineRunCount() - before)
-	report.Results = append(report.Results, measure("grid_subgrid_warm", subMetrics, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// A fresh cache per iteration: the memo must not hide the
-			// disk-assembly cost being measured.
-			c := workload.NewGridCache()
-			c.SetDiskDir(cellDir)
-			if _, err := c.Get(sub, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
+	report.Results = append(report.Results, e)
 
 	// The segment store's headline path: the whole superset grid
-	// warm-opened from a compacted segment file the way a fresh process
-	// would — index sidecar load plus parallel record fetch — with
-	// engine_runs gated at 0 by -compare, so any regression of the
-	// segment round-trip fails the bench gate.
+	// warm-opened from a compacted segment file.
 	if _, err := workload.CompactDiskCache(cellDir); err != nil {
 		return err
 	}
-	workload.ResetSegmentStores()
-	before = workload.EngineRunCount()
-	segCache := workload.NewGridCache()
-	segCache.SetDiskDir(cellDir)
-	segRes, err := segCache.Get(super, 0)
-	if err != nil {
+	if e, err = warmOpen("grid_segment_warm", cellDir, super, true); err != nil {
 		return err
 	}
-	segMetrics := gridMetrics(segRes)
-	segMetrics["engine_runs"] = float64(workload.EngineRunCount() - before)
-	report.Results = append(report.Results, measure("grid_segment_warm", segMetrics, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// Reset drops the in-memory index so every iteration pays
-			// the true warm-open cost: open segment, load sidecar,
-			// assemble the grid from record reads.
-			workload.ResetSegmentStores()
-			c := workload.NewGridCache()
-			c.SetDiskDir(cellDir)
-			if _, err := c.Get(super, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
+	report.Results = append(report.Results, e)
 
-	// The multi-hop warm-open path: an edge→WAN grid cold-seeded once,
-	// compacted, and then reassembled from the segment store the way a
-	// fresh process would — every hop point (edge cap, WAN RTT, ingress
-	// buffer) found again under its composed coordinates. engine_runs is gated
-	// at 0 by -compare: a multi-hop re-run that simulates means the hop
-	// axes broke cache identity.
-	hopDir, err := os.MkdirTemp("", "benchjson-multihop")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(hopDir)
-	hop := multiHopAxes()
-	hopSeeder := workload.NewGridCache()
-	hopSeeder.SetDiskDir(hopDir)
-	if _, err := hopSeeder.Get(hop, 0); err != nil {
-		return err
-	}
-	if _, err := workload.CompactDiskCache(hopDir); err != nil {
-		return err
-	}
-	workload.ResetSegmentStores()
-	before = workload.EngineRunCount()
-	hopCache := workload.NewGridCache()
-	hopCache.SetDiskDir(hopDir)
-	hopRes, err := hopCache.Get(hop, 0)
-	if err != nil {
-		return err
-	}
-	hopMetrics := gridMetrics(hopRes)
-	hopMetrics["engine_runs"] = float64(workload.EngineRunCount() - before)
-	report.Results = append(report.Results, measure("grid_multihop_warm", hopMetrics, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// Reset drops the in-memory index so every iteration pays the
-			// true warm-open cost for the hop-axis grid.
-			workload.ResetSegmentStores()
-			c := workload.NewGridCache()
-			c.SetDiskDir(hopDir)
-			if _, err := c.Get(hop, 0); err != nil {
-				b.Fatal(err)
-			}
+	// The multi-hop and paper-scale warm opens, each from a compacted
+	// segment file. grid_multihop_warm finds every hop point (edge cap,
+	// WAN RTT, ingress buffer) again under its composed coordinates, so
+	// a re-run that simulates means the hop axes broke cache identity.
+	// grid_open_100k opens 100,000 cells through the streaming segment
+	// reads and the fetch pool decoding behind the reader; its absolute
+	// wall-clock bound lives in scripts/bigcheck.sh, where the open runs
+	// through the real CLI.
+	for _, w := range []struct {
+		name, pattern string
+		axes          workload.Axes
+	}{
+		{"grid_multihop_warm", "benchjson-multihop", multiHopAxes()},
+		{"grid_open_100k", "benchjson-biggrid", bigGridAxes()},
+	} {
+		dir, err := seedDir(w.pattern, w.axes)
+		if err != nil {
+			return err
 		}
-	}))
-
-	// The tentpole warm-open path at paper scale: a 100,000-cell grid,
-	// cold-seeded once and compacted, then warm-opened the way a fresh
-	// process would — binary sidecar load, streaming sequential segment
-	// reads, the fetch pool decoding behind the reader. engine_runs is
-	// gated at 0 by -compare; the absolute wall-clock bound lives in
-	// scripts/bigcheck.sh, where the open runs through the real CLI.
-	bigDir, err := os.MkdirTemp("", "benchjson-biggrid")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(bigDir)
-	big := bigGridAxes()
-	bigSeeder := workload.NewGridCache()
-	bigSeeder.SetDiskDir(bigDir)
-	if _, err := bigSeeder.Get(big, 0); err != nil {
-		return err
-	}
-	if _, err := workload.CompactDiskCache(bigDir); err != nil {
-		return err
-	}
-	workload.ResetSegmentStores()
-	before = workload.EngineRunCount()
-	bigCache := workload.NewGridCache()
-	bigCache.SetDiskDir(bigDir)
-	bigRes, err := bigCache.Get(big, 0)
-	if err != nil {
-		return err
-	}
-	bigMetrics := gridMetrics(bigRes)
-	bigMetrics["engine_runs"] = float64(workload.EngineRunCount() - before)
-	report.Results = append(report.Results, measure("grid_open_100k", bigMetrics, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// Reset drops the resident index: every iteration is a fresh
-			// process's fully warm open.
-			workload.ResetSegmentStores()
-			c := workload.NewGridCache()
-			c.SetDiskDir(bigDir)
-			if _, err := c.Get(big, 0); err != nil {
-				b.Fatal(err)
-			}
+		defer os.RemoveAll(dir)
+		if _, err := workload.CompactDiskCache(dir); err != nil {
+			return err
 		}
-	}))
+		e, err := warmOpen(w.name, dir, w.axes, true)
+		if err != nil {
+			return err
+		}
+		report.Results = append(report.Results, e)
+	}
 
 	// The decided service's headline path: a warm single-cell decision
 	// through the full in-process handler stack (decode + validate +
@@ -578,7 +511,7 @@ func run(args []string, out io.Writer) error {
 	if w := svcDo(); w.Code != 200 { // the one cold request: warms the cell
 		return fmt.Errorf("service warm-up request failed: %d %s", w.Code, w.Body)
 	}
-	before = workload.EngineRunCount()
+	before := workload.EngineRunCount()
 	warmResp := svcDo()
 	if warmResp.Code != 200 {
 		return fmt.Errorf("service warm request failed: %d %s", warmResp.Code, warmResp.Body)
@@ -607,18 +540,18 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		report.Results = append(report.Results, measure("fig2a_paper_cached", sweepMetrics(fig2a.Sweep), func(b *testing.B) {
+		report.Results = append(report.Results, measure("fig2a_paper_cached", gridMetrics(fig2a.Sweep), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := experiments.Fig2a(paperCfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}))
-		report.Results = append(report.Results, measure("sweep_paper_parallel", sweepMetrics(fig2a.Sweep), func(b *testing.B) {
+		report.Results = append(report.Results, measure("sweep_paper_parallel", gridMetrics(fig2a.Sweep), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := paperCfg
 				cfg.Strategy = workload.SpawnSimultaneous
-				if _, err := workload.RunGridParallel(workload.AxesFromSweep(cfg), 0); err != nil {
+				if _, err := workload.RunGridParallel(cfg, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

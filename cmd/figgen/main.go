@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	var sweep workload.SweepConfig
+	var sweep workload.Axes
 	switch *sweepName {
 	case "quick":
 		sweep = experiments.QuickSweep()

@@ -243,28 +243,18 @@ func run(args []string, out io.Writer) error {
 
 // runSingleSim executes one operating point as a one-cell cached grid,
 // so repeated invocations with the same parameters are disk-cache hits.
+// The per-client CSV re-runs the cell's experiment: cached rows hold
+// only per-row aggregates, and the run reproduces the row exactly.
 func runSingleSim(out io.Writer, axes workload.Axes, csvPath string) error {
-	if csvPath != "" {
-		// The per-client CSV needs full client results; those are
-		// memory-only (never persisted), so ask for them explicitly.
-		axes.KeepClientResults = true
-	}
 	g, err := workload.RunGridCached(axes, 0)
 	if err != nil {
 		return err
 	}
 	row := g.Rows[0]
-	e := workload.Experiment{
-		Duration:      axes.Duration,
-		Concurrency:   row.Cell.Concurrency,
-		ParallelFlows: row.Cell.ParallelFlows,
-		TransferSize:  row.Cell.TransferSize,
-		Strategy:      axes.Strategy,
-		Net:           axes.Net,
-	}
+	e := g.Axes.Experiment(row.Cell)
 	fmt.Fprintf(out, "mode:          simulated %v bottleneck, RTT %v\n", e.Net.Capacity, e.Net.BaseRTT)
 	fmt.Fprintf(out, "experiment:    %d s x %d clients/s x %v over %d flows (%s)\n",
-		int(axes.Duration.Seconds()), e.Concurrency, e.TransferSize, e.ParallelFlows, axes.Strategy)
+		int(e.Duration.Seconds()), e.Concurrency, e.TransferSize, e.ParallelFlows, e.Strategy)
 	fmt.Fprintf(out, "offered load:  %.0f%%\n", e.OfferedLoad()*100)
 	fmt.Fprintf(out, "measured util: %.0f%%\n", row.Utilization*100)
 	fmt.Fprintf(out, "worst FCT:     %v\n", row.Worst.Round(time.Millisecond))
@@ -274,12 +264,19 @@ func runSingleSim(out io.Writer, axes workload.Axes, csvPath string) error {
 	rc := core.DefaultRegimeClassifier()
 	fmt.Fprintf(out, "regime:        %s\n", rc.Classify(row.Worst))
 	if csvPath != "" {
+		res, err := workload.Run(e)
+		if err != nil {
+			return err
+		}
 		f, err := os.Create(csvPath)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		return row.Result.TraceLog().WriteCSV(f)
+		if err := res.TraceLog().WriteCSV(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
 	}
 	return nil
 }

@@ -84,7 +84,7 @@ func TestQueueingPredictsScheduledSweep(t *testing.T) {
 // rate at the operating point, and check the decision framework's
 // sustained-rate verdict agrees with the curve's own utilization check.
 func TestSSSCurveFeedsDecisionConsistently(t *testing.T) {
-	sweep, err := workload.RunSweepCached(experiments.QuickSweep(), 0)
+	sweep, err := workload.RunGridCached(experiments.QuickSweep(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -57,8 +58,8 @@ func Table1() Artifact {
 }
 
 // Table2 reproduces the experimental configuration table from the sweep
-// config actually used.
-func Table2(cfg workload.SweepConfig) Artifact {
+// grid actually used.
+func Table2(cfg workload.Axes) Artifact {
 	concRange := "(none)"
 	if len(cfg.Concurrencies) > 0 {
 		concRange = fmt.Sprintf("%d-%d", cfg.Concurrencies[0], cfg.Concurrencies[len(cfg.Concurrencies)-1])
@@ -67,7 +68,7 @@ func Table2(cfg workload.SweepConfig) Artifact {
 	t.AddRow("Duration", fmt.Sprintf("%v", cfg.Duration), "Experiment duration")
 	t.AddRow("Concurrency", concRange, "Simultaneous clients")
 	t.AddRow("Parallel flows", fmt.Sprintf("%v", cfg.ParallelFlows), "TCP flows per client")
-	t.AddRow("Transfer size", cfg.TransferSize.String(), "Data volume per client")
+	t.AddRow("Transfer size", strings.Trim(fmt.Sprint(cfg.TransferSizes), "[]"), "Data volume per client")
 	t.AddRow("Total experiments", fmt.Sprintf("%d", cfg.Size()), "Full parameter sweep")
 	t.AddRow("Network interface", cfg.Net.Capacity.String(), "Simulated bottleneck capacity")
 	t.AddRow("Round Trip Time", fmt.Sprintf("%v", cfg.Net.BaseRTT), "Simulated base RTT")
@@ -86,13 +87,13 @@ func Table2(cfg workload.SweepConfig) Artifact {
 // study fits its SSS curve from the simultaneous sweep).
 type Fig2Result struct {
 	Artifact Artifact
-	Sweep    *workload.SweepResult
+	Sweep    *workload.GridResult
 }
 
 // Fig2a runs the simultaneous-batch congestion sweep and renders max
 // transfer time vs measured utilization, one series per parallel-flow
 // count — the paper's Fig. 2(a).
-func Fig2a(cfg workload.SweepConfig) (*Fig2Result, error) {
+func Fig2a(cfg workload.Axes) (*Fig2Result, error) {
 	cfg.Strategy = workload.SpawnSimultaneous
 	return fig2(cfg, "fig2a",
 		"Maximum transfer time vs load, simultaneous batches (paper Fig. 2a)")
@@ -100,19 +101,19 @@ func Fig2a(cfg workload.SweepConfig) (*Fig2Result, error) {
 
 // Fig2b runs the scheduled (bandwidth-reserved) sweep — the paper's
 // Fig. 2(b): transfer times stay near the solo time across loads.
-func Fig2b(cfg workload.SweepConfig) (*Fig2Result, error) {
+func Fig2b(cfg workload.Axes) (*Fig2Result, error) {
 	cfg.Strategy = workload.SpawnScheduled
 	return fig2(cfg, "fig2b",
 		"Maximum transfer time vs load, scheduled batches (paper Fig. 2b)")
 }
 
-func fig2(cfg workload.SweepConfig, id, title string) (*Fig2Result, error) {
+func fig2(cfg workload.Axes, id, title string) (*Fig2Result, error) {
 	// The parallel driver is bit-identical to the serial one (cells are
 	// independently seeded); use all cores. Results are memoized by
-	// config fingerprint, so regenerating Fig. 2a for Fig. 3, the case
+	// grid fingerprint, so regenerating Fig. 2a for Fig. 3, the case
 	// study, or repeated benchmark iterations reruns nothing — the
 	// shared sweep must be treated as read-only.
-	sweep, err := workload.RunSweepCached(cfg, 0)
+	sweep, err := workload.RunGridCached(cfg, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s sweep: %w", id, err)
 	}
@@ -137,7 +138,7 @@ func fig2(cfg workload.SweepConfig, id, title string) (*Fig2Result, error) {
 // Fig3 renders the pooled transfer-time CDF from a simultaneous sweep —
 // the paper's Fig. 3, whose long tail (non-linear P90/P99) motivates the
 // worst-case stance.
-func Fig3(sweep *workload.SweepResult) (Artifact, error) {
+func Fig3(sweep *workload.GridResult) (Artifact, error) {
 	sample := sweep.AllTransferTimes()
 	pts, err := sample.CDF()
 	if err != nil {
@@ -226,6 +227,6 @@ func RegimeTable(curve *core.SSSCurve) (Artifact, error) {
 }
 
 // pooledSample is a helper used by tests to reach into the sweep data.
-func pooledSample(sweep *workload.SweepResult) *stats.Sample {
+func pooledSample(sweep *workload.GridResult) *stats.Sample {
 	return sweep.AllTransferTimes()
 }

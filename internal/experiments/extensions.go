@@ -21,7 +21,7 @@ import (
 // LoadHeatmap renders the full sweep as a (parallel flows × concurrency)
 // worst-case heat map — a denser view of Fig. 2a's data that shows P's
 // second-order effect.
-func LoadHeatmap(sweep *workload.SweepResult) (Artifact, error) {
+func LoadHeatmap(sweep *workload.GridResult) (Artifact, error) {
 	if sweep == nil || len(sweep.Rows) == 0 {
 		return Artifact{}, fmt.Errorf("experiments: empty sweep for heat map")
 	}
@@ -89,13 +89,13 @@ func sortedKeys(m map[int]bool) []int {
 // the "variability in network and compute performance" extension. It
 // reports the probability the remote path wins, deadline satisfaction,
 // and whether the median and worst-case decisions disagree.
-func VariabilityReport(sweep *workload.SweepResult) (Artifact, error) {
+func VariabilityReport(sweep *workload.GridResult) (Artifact, error) {
 	if sweep == nil || len(sweep.Rows) == 0 {
 		return Artifact{}, fmt.Errorf("experiments: empty sweep for variability report")
 	}
 	// Pick the highest offered load at or below 100% — congested but not
 	// divergent, the regime where variability actually matters.
-	var cell *workload.SweepRow
+	var cell *workload.GridRow
 	for i := range sweep.Rows {
 		r := &sweep.Rows[i]
 		if r.OfferedLoad <= 1.0 && (cell == nil || r.OfferedLoad > cell.OfferedLoad ||
@@ -118,11 +118,11 @@ func VariabilityReport(sweep *workload.SweepResult) (Artifact, error) {
 		ComplexityFLOPPerByte: core.ComplexityFLOPPerGB(17e12),
 		LocalRate:             5 * units.TeraFLOPS,
 		RemoteRate:            100 * units.TeraFLOPS,
-		Bandwidth:             sweep.Config.Net.Capacity,
+		Bandwidth:             sweep.Axes.Net.Capacity,
 		TransferRate:          2 * units.GBps,
 		Theta:                 1,
 	}
-	rep, err := core.DecideUnderVariability(p, fcts, sweep.Config.TransferSize, core.Tier2.Budget())
+	rep, err := core.DecideUnderVariability(p, fcts, cell.Cell.TransferSize, core.Tier2.Budget())
 	if err != nil {
 		return Artifact{}, fmt.Errorf("experiments: variability: %w", err)
 	}

@@ -35,10 +35,10 @@ func (s *Suite) IDs() []string {
 // PaperSweep is the full Table 2 sweep (10 s, concurrency 1–8,
 // P ∈ {2,4,8}); QuickSweep is a scaled-down variant for tests and fast
 // iteration (same axes shape, 3 s duration, fewer cells).
-func PaperSweep() workload.SweepConfig { return workload.DefaultSweep() }
+func PaperSweep() workload.Axes { return workload.DefaultSweep() }
 
 // QuickSweep returns the scaled-down sweep used by tests.
-func QuickSweep() workload.SweepConfig {
+func QuickSweep() workload.Axes {
 	cfg := workload.DefaultSweep()
 	cfg.Duration = 3 * time.Second
 	cfg.Concurrencies = []int{1, 3, 5, 6, 7, 8}
@@ -46,11 +46,11 @@ func QuickSweep() workload.SweepConfig {
 	return cfg
 }
 
-// RunAll regenerates every table and figure with the given sweep
-// configuration, chaining dependencies: Fig. 3 reuses the Fig. 2a client
+// RunAll regenerates every table and figure from the given sweep grid,
+// chaining dependencies: Fig. 3 reuses the Fig. 2a client
 // population; the case study extrapolates from the Fig. 2a fitted curve;
 // the headline numbers combine Fig. 4 and Fig. 2a.
-func RunAll(sweep workload.SweepConfig) (*Suite, error) {
+func RunAll(sweep workload.Axes) (*Suite, error) {
 	suite := &Suite{}
 	suite.Artifacts = append(suite.Artifacts, Table1(), Table2(sweep))
 

@@ -7,6 +7,9 @@ package scenario
 // behavior those handlers delegate to.
 
 import (
+	"encoding/json"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -137,6 +140,41 @@ func TestPortfolioRequestSchemaGate(t *testing.T) {
 	}
 	if pf.Name != "portfolio" || len(a.Path) != 2 || len(a.WANRTTs) != 2 {
 		t.Errorf("lowered: name %q path %v wrtts %v", pf.Name, a.Path, a.WANRTTs)
+	}
+}
+
+// TestPortfolioRequestRejectsCellCountOverflow: a ~32 KB body whose
+// axes multiply to 1024⁶·16 = 2⁶⁴ cells is a request error. An unchecked
+// product wraps to exactly 0 and passes every cell budget, so the
+// server would go on to enumerate the grid; the test therefore stops at
+// Lower and Size and never enumerates cells.
+func TestPortfolioRequestRejectsCellCountOverflow(t *testing.T) {
+	list := func(n int, format func(i int) string) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = format(i)
+		}
+		return strings.Join(vals, ",")
+	}
+	body := fmt.Sprintf(`{"grid":{"duration_s":1,"concs":%q,"pflows":%q,"sizes":%q,"rtts":%q,"buffers":%q,"ccs":%q,"crosses":%q},`+
+		`"portfolio":{"workloads":[{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17e12,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}]}}`,
+		list(1024, func(i int) string { return strconv.Itoa(i + 1) }),
+		list(1024, func(i int) string { return strconv.Itoa(i%999 + 1) }),
+		list(1024, func(i int) string { return fmt.Sprintf("%dMB", i+1) }),
+		list(1024, func(i int) string { return fmt.Sprintf("%dms", i+1) }),
+		list(1024, func(i int) string { return fmt.Sprintf("%dKB", i+1) }),
+		list(1024, func(i int) string { return [...]string{"reno", "cubic"}[i%2] }),
+		list(16, func(i int) string { return strconv.FormatFloat(float64(i)/100, 'g', -1, 64) }))
+	var req PortfolioRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	_, a, err := req.Lower()
+	if err == nil {
+		t.Fatalf("Lower accepted a %d-byte body whose grid Size() reads %d cells", len(body), a.Size())
+	}
+	if !strings.Contains(err.Error(), "cell count overflows int") {
+		t.Fatalf("Lower error = %v, want the cell-count overflow", err)
 	}
 }
 

@@ -54,8 +54,6 @@ type Config struct {
 	// (<=0 selects 4). Warm requests are not limited by it — they hold
 	// the slot only for the microseconds their lookups take.
 	MaxInflight int
-	// Workers is the engine pool size per request (0 = GOMAXPROCS).
-	Workers int
 	// MaxCells rejects grid requests larger than this many cells
 	// (<=0 selects 4096) — a typo'd axis list must not commit the
 	// server to a week of simulation.
@@ -157,10 +155,10 @@ func (s *Server) release() { <-s.sem }
 
 // measure serves one grid through the resident cache: refresh the
 // segment index against sibling writers, then the request-scoped
-// lookup. Caller holds an engine slot.
+// lookup on a GOMAXPROCS engine pool. Caller holds an engine slot.
 func (s *Server) measure(a workload.Axes) (*workload.GridResult, workload.CacheStats, error) {
 	workload.RefreshDiskCache(s.cfg.CacheDir)
-	return s.cache.GetStats(a, s.cfg.Workers)
+	return s.cache.GetStats(a, 0)
 }
 
 // checkSize enforces the per-request cell budget.

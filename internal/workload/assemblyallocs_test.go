@@ -36,12 +36,12 @@ func TestCellAssemblyAllocs(t *testing.T) {
 			eng := tcpsim.NewEngine()
 			var sc runScratch
 			for i := 0; i < 2; i++ { // warm engine and scratch buffers
-				if _, err := runExperimentRow(e, false, eng, &sc); err != nil {
+				if _, err := runExperimentRow(e, eng, &sc); err != nil {
 					t.Fatal(err)
 				}
 			}
 			avg := testing.AllocsPerRun(20, func() {
-				if _, err := runExperimentRow(e, false, eng, &sc); err != nil {
+				if _, err := runExperimentRow(e, eng, &sc); err != nil {
 					t.Fatal(err)
 				}
 			})

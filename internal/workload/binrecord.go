@@ -30,10 +30,7 @@ package workload
 //
 // The payload length is exact: binFixedSize + L + 8n bytes, no more, no
 // less — decode rejects any slack, so a CRC-valid but structurally
-// foreign payload can never half-parse. SweepRow.Result is deliberately
-// absent: rows that pin client results never touch the store (the
-// planner skips persistence when KeepClientResults is set), matching
-// the v2 behavior where Result was always null in stored records.
+// foreign payload can never half-parse.
 
 import (
 	"encoding/binary"
@@ -171,7 +168,6 @@ func decodeBinRecord(p []byte, fp string, out *SweepRow) bool {
 			o += 8
 		}
 	}
-	out.Result = nil
 	return true
 }
 

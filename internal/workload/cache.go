@@ -54,18 +54,17 @@ func (m *memo[T]) purge() {
 }
 
 // GridCache memoizes scenario-grid results by Axes fingerprint, so
-// pipelines that regenerate several artifacts from the same grid or
-// sweep (Fig. 2a → Fig. 3 → case study, repeated benchmark iterations)
+// pipelines that regenerate several artifacts from the same grid
+// (Fig. 2a → Fig. 3 → case study, repeated benchmark iterations)
 // compute each distinct grid exactly once. Lookups are single-flight:
 // concurrent Get calls for the same fingerprint run one compute and
 // share the result. With a disk directory set (SetDiskDir), the grid's
 // cells persist as individual records in the cell store, shared with
 // every grid that contains them.
 //
-// Cached *GridResult values are SHARED — treat them as read-only. Keep
-// Axes.KeepClientResults off for cached grids (the default) so the
-// cache holds only per-row aggregates; grids that keep client results
-// are never persisted to disk.
+// Cached *GridResult values are SHARED — treat them as read-only. Rows
+// hold per-row aggregates only; Run on GridResult.Axes.Experiment(cell)
+// recovers a cell's full per-client results.
 type GridCache struct {
 	mem   memo[*GridResult]
 	cells cellStore
@@ -140,36 +139,10 @@ var defaultGridCache = NewGridCache()
 // resolved -cache-dir value.
 func SetDiskCacheDir(dir string) { defaultGridCache.SetDiskDir(dir) }
 
-// RunSweepCached returns the process-wide cached result for cfg: a
-// view over the grid cache's entry for AxesFromSweep(cfg), so a sweep
-// and its grid share one memo entry and one set of cell records. The
-// rows' TransferTimes share the cached grid's arrays — treat the result
-// as read-only. The workers count does not key the cache: the executor
-// is bit-identical for every worker count.
-func RunSweepCached(cfg SweepConfig, workers int) (*SweepResult, error) {
-	g, err := RunGridCached(AxesFromSweep(cfg), workers)
-	if err != nil {
-		return nil, err
-	}
-	out := &SweepResult{Config: cfg, Rows: make([]SweepRow, len(g.Rows))}
-	for i := range g.Rows {
-		out.Rows[i] = g.Rows[i].SweepRow
-	}
-	return out, nil
-}
-
 // RunGridCached returns the process-wide cached result for the grid,
 // computing it in parallel on first use. Treat the result as read-only.
 func RunGridCached(a Axes, workers int) (*GridResult, error) {
 	return defaultGridCache.Get(a, workers)
-}
-
-// RunGridRequest is RunGridCached plus the request-scoped CacheStats
-// attribution of GridCache.GetStats — the entry point request-serving
-// callers (cmd/decided via internal/service) use to report per-request
-// cache behavior.
-func RunGridRequest(a Axes, workers int) (*GridResult, CacheStats, error) {
-	return defaultGridCache.GetStats(a, workers)
 }
 
 // PurgeGridCache empties the process-wide in-memory grid cache.

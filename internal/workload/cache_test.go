@@ -16,39 +16,37 @@ func TestFingerprintDistinguishesConfigs(t *testing.T) {
 	base := fastSweep()
 	mutations := []struct {
 		name   string
-		mutate func(*SweepConfig)
+		mutate func(*Axes)
 	}{
-		{"duration", func(c *SweepConfig) { c.Duration = 7 * time.Second }},
-		{"concurrencies", func(c *SweepConfig) { c.Concurrencies = []int{2, 4, 8} }},
-		{"parallel flows", func(c *SweepConfig) { c.ParallelFlows = []int{4} }},
-		{"transfer size", func(c *SweepConfig) { c.TransferSize = units.GB }},
-		{"strategy", func(c *SweepConfig) { c.Strategy = SpawnScheduled }},
-		{"keep results", func(c *SweepConfig) { c.KeepClientResults = true }},
-		{"seed", func(c *SweepConfig) { c.Net.Seed = 99 }},
-		{"capacity", func(c *SweepConfig) { c.Net.Capacity = 10 * units.Gbps }},
-		{"rtt", func(c *SweepConfig) { c.Net.BaseRTT = 32 * time.Millisecond }},
-		{"mss", func(c *SweepConfig) { c.Net.MSS = 1460 * units.Byte }},
-		{"buffer", func(c *SweepConfig) { c.Net.Buffer = units.MB }},
-		{"init cwnd", func(c *SweepConfig) { c.Net.InitCwndSegments = 4 }},
-		{"rto", func(c *SweepConfig) { c.Net.RTO = 400 * time.Millisecond }},
-		{"cc", func(c *SweepConfig) { c.Net.CC = tcpsim.Cubic }},
-		{"record queue", func(c *SweepConfig) { c.Net.RecordQueue = true }},
-		{"cross fraction", func(c *SweepConfig) { c.Net.Cross.Fraction = 0.3 }},
-		{"cross period", func(c *SweepConfig) {
+		{"duration", func(c *Axes) { c.Duration = 7 * time.Second }},
+		{"concurrencies", func(c *Axes) { c.Concurrencies = []int{2, 4, 8} }},
+		{"parallel flows", func(c *Axes) { c.ParallelFlows = []int{4} }},
+		{"transfer size", func(c *Axes) { c.TransferSizes = []units.ByteSize{units.GB} }},
+		{"strategy", func(c *Axes) { c.Strategy = SpawnScheduled }},
+		{"seed", func(c *Axes) { c.Net.Seed = 99 }},
+		{"capacity", func(c *Axes) { c.Net.Capacity = 10 * units.Gbps }},
+		{"rtt", func(c *Axes) { c.Net.BaseRTT = 32 * time.Millisecond }},
+		{"mss", func(c *Axes) { c.Net.MSS = 1460 * units.Byte }},
+		{"buffer", func(c *Axes) { c.Net.Buffer = units.MB }},
+		{"init cwnd", func(c *Axes) { c.Net.InitCwndSegments = 4 }},
+		{"rto", func(c *Axes) { c.Net.RTO = 400 * time.Millisecond }},
+		{"cc", func(c *Axes) { c.Net.CC = tcpsim.Cubic }},
+		{"record queue", func(c *Axes) { c.Net.RecordQueue = true }},
+		{"cross fraction", func(c *Axes) { c.Net.Cross.Fraction = 0.3 }},
+		{"cross period", func(c *Axes) {
 			c.Net.Cross.Fraction = 0.3
 			c.Net.Cross.Period = time.Second
 			c.Net.Cross.Duty = 0.5
 		}},
-		{"cross jitter", func(c *SweepConfig) {
+		{"cross jitter", func(c *Axes) {
 			c.Net.Cross.Fraction = 0.3
 			c.Net.Cross.Period = time.Second
 			c.Net.Cross.Duty = 0.5
 			c.Net.Cross.PhaseJitter = true
 		}},
-		{"max time", func(c *SweepConfig) { c.Net.MaxTime = 100 }},
+		{"max time", func(c *Axes) { c.Net.MaxTime = 100 }},
 	}
-	// A sweep is memoized under its AxesFromSweep grid's fingerprint.
-	fingerprint := func(c SweepConfig) string { return AxesFromSweep(c).Fingerprint() }
+	fingerprint := func(c Axes) string { return c.Fingerprint() }
 	seen := map[string]string{fingerprint(base): "base"}
 	for _, m := range mutations {
 		cfg := base
@@ -66,24 +64,24 @@ func TestFingerprintDistinguishesConfigs(t *testing.T) {
 }
 
 // TestFingerprintCoversAllFields is the structural guard behind the
-// cache's soundness: AxesFromSweep, Axes.Fingerprint and
-// cellFingerprint enumerate config fields by hand, so adding a field to
-// any of these structs without teaching them about it would silently
-// alias distinct sweeps or cells. If this test fails, update them (and
-// the mutation tables above) in the same change.
+// cache's soundness: Axes.Fingerprint and cellFingerprint enumerate
+// config fields by hand, so adding a field to any of these structs
+// without teaching them about it would silently alias distinct grids or
+// cells. If this test fails, update them (and the mutation tables
+// above) in the same change.
 func TestFingerprintCoversAllFields(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		typ  reflect.Type
 		want int
 	}{
-		{"SweepConfig", reflect.TypeOf(SweepConfig{}), 7},
+		{"Axes", reflect.TypeOf(Axes{}), 14},
 		{"Experiment", reflect.TypeOf(Experiment{}), 6},
 		{"tcpsim.Config", reflect.TypeOf(tcpsim.Config{}), 11},
 		{"tcpsim.CrossTraffic", reflect.TypeOf(tcpsim.CrossTraffic{}), 4},
 	} {
 		if got := tc.typ.NumField(); got != tc.want {
-			t.Errorf("%s has %d fields, the fingerprints know %d — update AxesFromSweep / Axes.Fingerprint / cellFingerprint",
+			t.Errorf("%s has %d fields, the fingerprints know %d — update Axes.Fingerprint / cellFingerprint",
 				tc.name, got, tc.want)
 		}
 	}
@@ -125,38 +123,41 @@ func TestCellFingerprintDistinguishesExperiments(t *testing.T) {
 	}
 }
 
-// sharesRows reports whether two sweep results are views of one memo
+// sharesRows reports whether two grid results are views of one memo
 // entry: their rows alias the same cached TransferTimes.
-func sharesRows(a, b *SweepResult) bool {
+func sharesRows(a, b *GridResult) bool {
 	return len(a.Rows) > 0 && len(a.Rows) == len(b.Rows) &&
 		&a.Rows[0].TransferTimes[0] == &b.Rows[0].TransferTimes[0]
 }
 
-// TestSweepCacheHitsShareResult: RunSweepCached is a view over the
-// process-wide grid cache — repeat sweeps, and the sweep's own
-// AxesFromSweep grid, share one memo entry; a different sweep gets its
-// own; PurgeGridCache drops them.
+// TestSweepCacheHitsShareResult: repeat runs of the Table 2 grid share
+// one entry of the process-wide grid cache, whatever the worker count
+// and however the grid spells its singleton axes; a different grid gets
+// its own; PurgeGridCache drops them.
 func TestSweepCacheHitsShareResult(t *testing.T) {
 	PurgeGridCache()
 	t.Cleanup(PurgeGridCache)
 	cfg := fastSweep()
-	a, err := RunSweepCached(cfg, 0)
+	a, err := RunGridCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSweepCached(cfg, 2) // worker count must not key the cache
+	b, err := RunGridCached(cfg, 2) // worker count must not key the cache
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sharesRows(a, b) {
 		t.Fatal("cache miss for identical config")
 	}
-	g, err := RunGridCached(AxesFromSweep(cfg), 0)
+	filled := cfg
+	filled.RTTs = []time.Duration{cfg.Net.BaseRTT}
+	filled.CCs = []tcpsim.CongestionControl{cfg.Net.CC}
+	g, err := RunGridCached(filled, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &g.Rows[0].TransferTimes[0] != &a.Rows[0].TransferTimes[0] {
-		t.Fatal("sweep and its AxesFromSweep grid hold separate memo entries")
+	if !sharesRows(g, a) {
+		t.Fatal("explicit singleton axes hold a separate memo entry")
 	}
 	if n := defaultGridCache.Len(); n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)
@@ -164,7 +165,7 @@ func TestSweepCacheHitsShareResult(t *testing.T) {
 
 	other := cfg
 	other.Strategy = SpawnScheduled
-	c, err := RunSweepCached(other, 0)
+	c, err := RunGridCached(other, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestSweepCacheHitsShareResult(t *testing.T) {
 	if n := defaultGridCache.Len(); n != 0 {
 		t.Fatalf("purged cache holds %d entries", n)
 	}
-	d, err := RunSweepCached(cfg, 0)
+	d, err := RunGridCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,21 +189,21 @@ func TestSweepCacheHitsShareResult(t *testing.T) {
 	}
 }
 
-// TestSweepCacheSingleFlight: concurrent RunSweepCached calls for one
-// sweep run it once and share the result.
+// TestSweepCacheSingleFlight: concurrent RunGridCached calls for the
+// Table 2 grid run it once and share the result.
 func TestSweepCacheSingleFlight(t *testing.T) {
 	PurgeGridCache()
 	t.Cleanup(PurgeGridCache)
 	cfg := fastSweep()
 	const callers = 8
-	results := make([]*SweepResult, callers)
+	results := make([]*GridResult, callers)
 	before := EngineRunCount()
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := RunSweepCached(cfg, 1)
+			r, err := RunGridCached(cfg, 1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -228,12 +229,12 @@ func TestSweepCachePropagatesErrors(t *testing.T) {
 	t.Cleanup(PurgeGridCache)
 	cfg := fastSweep()
 	cfg.Net.MaxTime = 0.01 // every cell exceeds the horizon
-	if _, err := RunSweepCached(cfg, 2); err == nil {
+	if _, err := RunGridCached(cfg, 2); err == nil {
 		t.Fatal("horizon error swallowed by cache")
 	}
 	// Deterministic config → deterministic failure: the recomputed error
 	// is the correct answer for repeat lookups too.
-	if _, err := RunSweepCached(cfg, 2); err == nil {
+	if _, err := RunGridCached(cfg, 2); err == nil {
 		t.Fatal("cached error lost on second lookup")
 	}
 }

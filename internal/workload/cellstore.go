@@ -59,9 +59,7 @@ const CellRecordVersion = "repro-cells/v4"
 // Table 2 coordinates, transfer size, strategy, and the full network
 // config with the cell's axis overrides and derived seed already baked
 // in. Equal fingerprints ⇒ bit-identical rows, which is what makes a
-// stored record a sound substitute for a recompute. KeepClientResults is
-// deliberately absent: rows that pin client results never touch the
-// store (the planner skips persistence entirely).
+// stored record a sound substitute for a recompute.
 // The rendering is strconv.Append* on one grown buffer rather than
 // fmt.Fprintf: the fingerprint is computed once per cell per warm open
 // (10⁵–10⁶ times for portfolio grids), and fmt's reflection-driven

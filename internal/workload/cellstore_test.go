@@ -121,7 +121,7 @@ func TestCellRecordCorruptionRecovery(t *testing.T) {
 	}
 	want := gridRowsJSON(t, cold.Rows)
 	na := a.normalized()
-	fpOf := func(i int) string { return cellFingerprint(na.experiment(cold.Rows[i].Cell)) }
+	fpOf := func(i int) string { return cellFingerprint(na.Experiment(cold.Rows[i].Cell)) }
 
 	for name, payload := range cellCorruptionCases {
 		t.Run(name, func(t *testing.T) {
@@ -357,10 +357,10 @@ func TestCellFingerprintIsGridIndependent(t *testing.T) {
 
 	fps := make(map[string]bool)
 	for _, c := range super.Cells() {
-		fps[cellFingerprint(super.experiment(c))] = true
+		fps[cellFingerprint(super.Experiment(c))] = true
 	}
 	for _, c := range sub.Cells() {
-		fp := cellFingerprint(sub.experiment(c))
+		fp := cellFingerprint(sub.Experiment(c))
 		if !fps[fp] {
 			t.Errorf("sub-grid cell %+v fingerprint %q not produced by superset", c, fp)
 		}

@@ -12,7 +12,7 @@ import (
 // quickSweepShape mirrors experiments.QuickSweep (which this package
 // cannot import without a cycle): the scaled-down Table 2 sweep used by
 // tests and CI.
-func quickSweepShape() SweepConfig {
+func quickSweepShape() Axes {
 	cfg := DefaultSweep()
 	cfg.Duration = 3 * time.Second
 	cfg.Concurrencies = []int{1, 3, 5, 6, 7, 8}
@@ -23,12 +23,11 @@ func quickSweepShape() SweepConfig {
 // TestSweepDeterminism is the reproduction's bit-identity contract: the
 // serial reference sweep, the grid executor at several worker counts,
 // the SoA engine with no cross-cell buffer reuse (a fresh engine per
-// cell), and every cached path must produce byte-identical SweepResult
-// rows. Rows are compared via their JSON encoding — Go prints floats
+// cell), and every cached path must produce byte-identical rows. Rows are compared via their JSON encoding — Go prints floats
 // with round-trip precision, so equal bytes means equal bits.
 func TestSweepDeterminism(t *testing.T) {
 	cfg := quickSweepShape()
-	a := AxesFromSweep(cfg)
+	a := cfg
 
 	encode := func(rows []SweepRow) string {
 		b, err := json.Marshal(rows)
@@ -65,7 +64,7 @@ func TestSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := encode(baseline.Rows)
+	want := encode(baseline)
 
 	drivers := []struct {
 		name string
@@ -78,11 +77,10 @@ func TestSweepDeterminism(t *testing.T) {
 			var rows []SweepRow
 			for _, p := range cfg.ParallelFlows {
 				for _, conc := range cfg.Concurrencies {
-					// Fresh engine AND nil scratch: this driver exercises the
-					// allocate-per-cell path against the scratch-reusing
-					// drivers above, so the two assembly modes are held
-					// bit-identical.
-					row, err := referenceSweepCell(cfg, conc, p, tcpsim.NewEngine(), nil)
+					// Fresh engine AND fresh scratch: this driver shares no
+					// buffer across cells, against the buffer-reusing
+					// drivers above, so the two are held bit-identical.
+					row, err := referenceSweepCell(cfg, conc, p, tcpsim.NewEngine(), &runScratch{})
 					if err != nil {
 						return nil, err
 					}
@@ -93,11 +91,11 @@ func TestSweepDeterminism(t *testing.T) {
 		}},
 		{"cached", func() ([]SweepRow, error) {
 			PurgeGridCache()
-			r, err := RunSweepCached(cfg, 0)
+			r, err := RunGridCached(cfg, 0)
 			if err != nil {
 				return nil, err
 			}
-			return r.Rows, nil
+			return sweepRows(r), nil
 		}},
 		{"disk cached (store then warm load)", func() ([]SweepRow, error) {
 			dir := t.TempDir()
@@ -119,7 +117,7 @@ func TestSweepDeterminism(t *testing.T) {
 			subCfg.ParallelFlows = cfg.ParallelFlows[:1]
 			seeder := NewGridCache()
 			seeder.SetDiskDir(dir)
-			if _, err := seeder.Get(AxesFromSweep(subCfg), 0); err != nil {
+			if _, err := seeder.Get(subCfg, 0); err != nil {
 				return nil, err
 			}
 			mixed := NewGridCache()
@@ -138,49 +136,31 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestKeepClientResults checks the memory knob: rows carry full client
-// results only when asked, and the compact TransferTimes always agrees
-// with them.
-func TestKeepClientResults(t *testing.T) {
-	cfg := fastSweep()
-	lean, err := RunSweepCached(cfg, 0)
+// TestExperimentReproducesRow: Run on a grid's Axes.Experiment(cell)
+// reproduces that cell's row — the contract behind per-client logs of
+// cached cells — and its per-client transfer times are the row's
+// TransferTimes, in client order.
+func TestExperimentReproducesRow(t *testing.T) {
+	g, err := RunGridCached(fastSweep(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range lean.Rows {
-		if row.Result != nil {
-			t.Fatalf("conc=%d P=%d: Result retained with KeepClientResults off", row.Concurrency, row.ParallelFlows)
+	for i, row := range g.Rows {
+		res, err := Run(g.Axes.Experiment(row.Cell))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(row.TransferTimes) == 0 {
-			t.Fatalf("conc=%d P=%d: missing TransferTimes", row.Concurrency, row.ParallelFlows)
+		if len(row.TransferTimes) != len(res.Clients) {
+			t.Fatalf("row %d: %d transfer times vs %d clients", i, len(row.TransferTimes), len(res.Clients))
 		}
-	}
-
-	cfg.KeepClientResults = true
-	full, err := RunSweepCached(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range full.Rows {
-		if row.Result == nil {
-			t.Fatalf("row %d: Result dropped with KeepClientResults on", i)
-		}
-		if len(row.TransferTimes) != len(row.Result.Clients) {
-			t.Fatalf("row %d: %d transfer times vs %d clients", i, len(row.TransferTimes), len(row.Result.Clients))
-		}
-		for j, c := range row.Result.Clients {
+		for j, c := range res.Clients {
 			if row.TransferTimes[j] != c.TransferTime() {
 				t.Fatalf("row %d client %d: TransferTimes %v != client %v", i, j, row.TransferTimes[j], c.TransferTime())
 			}
 		}
-		// The knob must not change the measured rows themselves.
-		if row.Worst != lean.Rows[i].Worst || row.SSS != lean.Rows[i].SSS {
-			t.Fatalf("row %d: KeepClientResults changed measurements", i)
+		if row.Worst != res.WorstFCT || row.SSS != res.SSS || row.Utilization != res.MeanUtilization {
+			t.Fatalf("row %d: Run measured %v/%v/%v, row holds %v/%v/%v", i,
+				res.WorstFCT, res.SSS, res.MeanUtilization, row.Worst, row.SSS, row.Utilization)
 		}
-	}
-
-	// Pooled population must be identical either way.
-	if full.AllTransferTimes().Len() != lean.AllTransferTimes().Len() {
-		t.Fatal("AllTransferTimes depends on KeepClientResults")
 	}
 }

@@ -114,6 +114,6 @@ func PurgeDiskCache(dir string) error {
 			return fmt.Errorf("workload: purging disk cache: %w", err)
 		}
 	}
-	removeSegmentTempFiles(dir)
+	removeTempFiles(dir, 0)
 	return nil
 }

@@ -10,15 +10,6 @@ import (
 )
 
 // rowsJSON encodes sweep rows for byte-identity comparison.
-func rowsJSON(t *testing.T, rows []SweepRow) string {
-	t.Helper()
-	b, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
 // gridRowsJSON encodes grid rows for byte-identity comparison.
 func gridRowsJSON(t *testing.T, rows []GridRow) string {
 	t.Helper()
@@ -63,7 +54,7 @@ func looseRecordCount(t *testing.T, dir string) int {
 func TestDiskCacheWarmSweep(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fastSweep()
-	a := AxesFromSweep(cfg)
+	a := cfg
 
 	cold := NewGridCache()
 	cold.SetDiskDir(dir)
@@ -218,22 +209,22 @@ func TestOverlappingGridReusesSharedCells(t *testing.T) {
 	}
 }
 
-// TestSweepSharesCellsWithGrid: sweeps persist through the same cell
-// store, so a grid containing a previously-run sweep's plane reuses its
-// cells (and vice versa).
+// TestSweepSharesCellsWithGrid: the Table 2 grid persists through the
+// same cell store as every grid, so a grid containing a previously-run
+// sweep's plane reuses its cells (and vice versa).
 func TestSweepSharesCellsWithGrid(t *testing.T) {
 	dir := t.TempDir()
 	SetDiskCacheDir(dir)
 	t.Cleanup(func() { SetDiskCacheDir(""); PurgeGridCache() })
 	cfg := fastSweep()
 	PurgeGridCache()
-	if _, err := RunSweepCached(cfg, 0); err != nil {
+	if _, err := RunGridCached(cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// A grid that strictly contains the sweep's plane: the sweep's cells
 	// load, only the second RTT's execute.
-	grid := AxesFromSweep(cfg)
+	grid := cfg
 	grid.RTTs = []time.Duration{cfg.Net.BaseRTT, 2 * cfg.Net.BaseRTT}
 	gc := NewGridCache()
 	gc.SetDiskDir(dir)
@@ -248,7 +239,7 @@ func TestSweepSharesCellsWithGrid(t *testing.T) {
 	// And back: the sweep re-assembles from the store.
 	PurgeGridCache()
 	before = EngineRunCount()
-	if _, err := RunSweepCached(cfg, 0); err != nil {
+	if _, err := RunGridCached(cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	if runs := EngineRunCount() - before; runs != 0 {
@@ -261,7 +252,7 @@ func TestSweepSharesCellsWithGrid(t *testing.T) {
 func TestDiskCacheSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fastSweep()
-	a := AxesFromSweep(cfg)
+	a := cfg
 	c := NewGridCache()
 	c.SetDiskDir(dir)
 
@@ -289,26 +280,6 @@ func TestDiskCacheSingleFlight(t *testing.T) {
 		if results[i] != results[0] {
 			t.Fatal("readers did not share the single-flight result")
 		}
-	}
-}
-
-// TestDiskCacheKeepClientResultsNotPersisted: sweeps that pin full
-// client results stay memory-only — not a single cell record is written.
-func TestDiskCacheKeepClientResultsNotPersisted(t *testing.T) {
-	dir := t.TempDir()
-	cfg := fastSweep()
-	cfg.KeepClientResults = true
-	c := NewGridCache()
-	c.SetDiskDir(dir)
-	if _, err := c.Get(AxesFromSweep(cfg), 0); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("KeepClientResults sweep persisted %d files to disk, want 0", len(entries))
 	}
 }
 
@@ -377,7 +348,7 @@ func TestResolveCacheDir(t *testing.T) {
 }
 
 // TestSetDiskCacheDirProcessWide wires the default caches to a temp dir
-// and back, asserting RunSweepCached persists and re-serves from disk.
+// and back, asserting RunGridCached persists and re-serves from disk.
 func TestSetDiskCacheDirProcessWide(t *testing.T) {
 	dir := t.TempDir()
 	SetDiskCacheDir(dir)
@@ -386,20 +357,20 @@ func TestSetDiskCacheDirProcessWide(t *testing.T) {
 
 	cfg := fastSweep()
 	cfg.Duration = 1 * 1e9 // 1 s, distinct from other tests' entries
-	first, err := RunSweepCached(cfg, 0)
+	first, err := RunGridCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	PurgeGridCache()
 	before := EngineRunCount()
-	second, err := RunSweepCached(cfg, 0)
+	second, err := RunGridCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if runs := EngineRunCount() - before; runs != 0 {
 		t.Fatalf("warm process-wide path ran %d experiments, want 0", runs)
 	}
-	if rowsJSON(t, first.Rows) != rowsJSON(t, second.Rows) {
+	if gridRowsJSON(t, first.Rows) != gridRowsJSON(t, second.Rows) {
 		t.Fatal("process-wide disk round-trip changed rows")
 	}
 }

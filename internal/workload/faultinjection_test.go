@@ -127,7 +127,7 @@ func TestPersistentAppendFaultDegrades(t *testing.T) {
 // torn shapes identically.
 func TestShortWriteTornRecordReclaimed(t *testing.T) {
 	na := fastAxes().normalized()
-	fpLen := len(cellFingerprint(na.experiment(na.Cells()[0])))
+	fpLen := len(cellFingerprint(na.Experiment(na.Cells()[0])))
 	for name, torn := range map[string]int{
 		"mid-fingerprint":     20,
 		"mid-row-fixed-field": segHeaderSize + binPreludeSize + fpLen + 30,
@@ -353,7 +353,7 @@ func TestShortWriteTornBatch(t *testing.T) {
 	var sizes []int
 	total := 0
 	for i, c := range na.Cells() {
-		rec, err := encodeSegRecord(cellFingerprint(na.experiment(c)), ref.Rows[i].SweepRow)
+		rec, err := encodeSegRecord(cellFingerprint(na.Experiment(c)), ref.Rows[i].SweepRow)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,12 +92,12 @@ func randomExperiment(rng *rand.Rand) Experiment {
 func TestCellFingerprintMatchesReference(t *testing.T) {
 	var exps []Experiment
 	for _, a := range []Axes{
-		AxesFromSweep(DefaultSweep()).normalized(),
+		DefaultSweep().normalized(),
 		fastAxes().normalized(),
 		subAxes().normalized(),
 	} {
 		for _, c := range a.Cells() {
-			exps = append(exps, a.experiment(c))
+			exps = append(exps, a.Experiment(c))
 		}
 	}
 	rng := rand.New(rand.NewSource(42))
@@ -117,7 +117,7 @@ func TestCellFingerprintMatchesReference(t *testing.T) {
 // returned — base-point zero anchor included — for the repo's grid
 // axes and for 5000 randomized network points.
 func TestNetPointSeedOffsetMatchesReference(t *testing.T) {
-	axes := []Axes{fastAxes().normalized(), subAxes().normalized(), AxesFromSweep(DefaultSweep()).normalized()}
+	axes := []Axes{fastAxes().normalized(), subAxes().normalized(), DefaultSweep().normalized()}
 	for ai, a := range axes {
 		for _, c := range a.Cells() {
 			got, want := a.netPointSeedOffset(c), referenceNetPointSeedOffset(a, c)
@@ -126,7 +126,7 @@ func TestNetPointSeedOffsetMatchesReference(t *testing.T) {
 			}
 		}
 		// The base network point must keep offset 0 (the anchor that
-		// holds AxesFromSweep grids bit-identical to the reference sweep).
+		// holds the Table 2 grid bit-identical to the reference sweep).
 		base := GridCell{RTT: a.Net.BaseRTT, Buffer: a.Net.Buffer, CC: a.Net.CC, CrossFraction: a.Net.Cross.Fraction}
 		if off := a.netPointSeedOffset(base); off != 0 {
 			t.Fatalf("axes %d: base point offset %d, want 0", ai, off)

@@ -4,21 +4,22 @@ package workload
 // operating envelope — concurrency × parallel flows × transfer size ×
 // base RTT × bottleneck buffer × congestion control × cross-traffic loss
 // pressure — instead of only Table 2's concurrency/flow plane. An Axes
-// value lowers to a deterministic stream of GridCells, each a
-// SweepConfig-compatible Experiment, executed by the same
-// engine-per-worker pool as the Table 2 sweep; cross-facility studies
-// (George et al. 2025) show stream-vs-store decisions flip across
-// exactly these axes, so the break-even analysis must cover them.
+// value lowers to a deterministic stream of GridCells, each a runnable
+// Experiment, executed by one engine-per-worker pool; the Table 2
+// sweep (DefaultSweep) is the grid with singleton network axes.
+// Cross-facility studies (George et al. 2025) show stream-vs-store
+// decisions flip across exactly these axes, so the break-even analysis
+// must cover them.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/tcpsim"
 	"repro/internal/units"
 )
@@ -74,25 +75,6 @@ type Axes struct {
 	// selects tcpsim's default (multi-hop only; requires an ingress
 	// hop in Path).
 	IngressBuffers []units.ByteSize
-	// KeepClientResults retains full per-client results on every row
-	// (see SweepConfig.KeepClientResults). Leave off for cached grids.
-	KeepClientResults bool
-}
-
-// AxesFromSweep lowers a Table 2 sweep onto the grid: singleton network
-// axes, identical cell ordering and per-cell seeds, hence bit-identical
-// rows (TestGridMatchesSweep holds the grid against a serial reference
-// sweep).
-func AxesFromSweep(cfg SweepConfig) Axes {
-	return Axes{
-		Duration:          cfg.Duration,
-		Concurrencies:     cfg.Concurrencies,
-		ParallelFlows:     cfg.ParallelFlows,
-		TransferSizes:     []units.ByteSize{cfg.TransferSize},
-		Strategy:          cfg.Strategy,
-		Net:               cfg.Net,
-		KeepClientResults: cfg.KeepClientResults,
-	}
 }
 
 // multiHop reports whether the grid sweeps a hop chain rather than a
@@ -214,10 +196,11 @@ func (r linkAxis[T]) filled(p tcpsim.Path, link tcpsim.Config, vals []T) []T {
 }
 
 // Validate checks that any Path is structurally sound, that the six link
-// axes follow the link-axis table, and that the Table 2 plane and sizes
-// are non-empty. Per-cell parameter validation (positive RTTs, known CC,
-// ...) happens when each cell's Experiment runs. Validate is stable under
-// normalized(): a normalized Axes validates iff its source did.
+// axes follow the link-axis table, that the Table 2 plane and sizes are
+// non-empty, and that the grid's cell count fits an int. Per-cell
+// parameter validation (positive RTTs, known CC, ...) happens when each
+// cell's Experiment runs. Validate is stable under normalized(): a
+// normalized Axes validates iff its source did.
 func (a Axes) Validate() error {
 	if err := a.Path.Validate(); err != nil {
 		return fmt.Errorf("workload: %w", err)
@@ -242,6 +225,20 @@ func (a Axes) Validate() error {
 		return fmt.Errorf("workload: empty grid axis ParallelFlows")
 	case len(a.TransferSizes) == 0:
 		return fmt.Errorf("workload: empty grid axis TransferSizes")
+	}
+	// Past the checks above, every axis the grid does not sweep holds at
+	// most one value, so the cell count is the product of all the axis
+	// lengths, an empty axis counting once. It must fit an int: Size,
+	// Cells and every caller's cell budget rely on it.
+	cells := 1
+	for _, n := range [...]int{len(a.Concurrencies), len(a.ParallelFlows), len(a.TransferSizes),
+		len(a.RTTs), len(a.Buffers), len(a.CCs), len(a.CrossFractions),
+		len(a.EdgeCaps), len(a.WANRTTs), len(a.IngressBuffers)} {
+		n = max(n, 1)
+		if cells > math.MaxInt/n {
+			return errors.New("workload: grid cell count overflows int")
+		}
+		cells *= n
 	}
 	return nil
 }
@@ -304,8 +301,8 @@ type GridCell struct {
 // link-axis triple, CCs and cross fractions, then the Table 2 plane in
 // sweep order (flow counts outer, concurrencies inner). A flat grid's
 // triple is ({0}, RTTs, Buffers), so with singleton network axes this is
-// the Table 2 sweep's order (SweepResult.Rows). A multi-hop grid's triple
-// is (EdgeCaps, WANRTTs, IngressBuffers) and its cross axis a singleton;
+// the Table 2 sweep's order. A multi-hop grid's triple is (EdgeCaps,
+// WANRTTs, IngressBuffers) and its cross axis a singleton;
 // each hop point is composed down to its bottleneck, and the cell stores
 // the composed coordinates, which alone key its seed and cell record.
 func (a Axes) Cells() []GridCell {
@@ -360,9 +357,9 @@ const netSeedStride = 1_000_003
 // Two anchors:
 //
 //   - The base network point (RTT, buffer, CC and cross fraction all
-//     equal to the Net's own values) has offset 0, so AxesFromSweep
-//     grids keep the Table 2 sweep's seed formula exactly and stay
-//     bit-identical to the Table 2 sweep.
+//     equal to the Net's own values) has offset 0, so a grid with
+//     singleton network axes keeps the Table 2 sweep's seed formula
+//     exactly.
 //   - Transfer size never enters the seed — the sweep formula has no
 //     size term, and the grid preserves that property: cells differing
 //     only in size deliberately share their loss-randomization stream,
@@ -408,9 +405,10 @@ func (a Axes) netPointSeedOffset(c GridCell) int64 {
 	return int64(h%(1<<42)+1) * netSeedStride
 }
 
-// experiment lowers one cell to a runnable Experiment with its
-// deterministic per-cell seed.
-func (a Axes) experiment(c GridCell) Experiment {
+// Experiment lowers one cell of a normalized grid (GridResult.Axes) to
+// a runnable Experiment with its deterministic per-cell seed: Run on it
+// reproduces the cell's row, with the full per-client results.
+func (a Axes) Experiment(c GridCell) Experiment {
 	net := a.Net
 	net.BaseRTT = c.RTT
 	net.Buffer = c.Buffer
@@ -436,9 +434,8 @@ func (a Axes) experiment(c GridCell) Experiment {
 }
 
 // Fingerprint returns a canonical key covering every Axes field that
-// affects grid output: GridCache's memo key, for grids and — through
-// AxesFromSweep — for Table 2 sweeps alike. The "grid;" prefix keeps it
-// disjoint from cellFingerprint's "cell;" keys.
+// affects grid output: GridCache's memo key. The "grid;" prefix keeps
+// it disjoint from cellFingerprint's "cell;" keys.
 func (a Axes) Fingerprint() string {
 	n := a.normalized()
 	b := make([]byte, 0, 512)
@@ -472,7 +469,9 @@ func (a Axes) Fingerprint() string {
 		b = appendList(b, ";ibufs=", n.IngressBuffers, appendFloat)
 	}
 	net := n.Net
-	b = fmt.Appendf(b, ";strat=%d;keep=%t", int(n.Strategy), n.KeepClientResults)
+	// keep=false is a fixed token: rows no longer carry client results,
+	// but archived fingerprints pin the term.
+	b = fmt.Appendf(b, ";strat=%d;keep=false", int(n.Strategy))
 	b = fmt.Appendf(b, ";cap=%s;mss=%s;icw=%d;rto=%d;seed=%d;maxt=%s;rq=%t",
 		f(float64(net.Capacity)), f(float64(net.MSS)),
 		net.InitCwndSegments, int64(net.RTO), net.Seed, f(net.MaxTime), net.RecordQueue)
@@ -579,7 +578,7 @@ func executeCells(a Axes, cells []GridCell, rows []GridRow, workers int, onRow f
 			var sc runScratch
 			for i := range work {
 				c := cells[i]
-				row, err := runExperimentRow(a.experiment(c), a.KeepClientResults, eng, &sc)
+				row, err := runExperimentRow(a.Experiment(c), eng, &sc)
 				rows[c.Index] = GridRow{Cell: c, SweepRow: row}
 				errs[i] = err
 				if err == nil && onRow != nil {
@@ -605,29 +604,19 @@ func executeCells(a Axes, cells []GridCell, rows []GridRow, workers int, onRow f
 }
 
 // runExperimentRow executes one experiment and condenses it into a
-// SweepRow — the one place a row is built, so every grid, sweep and
-// cache path produces identical rows for identical experiments. With a scratch the
-// assembly reuses the worker's buffers end to end and the only per-cell
+// SweepRow — the one place a row is built, so every grid and cache path
+// produces identical rows for identical experiments. The assembly
+// reuses the worker's scratch end to end and the only per-cell
 // allocation is the row's escaping TransferTimes slice
-// (TestCellAssemblyAllocs gates this); rows are bit-identical either
-// way. When keep is set the full Result escapes into the row, so the
-// scratch is refused and every buffer is freshly owned.
-func runExperimentRow(e Experiment, keep bool, eng *tcpsim.Engine, sc *runScratch) (SweepRow, error) {
-	if keep {
-		sc = nil
-	}
+// (TestCellAssemblyAllocs gates this).
+func runExperimentRow(e Experiment, eng *tcpsim.Engine, sc *runScratch) (SweepRow, error) {
 	res, err := runWithEngineScratch(e, eng, sc)
 	if err != nil {
 		return SweepRow{}, err
 	}
 	times := make([]float64, len(res.Clients))
-	var durations *stats.Sample
-	if sc != nil {
-		sc.sample.Reset()
-		durations = &sc.sample
-	} else {
-		durations = stats.NewSample()
-	}
+	durations := &sc.sample
+	durations.Reset()
 	for i, c := range res.Clients {
 		times[i] = c.TransferTime()
 		durations.Add(times[i])
@@ -635,7 +624,7 @@ func runExperimentRow(e Experiment, keep bool, eng *tcpsim.Engine, sc *runScratc
 	p50, _ := durations.Quantile(0.50)
 	p90, _ := durations.Quantile(0.90)
 	p99, _ := durations.Quantile(0.99)
-	row := SweepRow{
+	return SweepRow{
 		Concurrency:   e.Concurrency,
 		ParallelFlows: e.ParallelFlows,
 		OfferedLoad:   e.OfferedLoad(),
@@ -646,9 +635,5 @@ func runExperimentRow(e Experiment, keep bool, eng *tcpsim.Engine, sc *runScratc
 		P99:           units.Seconds(p99),
 		SSS:           res.SSS,
 		TransferTimes: times,
-	}
-	if keep {
-		row.Result = res
-	}
-	return row, nil
+	}, nil
 }

@@ -30,14 +30,14 @@ func goldenGrids() []struct {
 	flat.CCs = []tcpsim.CongestionControl{tcpsim.Reno, tcpsim.Cubic}
 	flat.CrossFractions = []float64{0, 0.3}
 
-	sweep := AxesFromSweep(SweepConfig{
+	sweep := Axes{
 		Duration:      1 * time.Second,
 		Concurrencies: []int{1, 4},
 		ParallelFlows: []int{2, 8},
-		TransferSize:  2 * units.GB,
+		TransferSizes: []units.ByteSize{2 * units.GB},
 		Strategy:      SpawnScheduled,
 		Net:           tcpsim.DefaultConfig(),
-	})
+	}
 
 	oneHop := func(role tcpsim.HopRole) Axes {
 		a := fastAxes()
@@ -86,9 +86,12 @@ func gridGoldenDump(t *testing.T) string {
 		fmt.Fprintf(&b, "grid %s\n", g.name)
 		fmt.Fprintf(&b, "fingerprint %s\n", g.axes.Fingerprint())
 		fmt.Fprintf(&b, "netpoints %d size %d\n", g.axes.NetPoints(), g.axes.Size())
-		fmt.Fprintf(&b, "normalized %+v\n", n)
+		// The file was written while Axes still had a KeepClientResults
+		// field; its "false" term stays as a fixed token, like the
+		// fingerprint's ";keep=false".
+		fmt.Fprintf(&b, "normalized %s KeepClientResults:false}\n", strings.TrimSuffix(fmt.Sprintf("%+v", n), "}"))
 		for _, c := range g.axes.Cells() {
-			fmt.Fprintf(&b, "cell %+v %s\n", c, cellFingerprint(n.experiment(c)))
+			fmt.Fprintf(&b, "cell %+v %s\n", c, cellFingerprint(n.Experiment(c)))
 		}
 	}
 	return b.String()
@@ -203,6 +206,29 @@ func TestValidateMessages(t *testing.T) {
 			a.TransferSizes = nil
 			return a
 		}, "workload: empty grid axis TransferSizes"},
+		// 1024⁶·16 = 2⁶⁴ cells: an unchecked product wraps to exactly 0.
+		{"cell count overflow on a flat grid", func(a Axes) Axes {
+			a.Path, a.EdgeCaps, a.WANRTTs, a.IngressBuffers = nil, nil, nil, nil
+			a.Concurrencies, a.ParallelFlows = make([]int, 1024), make([]int, 1024)
+			a.TransferSizes, a.RTTs = make([]units.ByteSize, 1024), make([]time.Duration, 1024)
+			a.Buffers, a.CCs = make([]units.ByteSize, 1024), make([]tcpsim.CongestionControl, 1024)
+			a.CrossFractions = make([]float64, 16)
+			return a
+		}, "workload: grid cell count overflows int"},
+		{"cell count overflow on a multi-hop grid", func(a Axes) Axes {
+			a.Concurrencies, a.ParallelFlows = make([]int, 1024), make([]int, 1024)
+			a.TransferSizes, a.CCs = make([]units.ByteSize, 1024), make([]tcpsim.CongestionControl, 1024)
+			a.EdgeCaps = make([]units.BitRate, 1024)
+			for i := range a.EdgeCaps {
+				a.EdgeCaps[i] = units.Gbps
+			}
+			a.WANRTTs = make([]time.Duration, 1024)
+			for i := range a.WANRTTs {
+				a.WANRTTs[i] = time.Millisecond
+			}
+			a.IngressBuffers = make([]units.ByteSize, 1024)
+			return a
+		}, "workload: grid cell count overflows int"},
 	}
 	for _, tc := range cases {
 		err := tc.mutate(multiHopAxes()).Validate()

@@ -146,7 +146,6 @@ func TestAxesFingerprintDistinguishesAxes(t *testing.T) {
 		"flows":   func(a *Axes) { a.ParallelFlows = []int{4} },
 		"seed":    func(a *Axes) { a.Net.Seed = 99 },
 		"strat":   func(a *Axes) { a.Strategy = SpawnScheduled },
-		"keep":    func(a *Axes) { a.KeepClientResults = true },
 	} {
 		mod := fastAxes()
 		mutate(&mod)
@@ -161,57 +160,59 @@ func TestAxesFingerprintDistinguishesAxes(t *testing.T) {
 // referenceSweep is the serial Table 2 sweep, kept as the test-only
 // reference the grid executor is held against: one reused engine, flow
 // counts outer and concurrencies inner, per-cell seed = base seed +
-// conc·100 + P. It is written out independently of Axes, so a change
-// to the grid's cell order or seed derivation shows up as a diff.
-func referenceSweep(cfg SweepConfig) (*SweepResult, error) {
+// conc·100 + P. It reads only the Table 2 plane, the one transfer size,
+// the strategy and Net of cfg, and is written out independently of the
+// grid's cell enumeration, so a change to the grid's cell order or seed
+// derivation shows up as a diff.
+func referenceSweep(cfg Axes) ([]SweepRow, error) {
 	if len(cfg.Concurrencies) == 0 || len(cfg.ParallelFlows) == 0 {
 		return nil, fmt.Errorf("workload: empty sweep axes")
 	}
 	eng := tcpsim.NewEngine()
 	var sc runScratch
-	out := &SweepResult{Config: cfg, Rows: make([]SweepRow, 0, cfg.Size())}
+	rows := make([]SweepRow, 0, len(cfg.Concurrencies)*len(cfg.ParallelFlows))
 	for _, p := range cfg.ParallelFlows {
 		for _, conc := range cfg.Concurrencies {
 			row, err := referenceSweepCell(cfg, conc, p, eng, &sc)
 			if err != nil {
 				return nil, fmt.Errorf("workload: sweep cell conc=%d P=%d: %w", conc, p, err)
 			}
-			out.Rows = append(out.Rows, row)
+			rows = append(rows, row)
 		}
 	}
-	return out, nil
+	return rows, nil
 }
 
 // referenceSweepCell executes one reference sweep cell on the given
-// engine. sc may be nil (fresh buffers per cell).
-func referenceSweepCell(cfg SweepConfig, conc, p int, eng *tcpsim.Engine, sc *runScratch) (SweepRow, error) {
+// engine and scratch.
+func referenceSweepCell(cfg Axes, conc, p int, eng *tcpsim.Engine, sc *runScratch) (SweepRow, error) {
 	e := Experiment{
 		Duration:      cfg.Duration,
 		Concurrency:   conc,
 		ParallelFlows: p,
-		TransferSize:  cfg.TransferSize,
+		TransferSize:  cfg.TransferSizes[0],
 		Strategy:      cfg.Strategy,
 		Net:           cfg.Net,
 	}
 	e.Net.Seed = cfg.Net.Seed + int64(conc*100+p)
-	return runExperimentRow(e, cfg.KeepClientResults, eng, sc)
+	return runExperimentRow(e, eng, sc)
 }
 
-// TestGridMatchesSweep holds the executor to the reference sweep:
-// lowering a Table 2 sweep onto the grid must produce bit-identical
-// rows (same cells, same order, same per-cell seeds).
+// TestGridMatchesSweep holds the executor to the reference sweep: the
+// Table 2 grid must produce bit-identical rows (same cells, same order,
+// same per-cell seeds).
 func TestGridMatchesSweep(t *testing.T) {
 	cfg := fastSweep()
 	sweep, err := referenceSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := RunGridParallel(AxesFromSweep(cfg), 4)
+	grid, err := RunGridParallel(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid.Rows) != len(sweep.Rows) {
-		t.Fatalf("grid has %d rows, sweep %d", len(grid.Rows), len(sweep.Rows))
+	if len(grid.Rows) != len(sweep) {
+		t.Fatalf("grid has %d rows, sweep %d", len(grid.Rows), len(sweep))
 	}
 	stripped := make([]SweepRow, len(grid.Rows))
 	for i := range grid.Rows {
@@ -220,7 +221,7 @@ func TestGridMatchesSweep(t *testing.T) {
 		}
 		stripped[i] = grid.Rows[i].SweepRow
 	}
-	want, err := json.Marshal(sweep.Rows)
+	want, err := json.Marshal(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestGridSeedsVaryAcrossNetPoints(t *testing.T) {
 	a := fastAxes()
 	seeds := make(map[int64]GridCell)
 	for _, c := range a.Cells() {
-		e := a.experiment(c)
+		e := a.Experiment(c)
 		if prev, dup := seeds[e.Net.Seed]; dup {
 			t.Fatalf("cells %+v and %+v share seed %d", prev, c, e.Net.Seed)
 		}
@@ -308,11 +309,11 @@ func TestGridSeedsVaryAcrossNetPoints(t *testing.T) {
 	}
 
 	// The base network point reduces to the Table 2 sweep's seed formula
-	// (offset 0) — what keeps AxesFromSweep grids bit-identical to
-	// the reference sweep (referenceSweep).
-	sweepAxes := AxesFromSweep(fastSweep()).normalized()
+	// (offset 0) — what keeps the Table 2 grid bit-identical to the
+	// reference sweep (referenceSweep).
+	sweepAxes := fastSweep().normalized()
 	for _, c := range sweepAxes.Cells() {
-		e := sweepAxes.experiment(c)
+		e := sweepAxes.Experiment(c)
 		want := sweepAxes.Net.Seed + int64(c.Concurrency*100+c.ParallelFlows)
 		if e.Net.Seed != want {
 			t.Fatalf("base-point seed = %d, want sweep formula %d", e.Net.Seed, want)
@@ -334,14 +335,14 @@ func TestGridSeedsAreGridIndependent(t *testing.T) {
 		return fmt.Sprintf("%v/%v/%v/%g/%d/%d", c.RTT, c.Buffer, c.CC, c.CrossFraction, c.Concurrency, c.ParallelFlows)
 	}
 	for _, c := range super.Cells() {
-		superSeeds[key(c)] = super.experiment(c).Net.Seed
+		superSeeds[key(c)] = super.Experiment(c).Net.Seed
 	}
 	for _, c := range sub.Cells() {
 		want, ok := superSeeds[key(c)]
 		if !ok {
 			t.Fatalf("sub-grid cell %+v absent from superset", c)
 		}
-		if got := sub.experiment(c).Net.Seed; got != want {
+		if got := sub.Experiment(c).Net.Seed; got != want {
 			t.Errorf("cell %+v: sub-grid seed %d != superset seed %d", c, got, want)
 		}
 	}
@@ -354,7 +355,7 @@ func TestGridSeedsAreGridIndependent(t *testing.T) {
 	bySize := make(map[string][]int64)
 	for _, c := range multi.Cells() {
 		k := key(c)
-		bySize[k] = append(bySize[k], multi.experiment(c).Net.Seed)
+		bySize[k] = append(bySize[k], multi.Experiment(c).Net.Seed)
 	}
 	for k, seeds := range bySize {
 		if len(seeds) != 2 || seeds[0] != seeds[1] {
@@ -383,5 +384,60 @@ func TestGridCellsVary(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Errorf("worst FCT identical across all %d network points: %v", len(worstByNet), worstByNet)
+	}
+}
+
+// axisWorsts runs a one-cell Table 2 plane (2 s, 8 flows, 0.5 GB, conc
+// clients/s) over one swept network or size axis and returns each
+// point's worst-case FCT in seconds, in axis order.
+func axisWorsts(t *testing.T, conc int, sweep func(*Axes)) []float64 {
+	t.Helper()
+	a := DefaultSweep()
+	a.Duration = 2 * time.Second
+	a.Concurrencies = []int{conc}
+	a.ParallelFlows = []int{8}
+	sweep(&a)
+	g, err := RunGrid(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worsts := make([]float64, len(g.Rows))
+	for i, row := range g.Rows {
+		worsts[i] = row.Worst.Seconds()
+	}
+	return worsts
+}
+
+func TestSweepRTTMonotone(t *testing.T) {
+	y := axisWorsts(t, 6, func(a *Axes) { // 96% offered: congestion-sensitive
+		a.RTTs = []time.Duration{4 * time.Millisecond, 16 * time.Millisecond, 64 * time.Millisecond}
+	})
+	if len(y) != 3 {
+		t.Fatalf("points = %d", len(y))
+	}
+	// Longer paths can only hurt the worst case (slow start and
+	// recovery are RTT-bound). Allow 10% noise from loss randomization.
+	if y[2] < y[0]*0.9 {
+		t.Fatalf("worst at 64ms (%v) should not beat 4ms (%v)", y[2], y[0])
+	}
+}
+
+func TestSweepSizeGrows(t *testing.T) {
+	y := axisWorsts(t, 2, func(a *Axes) { // sub-saturation even at the largest size
+		a.TransferSizes = []units.ByteSize{0.1 * units.GB, 0.5 * units.GB, 1 * units.GB}
+	})
+	for i := 1; i < len(y); i++ {
+		if y[i] <= y[i-1] {
+			t.Fatalf("worst FCT must grow with size: %v", y)
+		}
+	}
+}
+
+func TestSweepCrossGrows(t *testing.T) {
+	y := axisWorsts(t, 3, func(a *Axes) { // 48% foreground leaves room for background
+		a.CrossFractions = []float64{0, 0.3, 0.5}
+	})
+	if y[2] <= y[0] {
+		t.Fatalf("50%% background (%v) should hurt vs idle (%v)", y[2], y[0])
 	}
 }

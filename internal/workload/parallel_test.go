@@ -7,37 +7,36 @@ import (
 	"repro/internal/units"
 )
 
-// TestParallelMatchesSerial: the executor's rows — full per-client
-// records included — are bit-identical to the serial reference sweep
-// for any worker count.
+// TestParallelMatchesSerial: the executor's rows — per-client transfer
+// times included — are bit-identical to the serial reference sweep for
+// any worker count.
 func TestParallelMatchesSerial(t *testing.T) {
 	cfg := fastSweep()
-	cfg.KeepClientResults = true // compare full per-client records below
 	serial, err := referenceSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8, 0} { // 0 = GOMAXPROCS
-		parallel, err := RunGridParallel(AxesFromSweep(cfg), workers)
+		parallel, err := RunGridParallel(cfg, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(parallel.Rows) != len(serial.Rows) {
-			t.Fatalf("workers=%d: rows %d vs %d", workers, len(parallel.Rows), len(serial.Rows))
+		if len(parallel.Rows) != len(serial) {
+			t.Fatalf("workers=%d: rows %d vs %d", workers, len(parallel.Rows), len(serial))
 		}
-		for i := range serial.Rows {
-			a, b := serial.Rows[i], parallel.Rows[i].SweepRow
+		for i := range serial {
+			a, b := serial[i], parallel.Rows[i].SweepRow
 			if a.Concurrency != b.Concurrency || a.ParallelFlows != b.ParallelFlows ||
 				a.Worst != b.Worst || a.SSS != b.SSS || a.Utilization != b.Utilization {
 				t.Fatalf("workers=%d row %d diverged:\nserial   %+v\nparallel %+v",
 					workers, i, a, b)
 			}
-			// Per-client records must match too (full determinism).
-			if len(a.Result.Clients) != len(b.Result.Clients) {
+			// Per-client transfer times must match too (full determinism).
+			if len(a.TransferTimes) != len(b.TransferTimes) {
 				t.Fatalf("workers=%d row %d client counts differ", workers, i)
 			}
-			for j := range a.Result.Clients {
-				if a.Result.Clients[j] != b.Result.Clients[j] {
+			for j := range a.TransferTimes {
+				if a.TransferTimes[j] != b.TransferTimes[j] {
 					t.Fatalf("workers=%d row %d client %d diverged", workers, i, j)
 				}
 			}
@@ -48,7 +47,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelEmptyAxes(t *testing.T) {
 	cfg := fastSweep()
 	cfg.ParallelFlows = nil
-	if _, err := RunGridParallel(AxesFromSweep(cfg), 2); err == nil {
+	if _, err := RunGridParallel(cfg, 2); err == nil {
 		t.Fatal("empty axes accepted")
 	}
 }
@@ -56,7 +55,7 @@ func TestParallelEmptyAxes(t *testing.T) {
 func TestParallelPropagatesCellErrors(t *testing.T) {
 	cfg := fastSweep()
 	cfg.Net.MaxTime = 0.01 // every cell exceeds the horizon
-	if _, err := RunGridParallel(AxesFromSweep(cfg), 4); err == nil {
+	if _, err := RunGridParallel(cfg, 4); err == nil {
 		t.Fatal("horizon error swallowed")
 	}
 }

@@ -50,8 +50,7 @@ type gridPlan struct {
 	// plan does not persist), so freshly computed cells store under the
 	// same key the fetch looked up.
 	fps []string
-	// persist gates the cell store: off when no store is configured or
-	// when rows pin client results (those stay memory-only).
+	// persist gates the cell store: off when no store is configured.
 	persist bool
 	// fromSegment tallies the cached cells — the plan's own copy of
 	// what planGrid added to the process-wide counter, so one request's
@@ -62,8 +61,8 @@ type gridPlan struct {
 
 // planGrid fetches every cached cell of the grid from the store and
 // returns the plan describing what remains. a must be normalized. With
-// persistence off (nil store, no directory, or KeepClientResults) every
-// cell is missing and the plan degenerates to a whole-grid run.
+// persistence off (nil store or no directory) every cell is missing and
+// the plan degenerates to a whole-grid run.
 func planGrid(a Axes, store *cellStore) *gridPlan {
 	cells := a.Cells()
 	p := &gridPlan{
@@ -72,7 +71,7 @@ func planGrid(a Axes, store *cellStore) *gridPlan {
 		// activeDir also covers a degraded store: with persistence off
 		// the plan skips fingerprinting entirely and degenerates to a
 		// whole-grid run.
-		persist: store != nil && store.activeDir() != "" && !a.KeepClientResults,
+		persist: store != nil && store.activeDir() != "",
 	}
 	if !p.persist {
 		p.missing = cells
@@ -82,7 +81,7 @@ func planGrid(a Axes, store *cellStore) *gridPlan {
 	workers := min(fetchPoolSize(), len(cells))
 	if workers <= 1 {
 		for i, c := range cells {
-			p.fps[i] = cellFingerprint(a.experiment(c))
+			p.fps[i] = cellFingerprint(a.Experiment(c))
 		}
 	} else {
 		// Contiguous shards: cell i's fingerprint lands in fps[i]
@@ -94,7 +93,7 @@ func planGrid(a Axes, store *cellStore) *gridPlan {
 			go func() {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					p.fps[i] = cellFingerprint(a.experiment(cells[i]))
+					p.fps[i] = cellFingerprint(a.Experiment(cells[i]))
 				}
 			}()
 		}

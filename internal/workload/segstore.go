@@ -180,7 +180,7 @@ func (s *segStore) ensureLoaded() {
 	// First open per process per directory: clear temp-file litter left
 	// by crashed writers (age-guarded, so a live writer's in-flight
 	// temps survive; compaction removes litter unconditionally).
-	sweepStaleTempFiles(s.dir)
+	removeTempFiles(s.dir, staleTempMaxAge)
 	s.index = make(map[segKey]segEntry)
 	f, err := os.Open(s.segPath())
 	if err != nil {
@@ -479,28 +479,35 @@ func encodeSegRecord(fp string, row SweepRow) ([]byte, error) {
 	return buf, nil
 }
 
-// resyncLocked reconciles the in-memory state with whatever other
-// processes did to the segment since we last looked. Caller holds s.mu
-// AND the directory writer lock, so the on-disk state is quiescent:
+// reconcile folds into the in-memory state whatever other processes
+// did to the segment since we last looked, and returns the segment's
+// size as it saw it (0 when the segment is gone). Caller holds s.mu and
+// the store is loaded.
 //
-//   - segment gone (foreign purge): reset to the empty store;
+//   - segment gone (foreign purge): reset to the empty store — our
+//     handles point at an unlinked inode, and serving from it would
+//     resurrect records the sibling deliberately destroyed;
 //   - segment replaced (foreign compaction swapped a new inode in):
-//     drop everything and reload from the new file — our handles point
-//     at the old, unlinked inode;
-//   - segment grew (foreign appends): index the new records by
-//     scanning the gap, so our index — and any sidecar we later write
-//     — covers every writer's records, not just our own.
-func (s *segStore) resyncLocked() {
+//     drop everything and reload from the new file;
+//   - segment grew (foreign appends): index the new records by scanning
+//     the gap, so our index — and any sidecar we later write — covers
+//     every writer's records, not just our own.
+//
+// The scan advances s.size only past whole framed records. Without the
+// directory writer lock the file is not quiescent: an unframeable tail
+// may be a live writer's append still in flight, re-scanned by the next
+// reconcile once its remaining bytes land. A caller holding the writer
+// lock sees a quiescent file, so it advances s.size to the returned
+// size itself: a torn tail there is a crashed writer's dead space.
+func (s *segStore) reconcile() int64 {
 	st, err := os.Stat(s.segPath())
 	if err != nil {
-		if s.rf == nil && s.wf == nil && len(s.index) == 0 {
-			return // nothing on disk, nothing in memory: already in sync
+		if s.rf != nil || s.wf != nil || len(s.index) > 0 {
+			s.closeLocked()
+			s.loaded = true
+			s.index = make(map[segKey]segEntry)
 		}
-		// Foreign purge: the segment our handles point at is gone.
-		s.closeLocked()
-		s.loaded = true
-		s.index = make(map[segKey]segEntry)
-		return
+		return 0
 	}
 	var cur os.FileInfo
 	if s.rf != nil {
@@ -509,80 +516,35 @@ func (s *segStore) resyncLocked() {
 		cur, _ = s.wf.Stat()
 	}
 	if cur != nil && !os.SameFile(st, cur) {
-		// Foreign compaction: reload index and handles from the new
-		// segment (closeLocked clears loaded, ensureLoaded rebuilds).
+		// closeLocked clears loaded; ensureLoaded rebuilds index,
+		// handles and size from the new segment.
 		s.closeLocked()
 		s.ensureLoaded()
-		return
+		return s.size
 	}
 	if st.Size() > s.size {
 		if s.rf == nil {
 			s.rf, _ = os.Open(s.segPath())
 		}
 		if s.rf != nil {
-			// Foreign appends: whole records (the writer held this
-			// lock), so the scan frames them all; anything torn by a
-			// foreign crash ends the scan and stays dead space.
-			s.scanTail(s.size, st.Size())
+			s.size = s.scanTail(s.size, st.Size())
 		}
-		s.size = st.Size()
 	}
+	return st.Size()
 }
 
-// refresh is resyncLocked's lock-FREE sibling for long-lived readers: a
-// resident process (cmd/decided) calls it before planning a request so
-// its in-memory index sees whatever sibling batch CLIs did to the
-// shared directory — appends, compaction, purge — without restarting
-// and without taking the writer lock (warm requests must stay
-// lock-free; the whole resync is one stat on the fast path). The same
-// foreign-change detection as resyncLocked applies, with one
-// difference: the file is NOT quiescent here, so an unframeable tail
-// may be a live writer's append still in flight. The scan therefore
-// advances the resident cover point only past whole framed records —
-// the torn region is re-scanned on the next refresh, by which time a
-// live writer's record has its remaining bytes (a crashed writer's
-// never will, and the next lock-held resync writes it off as dead
-// space).
+// refresh runs reconcile for long-lived readers: a resident process
+// (cmd/decided) calls it before planning a request so its in-memory
+// index sees whatever sibling batch CLIs did to the shared directory —
+// appends, compaction, purge — without restarting and without taking
+// the writer lock (warm requests must stay lock-free; the whole
+// reconcile is one stat on the fast path).
 func (s *segStore) refresh() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.loaded {
-		return // nothing resident: the next load runs ensureLoaded anyway
-	}
-	st, err := os.Stat(s.segPath())
-	if err != nil {
-		if s.rf == nil && s.wf == nil && len(s.index) == 0 {
-			return
-		}
-		// Foreign purge: drop the resident index — our handles point at
-		// an unlinked inode, and serving from it would resurrect records
-		// the sibling deliberately destroyed.
-		s.closeLocked()
-		s.loaded = true
-		s.index = make(map[segKey]segEntry)
-		return
-	}
-	var cur os.FileInfo
-	if s.rf != nil {
-		cur, _ = s.rf.Stat()
-	} else if s.wf != nil {
-		cur, _ = s.wf.Stat()
-	}
-	if cur != nil && !os.SameFile(st, cur) {
-		// Foreign compaction swapped a new inode in: reload everything.
-		s.closeLocked()
-		s.ensureLoaded()
-		return
-	}
-	if st.Size() > s.size {
-		if s.rf == nil {
-			s.rf, _ = os.Open(s.segPath())
-		}
-		if s.rf != nil {
-			// Foreign appends: index the framed records, keep the cover
-			// point at the scan end (NOT the file size — see above).
-			s.size = s.scanTail(s.size, st.Size())
-		}
+	// With nothing resident, the next load runs ensureLoaded anyway.
+	if s.loaded {
+		s.reconcile()
 	}
 }
 
@@ -638,7 +600,7 @@ type pendingRec struct {
 // concatenation, recs their keys and lengths in order — to the segment
 // in ONE write, under one hold of s.mu and of the directory's
 // cross-process writer lock, and indexes every record that landed. The
-// lock-held resync makes the index entries point where the records
+// lock-held reconcile makes the index entries point where the records
 // actually landed even when other processes append to the same
 // directory. It returns how many leading records were committed: all
 // of them, or after a short write of n bytes every whole record below
@@ -659,7 +621,9 @@ func (s *segStore) appendBatch(buf []byte, recs []pendingRec) (int, error) {
 		return 0, err
 	}
 	defer lk.release()
-	s.resyncLocked()
+	if size := s.reconcile(); size > s.size {
+		s.size = size // quiescent under the writer lock: torn bytes are dead space
+	}
 	if s.wf == nil {
 		wf, err := os.OpenFile(s.segPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -667,7 +631,7 @@ func (s *segStore) appendBatch(buf []byte, recs []pendingRec) (int, error) {
 		}
 		s.wf = wf
 	}
-	// Under the lock the resync'd counter IS the physical EOF, which is
+	// Under the lock the reconciled counter IS the physical EOF, which is
 	// where this O_APPEND write lands.
 	off := s.size
 	n, werr := fsfault.Write("segstore.append.write", s.wf, buf)
@@ -694,7 +658,7 @@ func (s *segStore) appendBatch(buf []byte, recs []pendingRec) (int, error) {
 // flushIndex rewrites the sidecar atomically if the index changed since
 // the last write, under the directory writer lock so the sidecar's
 // cover point and entries reflect a quiescent segment (the lock-held
-// resync folds in any foreign appends first — a sidecar must never
+// reconcile folds in any foreign appends first — a sidecar must never
 // hide another writer's records below its cover point). Called once
 // per grid run (runGridIncrementalStats), not per record. Failure —
 // including failure to get the lock — is silent: the sidecar is an
@@ -711,9 +675,11 @@ func (s *segStore) flushIndex() {
 		return
 	}
 	defer lk.release()
-	s.resyncLocked()
+	if size := s.reconcile(); size > s.size {
+		s.size = size // quiescent under the writer lock: torn bytes are dead space
+	}
 	if s.dirty == 0 {
-		return // the resync replaced our state with an already-covered one
+		return // the reconcile replaced our state with an already-covered one
 	}
 	if s.writeSidecar() == nil {
 		s.dirty = 0
@@ -795,7 +761,7 @@ func (s *segStore) compact() (CompactStats, error) {
 	// the directory itself, or even the lock file) where no cache state
 	// exists.
 	if len(s.index) == 0 {
-		removeSegmentTempFiles(s.dir)
+		removeTempFiles(s.dir, 0)
 		return st, nil
 	}
 
@@ -807,7 +773,9 @@ func (s *segStore) compact() (CompactStats, error) {
 	// Fold in anything other processes appended since we last looked:
 	// compaction rewrites the whole store, so its input must be every
 	// writer's records, not just ours.
-	s.resyncLocked()
+	if size := s.reconcile(); size > s.size {
+		s.size = size // quiescent under the writer lock: torn bytes are dead space
+	}
 
 	oldSegBytes := int64(0)
 	if fi, err := os.Stat(s.segPath()); err == nil {
@@ -903,7 +871,7 @@ func (s *segStore) compact() (CompactStats, error) {
 
 	// Reclaim any temp files a crashed writer (or interrupted
 	// compaction) left behind.
-	removeSegmentTempFiles(s.dir)
+	removeTempFiles(s.dir, 0)
 
 	st.Records = len(newIndex)
 	st.SegmentBytes = off
@@ -923,32 +891,19 @@ func isSegmentTempName(name string) bool {
 	return strings.HasPrefix(name, ".cell-") || strings.HasPrefix(name, ".seg-") || strings.HasPrefix(name, ".idx-")
 }
 
-// removeSegmentTempFiles deletes leftover temp files from crashed
-// writers, unconditionally — compaction and purge call it, and both
-// already hold (or just invalidated) the store's state.
-func removeSegmentTempFiles(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range entries {
-		if !ent.IsDir() && isSegmentTempName(ent.Name()) {
-			os.Remove(filepath.Join(dir, ent.Name()))
-		}
-	}
-}
-
 // staleTempMaxAge is how old a temp file must be before a normal store
 // open removes it as crash litter. In-flight temps are seconds old
 // (one sidecar or compaction write); an hour of age means the writer
 // that owned it is long gone.
 const staleTempMaxAge = time.Hour
 
-// sweepStaleTempFiles removes crash litter on a normal store open —
-// age-guarded, unlike the compaction-time sweep, because another LIVE
-// writer's in-flight temp may be sitting in the directory right now
-// and deleting it would fail that writer's rename.
-func sweepStaleTempFiles(dir string) {
+// removeTempFiles deletes the store's temp files older than minAge from
+// dir. Compaction and purge pass 0: they hold (or just invalidated) the
+// store's state, so every temp there is crash litter. A normal store
+// open passes staleTempMaxAge, because another LIVE writer's in-flight
+// temp may be sitting in the directory right now and deleting it would
+// fail that writer's rename.
+func removeTempFiles(dir string, minAge time.Duration) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
@@ -957,8 +912,11 @@ func sweepStaleTempFiles(dir string) {
 		if ent.IsDir() || !isSegmentTempName(ent.Name()) {
 			continue
 		}
-		if info, err := ent.Info(); err == nil && time.Since(info.ModTime()) > staleTempMaxAge {
-			os.Remove(filepath.Join(dir, ent.Name()))
+		if minAge > 0 {
+			if info, err := ent.Info(); err != nil || time.Since(info.ModTime()) <= minAge {
+				continue
+			}
 		}
+		os.Remove(filepath.Join(dir, ent.Name()))
 	}
 }

@@ -34,7 +34,7 @@ func segEntryOf(t *testing.T, dir string, a Axes, cellIdx int) (key segKey, e se
 	t.Helper()
 	na := a.normalized()
 	cells := na.Cells()
-	fp := cellFingerprint(na.experiment(cells[cellIdx]))
+	fp := cellFingerprint(na.Experiment(cells[cellIdx]))
 	key = fingerprintSegKey(fp)
 	s := segmentStore(dir)
 	s.mu.Lock()
@@ -310,7 +310,7 @@ func writeLooseCellFiles(t *testing.T, dir string, a Axes) []GridRow {
 	}
 	na := a.normalized()
 	for _, row := range g.Rows {
-		fp := cellFingerprint(na.experiment(row.Cell))
+		fp := cellFingerprint(na.Experiment(row.Cell))
 		raw, err := json.Marshal(row.SweepRow)
 		if err != nil {
 			t.Fatal(err)
@@ -522,7 +522,7 @@ var segCorruptionCases = map[string]func(t *testing.T, dir string, a Axes) int{
 	"v2/v3 mixed segment": func(t *testing.T, dir string, a Axes) int {
 		na := a.normalized()
 		cell := na.Cells()[6]
-		fp := cellFingerprint(na.experiment(cell))
+		fp := cellFingerprint(na.Experiment(cell))
 		row, ok := loadOne(segmentStore(dir), fp, cell)
 		if !ok {
 			t.Fatal("cell 6 not loadable from the seeded segment")
@@ -699,7 +699,7 @@ func seedV2SegmentRecords(t *testing.T, dir string, a Axes) []GridRow {
 	var seg []byte
 	idx := legacyJSONSidecar{Version: "repro-cells/v2", Entries: map[string][2]int64{}}
 	for i, c := range na.Cells() {
-		fp := cellFingerprint(na.experiment(c))
+		fp := cellFingerprint(na.Experiment(c))
 		rec := encodeLegacySegRecord(t, fp, cold.Rows[i].SweepRow)
 		key := fingerprintSegKey(fp)
 		idx.Entries[hex.EncodeToString(key[:])] = [2]int64{int64(len(seg)), int64(len(rec))}
@@ -1060,7 +1060,7 @@ func TestCloseDiskCacheReleasesStore(t *testing.T) {
 	}
 	na := a.normalized()
 	cell := na.Cells()[0]
-	if _, ok := loadOne(segmentStore(dir), cellFingerprint(na.experiment(cell)), cell); !ok {
+	if _, ok := loadOne(segmentStore(dir), cellFingerprint(na.Experiment(cell)), cell); !ok {
 		t.Fatal("seeded cell not loadable")
 	}
 

@@ -52,7 +52,7 @@ func assertAxesEquivalent(t *testing.T, label string, flat, hop Axes) {
 	}
 	nf, nh := flat.normalized(), hop.normalized()
 	for i := range fc {
-		ef, eh := nf.experiment(fc[i]), nh.experiment(hc[i])
+		ef, eh := nf.Experiment(fc[i]), nh.Experiment(hc[i])
 		if ef != eh {
 			t.Fatalf("%s: cell %d experiment diverged\n got %+v\nwant %+v", label, i, eh, ef)
 		}
@@ -66,7 +66,7 @@ func assertAxesEquivalent(t *testing.T, label string, flat, hop Axes) {
 // actually runs, each expressed through every hop role.
 func TestSingleHopEquivalenceRealAxes(t *testing.T) {
 	sets := map[string]Axes{
-		"default sweep": AxesFromSweep(DefaultSweep()),
+		"default sweep": DefaultSweep(),
 		"fastAxes":      fastAxes(),
 		"subAxes":       subAxes(),
 	}

@@ -10,41 +10,22 @@ import (
 	"repro/internal/units"
 )
 
-// SweepConfig is the paper's Table 2: the full parameter sweep of the
-// congestion experiments.
-type SweepConfig struct {
-	Duration      time.Duration
-	Concurrencies []int // simultaneous clients per second
-	ParallelFlows []int // TCP flows per client
-	TransferSize  units.ByteSize
-	Strategy      Strategy
-	Net           tcpsim.Config
-	// KeepClientResults retains the full per-client *Result on every
-	// SweepRow. Default off: large sweeps (and anything held by the grid
-	// cache) would otherwise pin every client transfer in memory. The
-	// compact per-row TransferTimes — all AllTransferTimes needs — is
-	// recorded regardless.
-	KeepClientResults bool
-}
-
-// DefaultSweep mirrors Table 2: duration 10 s, concurrency 1–8, parallel
-// flows {2,4,8}, 0.5 GB transfers, 25 Gbps link, 16 ms RTT — 24
-// experiments.
-func DefaultSweep() SweepConfig {
-	return SweepConfig{
+// DefaultSweep mirrors Table 2 as a grid: duration 10 s, concurrency
+// 1–8, parallel flows {2,4,8}, 0.5 GB transfers, 25 Gbps link, 16 ms
+// RTT — 24 experiments, the congestion sweep's plane of the grid.
+func DefaultSweep() Axes {
+	return Axes{
 		Duration:      10 * time.Second,
 		Concurrencies: []int{1, 2, 3, 4, 5, 6, 7, 8},
 		ParallelFlows: []int{2, 4, 8},
-		TransferSize:  0.5 * units.GB,
+		TransferSizes: []units.ByteSize{0.5 * units.GB},
 		Strategy:      SpawnSimultaneous,
 		Net:           tcpsim.DefaultConfig(),
 	}
 }
 
-// Size returns the number of experiments in the sweep.
-func (s SweepConfig) Size() int { return len(s.Concurrencies) * len(s.ParallelFlows) }
-
-// SweepRow is one experiment outcome within a sweep.
+// SweepRow is one experiment outcome: the measurements every grid row
+// carries.
 type SweepRow struct {
 	Concurrency   int
 	ParallelFlows int
@@ -57,25 +38,17 @@ type SweepRow struct {
 	SSS           float64
 	// TransferTimes holds every client's transfer duration (seconds) in
 	// client order — the population behind Fig. 3's CDF — at 8 bytes per
-	// client regardless of KeepClientResults.
+	// client.
 	TransferTimes []float64
-	// Result is the full experiment output; nil unless
-	// SweepConfig.KeepClientResults is set.
-	Result *Result
-}
-
-// SweepResult is the completed Table 2 sweep.
-type SweepResult struct {
-	Config SweepConfig
-	Rows   []SweepRow
 }
 
 // SeriesByFlows returns one (utilization, worst-case seconds) series per
-// parallel-flow count — the series of Fig. 2.
-func (s *SweepResult) SeriesByFlows() []stats.Series {
+// parallel-flow count, pooling every network point — the series of
+// Fig. 2.
+func (g *GridResult) SeriesByFlows() []stats.Series {
 	byP := make(map[int]*stats.Series)
 	var order []int
-	for _, row := range s.Rows {
+	for _, row := range g.Rows {
 		ser, ok := byP[row.ParallelFlows]
 		if !ok {
 			ser = &stats.Series{Name: fmt.Sprintf("P=%d", row.ParallelFlows)}
@@ -93,13 +66,11 @@ func (s *SweepResult) SeriesByFlows() []stats.Series {
 	return out
 }
 
-// AllTransferTimes pools every client transfer time across the sweep —
-// the population behind the paper's Fig. 3 CDF. It reads the compact
-// per-row TransferTimes, so it works whether or not the sweep kept full
-// client results.
-func (s *SweepResult) AllTransferTimes() *stats.Sample {
+// AllTransferTimes pools every client transfer time across the grid —
+// the population behind the paper's Fig. 3 CDF.
+func (g *GridResult) AllTransferTimes() *stats.Sample {
 	sample := stats.NewSample()
-	for _, row := range s.Rows {
+	for _, row := range g.Rows {
 		for _, d := range row.TransferTimes {
 			sample.Add(d)
 		}
@@ -107,16 +78,20 @@ func (s *SweepResult) AllTransferTimes() *stats.Sample {
 	return sample
 }
 
-// FitCurve fits a core.SSSCurve from the sweep's (offered load, worst)
-// observations, pooling all parallel-flow counts (ties keep the worst
-// time). Offered load — not measured utilization — is the x-axis
-// because it is what §5's arithmetic uses ("2 GB/s on 25 Gbps = 64%"),
-// and because measured utilization saturates near 1 under overload,
-// which would fold distinct congestion levels onto one x value.
-func (s *SweepResult) FitCurve() (*core.SSSCurve, error) {
-	pts := make([]core.CurvePoint, 0, len(s.Rows))
-	for _, row := range s.Rows {
+// FitCurve fits a core.SSSCurve from a one-network-point grid's
+// (offered load, worst) observations, pooling all parallel-flow counts
+// (ties keep the worst time). Offered load — not measured utilization —
+// is the x-axis because it is what §5's arithmetic uses ("2 GB/s on
+// 25 Gbps = 64%"), and because measured utilization saturates near 1
+// under overload, which would fold distinct congestion levels onto one
+// x value.
+func (g *GridResult) FitCurve() (*core.SSSCurve, error) {
+	if n := g.Axes.NetPoints(); n != 1 {
+		return nil, fmt.Errorf("workload: fitting a curve needs one network point, grid has %d", n)
+	}
+	pts := make([]core.CurvePoint, 0, len(g.Rows))
+	for _, row := range g.Rows {
 		pts = append(pts, core.CurvePoint{Utilization: row.OfferedLoad, Worst: row.Worst})
 	}
-	return core.FitSSSCurve(s.Config.TransferSize, s.Config.Net.Capacity, pts)
+	return core.FitSSSCurve(g.Axes.TransferSizes[0], g.Axes.Net.Capacity, pts)
 }

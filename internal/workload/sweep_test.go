@@ -8,7 +8,7 @@ import (
 )
 
 // fastSweep shrinks Table 2 for unit tests: 2 s duration, fewer cells.
-func fastSweep() SweepConfig {
+func fastSweep() Axes {
 	cfg := DefaultSweep()
 	cfg.Duration = 2 * time.Second
 	cfg.Concurrencies = []int{1, 4, 8}
@@ -24,8 +24,8 @@ func TestDefaultSweepMatchesTable2(t *testing.T) {
 	if cfg.Duration != 10*time.Second {
 		t.Errorf("duration = %v", cfg.Duration)
 	}
-	if cfg.TransferSize != 0.5*units.GB {
-		t.Errorf("size = %v", cfg.TransferSize)
+	if len(cfg.TransferSizes) != 1 || cfg.TransferSizes[0] != 0.5*units.GB {
+		t.Errorf("sizes = %v", cfg.TransferSizes)
 	}
 	if cfg.Net.Capacity != 25*units.Gbps {
 		t.Errorf("capacity = %v", cfg.Net.Capacity)
@@ -37,7 +37,7 @@ func TestDefaultSweepMatchesTable2(t *testing.T) {
 
 func TestRunSweep(t *testing.T) {
 	cfg := fastSweep()
-	res, err := RunSweepCached(cfg, 0)
+	res, err := RunGridCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +58,13 @@ func TestRunSweep(t *testing.T) {
 func TestRunSweepEmptyAxes(t *testing.T) {
 	cfg := fastSweep()
 	cfg.Concurrencies = nil
-	if _, err := RunSweepCached(cfg, 0); err == nil {
+	if _, err := RunGridCached(cfg, 0); err == nil {
 		t.Fatal("empty axes accepted")
 	}
 }
 
 func TestSeriesByFlows(t *testing.T) {
-	res, err := RunSweepCached(fastSweep(), 0)
+	res, err := RunGridCached(fastSweep(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSeriesByFlows(t *testing.T) {
 
 func TestAllTransferTimes(t *testing.T) {
 	cfg := fastSweep()
-	res, err := RunSweepCached(cfg, 0)
+	res, err := RunGridCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAllTransferTimes(t *testing.T) {
 }
 
 func TestFitCurveFromSweep(t *testing.T) {
-	res, err := RunSweepCached(fastSweep(), 0)
+	res, err := RunGridCached(fastSweep(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +129,17 @@ func TestFitCurveFromSweep(t *testing.T) {
 	if hi <= lo {
 		t.Fatalf("curve not increasing: %v at 10%% vs %v at 100%%", lo, hi)
 	}
+	// One curve per network point: pooling two RTTs' rows would mix
+	// two congestion curves.
+	two := fastSweep()
+	two.RTTs = []time.Duration{8 * time.Millisecond, 32 * time.Millisecond}
+	g, err := RunGridCached(two, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.FitCurve(); err == nil {
+		t.Fatal("FitCurve pooled a two-point grid")
+	}
 }
 
 func TestSweepNonLinearKnee(t *testing.T) {
@@ -138,7 +149,7 @@ func TestSweepNonLinearKnee(t *testing.T) {
 	cfg := fastSweep()
 	cfg.Concurrencies = []int{1, 5, 8} // 16%, 80%, 128% offered
 	cfg.ParallelFlows = []int{8}
-	res, err := RunSweepCached(cfg, 0)
+	res, err := RunGridCached(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

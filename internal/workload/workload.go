@@ -163,9 +163,10 @@ func EngineRunCount() int64 { return engineRuns.Load() }
 // RunWithEngine executes the experiment on a caller-owned simulation
 // engine, so sweep drivers amortize the engine's buffers across many
 // cells (zero steady-state allocations in the congestion loop). Results
-// are identical to Run; the engine must not be used concurrently.
+// are identical to Run; the engine must not be used concurrently. The
+// Result owns its buffers: it runs on a scratch of its own.
 func RunWithEngine(e Experiment, eng *tcpsim.Engine) (*Result, error) {
-	return runWithEngineScratch(e, eng, nil)
+	return runWithEngineScratch(e, eng, &runScratch{})
 }
 
 // clientAgg accumulates one client's flows while aggregating a
@@ -184,7 +185,8 @@ type clientAgg struct {
 // belongs to one worker goroutine; the Result it backs is overwritten
 // by the next cell, so scratch-backed Results must be condensed (into a
 // SweepRow) before the worker moves on — runExperimentRow does exactly
-// that, and refuses the scratch when rows pin client results.
+// that. RunWithEngine hands each run a fresh scratch, so its Result is
+// the caller's to keep.
 type runScratch struct {
 	specs    []tcpsim.FlowSpec
 	byClient []clientAgg
@@ -193,9 +195,8 @@ type runScratch struct {
 	sample   stats.Sample
 }
 
-// runWithEngineScratch is RunWithEngine with an optional scratch (nil
-// allocates fresh buffers — the public API's behavior). Outputs are
-// bit-identical either way; only ownership of the Result differs.
+// runWithEngineScratch is RunWithEngine on a caller-owned scratch. The
+// returned Result lives in sc and is overwritten by sc's next run.
 func runWithEngineScratch(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -223,12 +224,7 @@ func runSimultaneous(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result,
 	}
 	perFlow := units.ByteSize(e.TransferSize.Bytes() / float64(e.ParallelFlows))
 	nClients := seconds * e.Concurrency
-	var specs []tcpsim.FlowSpec
-	if sc != nil {
-		specs = sc.specs[:0]
-	} else {
-		specs = make([]tcpsim.FlowSpec, 0, nClients*e.ParallelFlows)
-	}
+	specs := sc.specs[:0]
 	client := 0
 	for sec := 0; sec < seconds; sec++ {
 		for k := 0; k < e.Concurrency; k++ {
@@ -243,9 +239,7 @@ func runSimultaneous(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result,
 			client++
 		}
 	}
-	if sc != nil {
-		sc.specs = specs // keep the grown capacity for the next cell
-	}
+	sc.specs = specs // keep the grown capacity for the next cell
 	simRes, err := eng.Run(e.Net, specs)
 	if err != nil {
 		return nil, fmt.Errorf("workload: simulating %d flows: %w", len(specs), err)
@@ -254,16 +248,11 @@ func runSimultaneous(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result,
 	// Aggregate flows into clients: a client finishes when its last
 	// flow does. Client IDs are dense (0..nClients-1), so a slice
 	// replaces the seed's per-cell maps.
-	var byClient []clientAgg
-	if sc != nil {
-		if cap(sc.byClient) < nClients {
-			sc.byClient = make([]clientAgg, nClients)
-		}
-		byClient = sc.byClient[:nClients]
-		clear(byClient)
-	} else {
-		byClient = make([]clientAgg, nClients)
+	if cap(sc.byClient) < nClients {
+		sc.byClient = make([]clientAgg, nClients)
 	}
+	byClient := sc.byClient[:nClients]
+	clear(byClient)
 	for _, f := range simRes.Flows {
 		c := clientOf(f.ID)
 		a := &byClient[c]
@@ -274,14 +263,8 @@ func runSimultaneous(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result,
 		a.retransmits += f.Retransmits
 		a.flows++
 	}
-	var res *Result
-	if sc != nil {
-		res = &sc.res
-		*res = Result{Experiment: e, DroppedBytes: simRes.DroppedBytes, Clients: sc.clients[:0]}
-	} else {
-		res = &Result{Experiment: e, DroppedBytes: simRes.DroppedBytes,
-			Clients: make([]ClientResult, 0, nClients)}
-	}
+	res := &sc.res
+	*res = Result{Experiment: e, DroppedBytes: simRes.DroppedBytes, Clients: sc.clients[:0]}
 	for c := 0; c < client; c++ {
 		a := &byClient[c]
 		if a.flows == 0 {
@@ -299,9 +282,7 @@ func runSimultaneous(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result,
 			Retransmits: a.retransmits,
 		})
 	}
-	if sc != nil {
-		sc.clients = res.Clients // appends may have regrown the backing array
-	}
+	sc.clients = res.Clients // appends may have regrown the backing array
 	util, err := simRes.MeanUtilization(e.Net)
 	if err != nil {
 		return nil, fmt.Errorf("workload: utilization: %w", err)
@@ -324,13 +305,8 @@ func runScheduled(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result, er
 	}
 	solo := soloFCT.Seconds()
 
-	var res *Result
-	if sc != nil {
-		res = &sc.res
-		*res = Result{Experiment: e, Clients: sc.clients[:0]}
-	} else {
-		res = &Result{Experiment: e}
-	}
+	res := &sc.res
+	*res = Result{Experiment: e, Clients: sc.clients[:0]}
 	linkFree := 0.0
 	client := 0
 	for sec := 0; sec < seconds; sec++ {
@@ -353,9 +329,7 @@ func runScheduled(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result, er
 			client++
 		}
 	}
-	if sc != nil {
-		sc.clients = res.Clients
-	}
+	sc.clients = res.Clients
 	// Utilization: payload over makespan at link rate.
 	makespan := linkFree
 	capBps := e.Net.Capacity.ByteRate().BytesPerSecond()
