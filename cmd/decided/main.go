@@ -27,7 +27,8 @@
 // including their engine runs — flushes the segment index sidecar, and,
 // with -cache-stats, prints the same cache-stats line the grid CLIs
 // print. -compact-cache runs the shared standalone maintenance mode
-// instead of serving.
+// instead of serving: it takes no flag but -cache-dir, and any other
+// flag set with it is refused by name.
 package main
 
 import (
@@ -72,18 +73,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	if *compactCache {
-		// Refuse every run-shaped flag rather than silently dropping it
-		// — the contract the grid CLIs follow.
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if err := scenario.CompactCacheConflicts("decided", []scenario.RunFlag{
-			{Name: "-listen", Set: set["listen"]},
-			{Name: "-max-inflight", Set: set["max-inflight"]},
-			{Name: "-cache-stats", Set: *cacheStats},
-		}); err != nil {
-			return err
-		}
-		return scenario.RunCompactCache(out, *cacheDir)
+		return scenario.RunCompactCache(fs, out, *cacheDir)
 	}
 
 	dir, err := workload.ResolveCacheDir(*cacheDir)

@@ -38,7 +38,8 @@
 //	cache-stats: cells=48 memo=0 disk=0 segment=48 engine-runs=0 lock-waits=0 index-load=312µs bytes-read=6144
 //
 // -compact-cache rewrites the segment file without its dead space,
-// then exits:
+// then exits. It is a standalone mode that takes no flag but
+// -cache-dir; any other flag set with it is refused by name:
 //
 //	ssslab -compact-cache [-cache-dir DIR]
 //
@@ -106,18 +107,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *compactCache {
-		// Refuse every run-shaped flag rather than silently dropping it
-		// — the same rule -cache-stats follows outside grid mode.
-		if err := scenario.CompactCacheConflicts("ssslab", append([]scenario.RunFlag{
-			{Name: "-grid", Set: *grid},
-			{Name: "-portfolio", Set: *portfolioPath != ""},
-			{Name: "-mode live", Set: *mode == "live"},
-			{Name: "-cache-stats", Set: *cacheStats},
-			{Name: "-csv", Set: *csvPath != ""},
-		}, axisFlags.RunFlags()...)); err != nil {
-			return err
-		}
-		return scenario.RunCompactCache(out, *cacheDir)
+		return scenario.RunCompactCache(fs, out, *cacheDir)
 	}
 
 	switch *mode {
@@ -180,8 +170,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-grid/-portfolio are sim-mode only (live loopback has no scenario axes)")
 		}
 		if *cacheStats {
-			return scenario.CacheStatsRequires("-cache-stats is sim-mode only",
-				"ssslab [-grid] -cache-stats ...", "live loopback never touches the sweep caches")
+			return fmt.Errorf("-cache-stats is sim-mode only (usage: ssslab [-grid] -cache-stats ...; live loopback never touches the sweep caches)")
 		}
 		size := 8 * units.MB
 		if *sizeStr != "" {

@@ -249,10 +249,14 @@ func TestCompactCacheFlagConflicts(t *testing.T) {
 		{"-compact-cache", "-edge-caps", "10Gbps,60Gbps"},
 		{"-compact-cache", "-wan-rtts", "20ms,60ms"},
 		{"-compact-cache", "-ingress-buffers", "auto,4MB"},
+		{"-compact-cache", "-seconds", "5"},
+		{"-compact-cache", "-theta", "2"},
 	} {
 		var out strings.Builder
-		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "usage:") {
-			t.Errorf("run(%v) error = %v, want standalone-mode usage error", args, err)
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "standalone maintenance mode") ||
+			!strings.Contains(err.Error(), "usage:") || !strings.Contains(err.Error(), args[1]) {
+			t.Errorf("run(%v) error = %v, want standalone-mode usage error naming %s", args, err, args[1])
 		}
 	}
 	// And with persistence off there is nothing to compact.

@@ -44,8 +44,12 @@
 // overlapping grid of an earlier one — recomputes only cells never seen
 // before; warm portfolio runs perform zero simulations. Pass
 // -cache-stats to see how a grid run was served (cells from memo / the
-// segment file vs engine runs), and -compact-cache to rewrite the
-// segment without its dead space.
+// segment file vs engine runs). -compact-cache rewrites the segment
+// without its dead space, then exits; it is a standalone mode that
+// takes no flag but -cache-dir, and any other flag set with it is
+// refused by name:
+//
+//	streamdecide -compact-cache [-cache-dir DIR]
 package main
 
 import (
@@ -102,24 +106,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *compactCache {
-		// Refuse every run-shaped flag rather than silently dropping it
-		// — the same rule -cache-stats follows outside grid mode.
-		if err := scenario.CompactCacheConflicts("streamdecide", append([]scenario.RunFlag{
-			{Name: "-grid", Set: *grid},
-			{Name: "-portfolio", Set: *portfolioPath != ""},
-			{Name: "-config", Set: *configPath != ""},
-			{Name: "-cache-stats", Set: *cacheStats},
-			{Name: "-csv", Set: *csvPath != ""},
-			{Name: "-json", Set: *jsonPath != ""},
-			{Name: "-prefilter", Set: *prefilter != 0},
-		}, axisFlags.RunFlags()...)); err != nil {
-			return err
-		}
-		return scenario.RunCompactCache(out, *cacheDir)
+		return scenario.RunCompactCache(fs, out, *cacheDir)
 	}
 	if *cacheStats && !*grid {
-		return scenario.CacheStatsRequires("-cache-stats requires -grid",
-			"streamdecide -grid [-cache-stats] ...", "only grid runs touch the sweep caches")
+		return fmt.Errorf("-cache-stats requires -grid (usage: streamdecide -grid [-cache-stats] ...; only grid runs touch the sweep caches)")
 	}
 	if *grid && *configPath != "" {
 		return fmt.Errorf("-grid and -config are mutually exclusive (a portfolio row has its own transfer rate)")

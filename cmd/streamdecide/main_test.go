@@ -277,10 +277,14 @@ func TestCompactCacheFlagConflicts(t *testing.T) {
 		{"-compact-cache", "-wan-rtts", "20ms,60ms"},
 		{"-compact-cache", "-ingress-buffers", "auto,4MB"},
 		{"-compact-cache", "-prefilter", "0.25"},
+		{"-compact-cache", "-size", "1GB"},
+		{"-compact-cache", "-tier", "2"},
 	} {
 		var out strings.Builder
-		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "usage:") {
-			t.Errorf("run(%v) error = %v, want standalone-mode usage error", args, err)
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "standalone maintenance mode") ||
+			!strings.Contains(err.Error(), "usage:") || !strings.Contains(err.Error(), args[1]) {
+			t.Errorf("run(%v) error = %v, want standalone-mode usage error naming %s", args, err, args[1])
 		}
 	}
 }

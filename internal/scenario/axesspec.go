@@ -23,9 +23,10 @@ import (
 
 // AxesSpec holds raw CLI axis lists. An empty field leaves the
 // corresponding axis of the base grid untouched; a set field replaces
-// it. The JSON tags mirror the flag names exactly, so a decided service
-// request speaks the same axis vocabulary as the CLIs — "concs" in a
-// JSON body and -concs on a command line parse through the same code.
+// it. Each JSON tag is the flag name with '-' spelled '_' (see
+// axisFlags), so a decided service request speaks the same axis
+// vocabulary as the CLIs — "concs" in a JSON body and -concs on a
+// command line parse through the same code.
 // The hop fields (Hops, EdgeCaps, WANRTTs, IngressBuffers) are the
 // multi-hop extension and require "schema":"v2" in service bodies; see
 // V2Fields.
@@ -50,41 +51,69 @@ type AxesSpec struct {
 	IngressBuffers string `json:"ingress_buffers,omitempty"` // e.g. "auto,4MB"
 }
 
+// axisFlag is one row of the axis vocabulary: the flag name (its JSON
+// name is the same with '-' spelled '_'), the help text, whether a
+// service body needs schema v2 to set it, the AxesSpec field holding
+// its raw list, and how a parsed list lands on workload.Axes.
+type axisFlag struct {
+	name  string
+	help  string
+	v2    bool
+	field func(*AxesSpec) *string
+	apply func(a *workload.Axes, name, list string) error
+}
+
+// axisFlags is the one declaration of every axis flag, in flag order:
+// Register, V2Fields and Apply all walk it, so no surface can list a
+// different vocabulary.
+var axisFlags = [...]axisFlag{
+	{"concs", "grid axis: concurrency list, e.g. 1,4,8", false,
+		func(f *AxesSpec) *string { return &f.Concs },
+		func(a *workload.Axes, n, s string) error { return setList(&a.Concurrencies, n, s, strconv.Atoi) }},
+	{"pflows", "grid axis: parallel-flow list, e.g. 2,8", false,
+		func(f *AxesSpec) *string { return &f.Flows },
+		func(a *workload.Axes, n, s string) error { return setList(&a.ParallelFlows, n, s, strconv.Atoi) }},
+	{"sizes", "grid axis: transfer-size list, e.g. 0.5GB,2GB", false,
+		func(f *AxesSpec) *string { return &f.Sizes },
+		func(a *workload.Axes, n, s string) error { return setList(&a.TransferSizes, n, s, units.ParseByteSize) }},
+	{"rtts", "grid axis: base RTT list, e.g. 8ms,16ms,64ms", false,
+		func(f *AxesSpec) *string { return &f.RTTs },
+		func(a *workload.Axes, n, s string) error { return setList(&a.RTTs, n, s, time.ParseDuration) }},
+	{"buffers", "grid axis: bottleneck buffer list, e.g. auto,2MB", false,
+		func(f *AxesSpec) *string { return &f.Buffers },
+		func(a *workload.Axes, n, s string) error { return setList(&a.Buffers, n, s, parseBuffer) }},
+	{"ccs", "grid axis: congestion-control list (reno, cubic)", false,
+		func(f *AxesSpec) *string { return &f.CCs },
+		func(a *workload.Axes, n, s string) error { return setList(&a.CCs, n, s, tcpsim.ParseCongestionControl) }},
+	{"crosses", "grid axis: cross-traffic fraction list, e.g. 0,0.3", false,
+		func(f *AxesSpec) *string { return &f.Crosses },
+		func(a *workload.Axes, n, s string) error { return setList(&a.CrossFractions, n, s, parseFloat) }},
+	{"hops", "path topology: role:capacity:rtt[:buffer[:cross]] hops, e.g. edge:10Gbps:2ms:1MB,wan:100Gbps:30ms:8MB:0.3", true,
+		func(f *AxesSpec) *string { return &f.Hops },
+		func(a *workload.Axes, _, s string) error {
+			path, err := ParsePath(s)
+			if len(path) > 0 {
+				a.Path = path
+			}
+			return err
+		}},
+	{"edge-caps", "hop axis: edge uplink capacity list, e.g. 10Gbps,60Gbps", true,
+		func(f *AxesSpec) *string { return &f.EdgeCaps },
+		func(a *workload.Axes, n, s string) error { return setList(&a.EdgeCaps, n, s, units.ParseBitRate) }},
+	{"wan-rtts", "hop axis: WAN RTT list, e.g. 20ms,60ms", true,
+		func(f *AxesSpec) *string { return &f.WANRTTs },
+		func(a *workload.Axes, n, s string) error { return setList(&a.WANRTTs, n, s, time.ParseDuration) }},
+	{"ingress-buffers", "hop axis: facility-ingress buffer list, e.g. auto,4MB", true,
+		func(f *AxesSpec) *string { return &f.IngressBuffers },
+		func(a *workload.Axes, n, s string) error { return setList(&a.IngressBuffers, n, s, parseBuffer) }},
+}
+
 // Register installs the grid axis flags on a FlagSet. Every -grid CLI
 // registers through here, so adding an axis (or renaming a flag) cannot
 // leave the CLIs accepting different grid vocabularies.
 func (f *AxesSpec) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Concs, "concs", "", "grid axis: concurrency list, e.g. 1,4,8")
-	fs.StringVar(&f.Flows, "pflows", "", "grid axis: parallel-flow list, e.g. 2,8")
-	fs.StringVar(&f.Sizes, "sizes", "", "grid axis: transfer-size list, e.g. 0.5GB,2GB")
-	fs.StringVar(&f.RTTs, "rtts", "", "grid axis: base RTT list, e.g. 8ms,16ms,64ms")
-	fs.StringVar(&f.Buffers, "buffers", "", "grid axis: bottleneck buffer list, e.g. auto,2MB")
-	fs.StringVar(&f.CCs, "ccs", "", "grid axis: congestion-control list (reno, cubic)")
-	fs.StringVar(&f.Crosses, "crosses", "", "grid axis: cross-traffic fraction list, e.g. 0,0.3")
-	fs.StringVar(&f.Hops, "hops", "",
-		"path topology: role:capacity:rtt[:buffer[:cross]] hops, e.g. edge:10Gbps:2ms:1MB,wan:100Gbps:30ms:8MB:0.3")
-	fs.StringVar(&f.EdgeCaps, "edge-caps", "", "hop axis: edge uplink capacity list, e.g. 10Gbps,60Gbps")
-	fs.StringVar(&f.WANRTTs, "wan-rtts", "", "hop axis: WAN RTT list, e.g. 20ms,60ms")
-	fs.StringVar(&f.IngressBuffers, "ingress-buffers", "", "hop axis: facility-ingress buffer list, e.g. auto,4MB")
-}
-
-// RunFlags lists every axis flag with whether the invocation set it, in
-// the shape CompactCacheConflicts consumes — so the CLIs' standalone
-// -compact-cache mode refuses the whole axis vocabulary without
-// hand-maintaining (and drifting) a per-CLI list.
-func (f AxesSpec) RunFlags() []RunFlag {
-	return []RunFlag{
-		{Name: "-concs", Set: f.Concs != ""},
-		{Name: "-pflows", Set: f.Flows != ""},
-		{Name: "-sizes", Set: f.Sizes != ""},
-		{Name: "-rtts", Set: f.RTTs != ""},
-		{Name: "-buffers", Set: f.Buffers != ""},
-		{Name: "-ccs", Set: f.CCs != ""},
-		{Name: "-crosses", Set: f.Crosses != ""},
-		{Name: "-hops", Set: f.Hops != ""},
-		{Name: "-edge-caps", Set: f.EdgeCaps != ""},
-		{Name: "-wan-rtts", Set: f.WANRTTs != ""},
-		{Name: "-ingress-buffers", Set: f.IngressBuffers != ""},
+	for _, r := range axisFlags {
+		fs.StringVar(r.field(f), r.name, "", r.help)
 	}
 }
 
@@ -94,17 +123,10 @@ func (f AxesSpec) RunFlags() []RunFlag {
 // silently ignored.
 func (f AxesSpec) V2Fields() []string {
 	var out []string
-	if f.Hops != "" {
-		out = append(out, "hops")
-	}
-	if f.EdgeCaps != "" {
-		out = append(out, "edge_caps")
-	}
-	if f.WANRTTs != "" {
-		out = append(out, "wan_rtts")
-	}
-	if f.IngressBuffers != "" {
-		out = append(out, "ingress_buffers")
+	for _, r := range axisFlags {
+		if r.v2 && *r.field(&f) != "" {
+			out = append(out, strings.ReplaceAll(r.name, "-", "_"))
+		}
 	}
 	return out
 }
@@ -124,26 +146,8 @@ func GridHeader(a workload.Axes) string {
 		len(a.CrossFractions), len(a.ParallelFlows), len(a.Concurrencies))
 }
 
-// parseList parses a comma-separated list with one value parser,
-// trimming blanks. An empty list parses to nil.
-func parseList[T any](flag, s string, parse func(string) (T, error)) ([]T, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []T
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		v, err := parse(tok)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %s %q: %w", flag, tok, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+// parseFloat parses one cross-fraction token.
+func parseFloat(tok string) (float64, error) { return strconv.ParseFloat(tok, 64) }
 
 // parseBuffer parses one buffer-axis token; "auto" selects tcpsim's
 // half-BDP default (ByteSize 0).
@@ -204,14 +208,29 @@ func ParsePath(spec string) (tcpsim.Path, error) {
 	return p, nil
 }
 
-// setList parses one axis list and, when it is non-empty, replaces the
-// grid axis *dst with it.
-func setList[T any](dst *[]T, flag, s string, parse func(string) (T, error)) error {
-	vals, err := parseList(flag, s, parse)
+// setList parses a comma-separated axis list with one value parser,
+// trimming blanks, and when the list is non-empty replaces the grid
+// axis *dst with it. Errors cite the list as flag -name.
+func setList[T any](dst *[]T, name, s string, parse func(string) (T, error)) error {
+	if strings.TrimSpace(s) == "" {
+		return nil
+	}
+	var vals []T
+	for _, tok := range strings.Split(s, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		v, err := parse(tok)
+		if err != nil {
+			return fmt.Errorf("scenario: -%s %q: %w", name, tok, err)
+		}
+		vals = append(vals, v)
+	}
 	if len(vals) > 0 {
 		*dst = vals
 	}
-	return err
+	return nil
 }
 
 // Apply parses the lists onto a base grid and returns the result. A
@@ -219,26 +238,8 @@ func setList[T any](dst *[]T, flag, s string, parse func(string) (T, error)) err
 // base unchanged.
 func (f AxesSpec) Apply(base workload.Axes) (workload.Axes, error) {
 	a := base
-	path, pathErr := ParsePath(f.Hops)
-	if len(path) > 0 {
-		a.Path = path
-	}
-	for _, err := range [...]error{
-		setList(&a.Concurrencies, "-concs", f.Concs, strconv.Atoi),
-		setList(&a.ParallelFlows, "-pflows", f.Flows, strconv.Atoi),
-		setList(&a.TransferSizes, "-sizes", f.Sizes, units.ParseByteSize),
-		setList(&a.RTTs, "-rtts", f.RTTs, time.ParseDuration),
-		setList(&a.Buffers, "-buffers", f.Buffers, parseBuffer),
-		setList(&a.CCs, "-ccs", f.CCs, tcpsim.ParseCongestionControl),
-		setList(&a.CrossFractions, "-crosses", f.Crosses, func(tok string) (float64, error) {
-			return strconv.ParseFloat(tok, 64)
-		}),
-		pathErr,
-		setList(&a.EdgeCaps, "-edge-caps", f.EdgeCaps, units.ParseBitRate),
-		setList(&a.WANRTTs, "-wan-rtts", f.WANRTTs, time.ParseDuration),
-		setList(&a.IngressBuffers, "-ingress-buffers", f.IngressBuffers, parseBuffer),
-	} {
-		if err != nil {
+	for _, r := range axisFlags {
+		if err := r.apply(&a, r.name, *r.field(&f)); err != nil {
 			return base, err
 		}
 	}

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -192,29 +194,32 @@ func TestAxesSpecV2Fields(t *testing.T) {
 	if got := (AxesSpec{Concs: "2", RTTs: "8ms"}).V2Fields(); len(got) != 0 {
 		t.Errorf("legacy fields flagged as v2: %v", got)
 	}
-	f := AxesSpec{Hops: twoHopSpec, EdgeCaps: "10Gbps", WANRTTs: "30ms", IngressBuffers: "auto"}
+	var f AxesSpec
+	for _, r := range axisFlags {
+		*r.field(&f) = "x"
+	}
 	got := strings.Join(f.V2Fields(), ",")
 	if got != "hops,edge_caps,wan_rtts,ingress_buffers" {
 		t.Errorf("V2Fields = %q", got)
 	}
 }
 
-func TestAxesSpecRunFlags(t *testing.T) {
-	f := AxesSpec{RTTs: "8ms", Hops: twoHopSpec}
-	set := 0
-	names := make(map[string]bool)
-	for _, rf := range f.RunFlags() {
-		names[rf.Name] = true
-		if rf.Set {
-			set++
+// TestAxisFlagsMatchJSONTags: every AxesSpec field has exactly one row
+// in axisFlags, and its JSON name (the one encoding/json reads from the
+// struct tag) is the row's flag name with '-' spelled '_'.
+func TestAxisFlagsMatchJSONTags(t *testing.T) {
+	if n := reflect.TypeOf(AxesSpec{}).NumField(); n != len(axisFlags) {
+		t.Fatalf("AxesSpec has %d fields, axisFlags %d rows", n, len(axisFlags))
+	}
+	for _, r := range axisFlags {
+		var f AxesSpec
+		*r.field(&f) = "x"
+		got, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if set != 2 {
-		t.Errorf("set flags = %d, want 2", set)
-	}
-	for _, want := range []string{"-rtts", "-hops", "-edge-caps", "-wan-rtts", "-ingress-buffers"} {
-		if !names[want] {
-			t.Errorf("RunFlags missing %s", want)
+		if want := `{"` + strings.ReplaceAll(r.name, "-", "_") + `":"x"}`; string(got) != want {
+			t.Errorf("-%s: JSON %s, want %s", r.name, got, want)
 		}
 	}
 }

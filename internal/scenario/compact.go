@@ -1,11 +1,12 @@
 package scenario
 
-// Cache-maintenance entry point shared by the grid CLIs, next to
-// AxisFlags for the same reason: ssslab and streamdecide must present
-// one cache vocabulary, so the -compact-cache behavior (resolution,
-// error wording, summary format) lives here once.
+// Cache-maintenance entry point shared by the CLIs, next to AxesSpec
+// for the same reason: ssslab, streamdecide and decided must present
+// one cache vocabulary, so the -compact-cache behavior (the standalone
+// rule, resolution, error wording, summary format) lives here once.
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -14,47 +15,24 @@ import (
 	"repro/internal/workload"
 )
 
-// RunFlag names one run-shaped flag a CLI checked against a standalone
-// mode: Name as the user spells it ("-grid", "-mode live"), Set whether
-// the invocation used it.
-type RunFlag struct {
-	Name string
-	Set  bool
-}
-
-// CompactCacheConflicts validates -compact-cache's standalone-mode
-// contract for any CLI: if the invocation also set run-shaped flags,
-// refuse with the shared wording (naming every flag the mode excludes,
-// so the user sees the full contract, not just the flag that tripped
-// it) rather than silently dropping them. Hoisted here so ssslab,
-// streamdecide, and decided cannot drift apart in behavior or wording.
-func CompactCacheConflicts(tool string, flags []RunFlag) error {
-	conflict := false
-	names := make([]string, 0, len(flags))
-	for _, f := range flags {
-		names = append(names, f.Name)
-		conflict = conflict || f.Set
+// RunCompactCache implements the CLIs' standalone -compact-cache mode
+// over the invocation's parsed FlagSet. Every flag the invocation set
+// other than -compact-cache and -cache-dir is refused by name rather
+// than silently dropped, so ssslab, streamdecide and decided cannot
+// drift apart. Otherwise it resolves the cache directory the way every
+// grid run does, folds dead segment space out of a fresh segment file
+// + index sidecar, and reports what was reclaimed.
+func RunCompactCache(fs *flag.FlagSet, out io.Writer, cacheDirFlag string) error {
+	var extra []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "compact-cache" && f.Name != "cache-dir" {
+			extra = append(extra, "-"+f.Name)
+		}
+	})
+	if len(extra) > 0 {
+		return fmt.Errorf("-compact-cache is a standalone maintenance mode (usage: %s -compact-cache [-cache-dir DIR]; drop %s)",
+			fs.Name(), strings.Join(extra, "/"))
 	}
-	if !conflict {
-		return nil
-	}
-	return fmt.Errorf("-compact-cache is a standalone maintenance mode (usage: %s -compact-cache [-cache-dir DIR]; drop %s)",
-		tool, strings.Join(names, "/"))
-}
-
-// CacheStatsRequires is the shared wording for a -cache-stats request
-// in a mode that never touches the sweep caches: headline states the
-// rule, usage shows a correct invocation, reason says why the mode is
-// excluded.
-func CacheStatsRequires(headline, usage, reason string) error {
-	return fmt.Errorf("%s (usage: %s; %s)", headline, usage, reason)
-}
-
-// RunCompactCache implements the CLIs' -compact-cache mode: resolve the
-// cache directory the way every grid run does, fold dead segment space
-// out of a fresh segment file + index sidecar, and report what was
-// reclaimed.
-func RunCompactCache(out io.Writer, cacheDirFlag string) error {
 	dir, err := workload.ResolveCacheDir(cacheDirFlag)
 	if err != nil {
 		return err

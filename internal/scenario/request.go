@@ -20,6 +20,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -204,6 +205,9 @@ func (r DecideRequest) Lower() (Workload, *workload.Axes, error) {
 	if n := a.Size(); n != 1 {
 		return w, nil, fmt.Errorf("scenario: cell spec lowers to %d cells, want exactly 1 (POST /v1/portfolio decides whole grids)", n)
 	}
+	if err := checkCellFlows(a); err != nil {
+		return w, nil, err
+	}
 	// DecidePortfolio replaces the transfer side per cell (bandwidth =
 	// the grid link, transfer_rate = the measured effective rate), so a
 	// cell-mode request may omit both; fill parseable placeholders.
@@ -219,6 +223,34 @@ func (r DecideRequest) Lower() (Workload, *workload.Axes, error) {
 		return w, nil, err
 	}
 	return w, &a, nil
+}
+
+// maxCellFlows bounds the work of one requested cell. duration_s ×
+// concurrency × parallel flows is the number of flow specs the engine
+// builds before its first round, so without it one cell of a
+// MaxCells-sized request could exhaust the server's memory. The
+// largest cell any shipped gate or benchmark sends is 3 s × 4 × 8 = 96.
+const maxCellFlows = 1 << 16
+
+// checkCellFlows rejects validated axes whose largest cell would
+// simulate more than maxCellFlows flows. The product is bounded factor
+// by factor, so it cannot overflow; a non-positive factor means no
+// flows, which the cell's own experiment validation rejects.
+func checkCellFlows(a workload.Axes) error {
+	secs := int(a.Duration / time.Second)
+	conc, flows := slices.Max(a.Concurrencies), slices.Max(a.ParallelFlows)
+	n := 1
+	for _, f := range [...]int{secs, conc, flows} {
+		if f <= 0 {
+			return nil
+		}
+		if f > maxCellFlows/n {
+			return fmt.Errorf("scenario: a cell of %d s x %d clients/s x %d flows exceeds the %d-flow limit per cell",
+				secs, conc, flows, maxCellFlows)
+		}
+		n *= f
+	}
+	return nil
 }
 
 // validateWorkload runs a workload through the same parsers the
@@ -431,6 +463,9 @@ func (r PortfolioRequest) Lower() (*Portfolio, workload.Axes, error) {
 		return nil, workload.Axes{}, err
 	}
 	if err := a.Validate(); err != nil {
+		return nil, workload.Axes{}, err
+	}
+	if err := checkCellFlows(a); err != nil {
 		return nil, workload.Axes{}, err
 	}
 	return pf, a, nil

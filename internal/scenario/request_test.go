@@ -7,8 +7,12 @@ package scenario
 // behavior those handlers delegate to.
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -120,12 +124,7 @@ func TestDecideRequestSchemaGate(t *testing.T) {
 }
 
 func TestPortfolioRequestSchemaGate(t *testing.T) {
-	file := File{Workloads: []Workload{func() Workload {
-		w := cellWorkload()
-		w.Bandwidth = "25Gbps"
-		w.TransferRate = "2GB/s"
-		return w
-	}()}}
+	file := File{Workloads: []Workload{portfolioWorkload()}}
 	req := PortfolioRequest{
 		Portfolio: file,
 		Grid:      GridSpec{DurationS: 1, AxesSpec: AxesSpec{Hops: twoHopSpec, WANRTTs: "20ms,60ms"}},
@@ -143,12 +142,9 @@ func TestPortfolioRequestSchemaGate(t *testing.T) {
 	}
 }
 
-// TestPortfolioRequestRejectsCellCountOverflow: a ~32 KB body whose
-// axes multiply to 1024⁶·16 = 2⁶⁴ cells is a request error. An unchecked
-// product wraps to exactly 0 and passes every cell budget, so the
-// server would go on to enumerate the grid; the test therefore stops at
-// Lower and Size and never enumerates cells.
-func TestPortfolioRequestRejectsCellCountOverflow(t *testing.T) {
+// overflowPortfolioBody is a /v1/portfolio body whose axes multiply to
+// 1024⁶·16 = 2⁶⁴ cells.
+func overflowPortfolioBody() string {
 	list := func(n int, format func(i int) string) string {
 		vals := make([]string, n)
 		for i := range vals {
@@ -156,7 +152,7 @@ func TestPortfolioRequestRejectsCellCountOverflow(t *testing.T) {
 		}
 		return strings.Join(vals, ",")
 	}
-	body := fmt.Sprintf(`{"grid":{"duration_s":1,"concs":%q,"pflows":%q,"sizes":%q,"rtts":%q,"buffers":%q,"ccs":%q,"crosses":%q},`+
+	return fmt.Sprintf(`{"grid":{"duration_s":1,"concs":%q,"pflows":%q,"sizes":%q,"rtts":%q,"buffers":%q,"ccs":%q,"crosses":%q},`+
 		`"portfolio":{"workloads":[{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17e12,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}]}}`,
 		list(1024, func(i int) string { return strconv.Itoa(i + 1) }),
 		list(1024, func(i int) string { return strconv.Itoa(i%999 + 1) }),
@@ -165,6 +161,15 @@ func TestPortfolioRequestRejectsCellCountOverflow(t *testing.T) {
 		list(1024, func(i int) string { return fmt.Sprintf("%dKB", i+1) }),
 		list(1024, func(i int) string { return [...]string{"reno", "cubic"}[i%2] }),
 		list(16, func(i int) string { return strconv.FormatFloat(float64(i)/100, 'g', -1, 64) }))
+}
+
+// TestPortfolioRequestRejectsCellCountOverflow: a ~32 KB body whose
+// axes multiply to 1024⁶·16 = 2⁶⁴ cells is a request error. An unchecked
+// product wraps to exactly 0 and passes every cell budget, so the
+// server would go on to enumerate the grid; the test therefore stops at
+// Lower and Size and never enumerates cells.
+func TestPortfolioRequestRejectsCellCountOverflow(t *testing.T) {
+	body := overflowPortfolioBody()
 	var req PortfolioRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
@@ -176,6 +181,189 @@ func TestPortfolioRequestRejectsCellCountOverflow(t *testing.T) {
 	if !strings.Contains(err.Error(), "cell count overflows int") {
 		t.Fatalf("Lower error = %v, want the cell-count overflow", err)
 	}
+}
+
+// TestLowerBoundsCellFlows: a cell whose duration_s × concurrency ×
+// parallel flows exceeds maxCellFlows is a request error, in both
+// request kinds. Each rejected request here would otherwise build
+// billions of flow specs before the engine's first round, so the test
+// stops at Lower.
+func TestLowerBoundsCellFlows(t *testing.T) {
+	for name, cell := range map[string]GridSpec{
+		"duration":    {DurationS: 1e9},
+		"concurrency": {AxesSpec: AxesSpec{Concs: "100000000"}},
+		"one past":    {DurationS: maxCellFlows/32 + 1},
+	} {
+		_, _, err := DecideRequest{Workload: cellWorkload(), Cell: &cell}.Lower()
+		if err == nil || !strings.Contains(err.Error(), "flow limit per cell") {
+			t.Errorf("decide %s: err = %v, want the per-cell flow limit", name, err)
+		}
+		pr := PortfolioRequest{Portfolio: File{Workloads: []Workload{portfolioWorkload()}}, Grid: cell}
+		if _, _, err := pr.Lower(); err == nil || !strings.Contains(err.Error(), "flow limit per cell") {
+			t.Errorf("portfolio %s: err = %v, want the per-cell flow limit", name, err)
+		}
+	}
+	// The largest cell of a grid counts, not its first.
+	pr := PortfolioRequest{Portfolio: File{Workloads: []Workload{portfolioWorkload()}},
+		Grid: GridSpec{DurationS: 1, AxesSpec: AxesSpec{Concs: "2,100000000"}}}
+	if _, _, err := pr.Lower(); err == nil || !strings.Contains(err.Error(), "flow limit per cell") {
+		t.Errorf("portfolio with one oversized cell: err = %v", err)
+	}
+	// A cell of exactly maxCellFlows flows (2048 s × 4 × 8) is accepted.
+	if _, _, err := (DecideRequest{Workload: cellWorkload(), Cell: &GridSpec{DurationS: maxCellFlows / 32}}).Lower(); err != nil {
+		t.Errorf("cell at the bound: %v", err)
+	}
+}
+
+// portfolioWorkload is cellWorkload with the transfer side a portfolio
+// row carries.
+func portfolioWorkload() Workload {
+	w := cellWorkload()
+	w.Bandwidth = "25Gbps"
+	w.TransferRate = "2GB/s"
+	return w
+}
+
+// decodeBody decodes a request body the way the service does: unknown
+// fields and trailing data are errors.
+func decodeBody(body []byte, into any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing data after JSON document")
+	}
+	return nil
+}
+
+// gridV2Set lists the JSON names of a grid spec's set v2-only fields,
+// written out here independently of the axis table.
+func gridV2Set(g GridSpec) []string {
+	var out []string
+	for name, set := range map[string]bool{
+		"hops":            g.Hops != "",
+		"edge_caps":       g.EdgeCaps != "",
+		"wan_rtts":        g.WANRTTs != "",
+		"ingress_buffers": g.IngressBuffers != "",
+		"concurrency":     g.Concurrency != 0,
+		"parallel_flows":  g.PFlows != 0,
+		"strategy":        g.Strategy != "",
+	} {
+		if set {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// checkSchemaGate asserts that a v1 (or unversioned) request setting a
+// v2 field was rejected with an error naming one of those fields.
+func checkSchemaGate(t *testing.T, schema string, v2 []string, err error) {
+	t.Helper()
+	if (schema != "" && schema != "v1") || len(v2) == 0 {
+		return
+	}
+	if err == nil {
+		t.Fatalf("schema %q request with v2 fields %v accepted", schema, v2)
+	}
+	for _, name := range v2 {
+		if strings.Contains(err.Error(), `"`+name+`"`) {
+			return
+		}
+	}
+	t.Fatalf("schema %q request with v2 fields %v: error %q names none of them", schema, v2, err)
+}
+
+// checkCellBound asserts that every cell of accepted axes simulates at
+// most maxCellFlows flows, computing the largest cell's count in
+// floating point so that no product can wrap.
+func checkCellBound(t *testing.T, a workload.Axes) {
+	t.Helper()
+	secs, conc, flows := float64(a.Duration/time.Second), float64(slices.Max(a.Concurrencies)), float64(slices.Max(a.ParallelFlows))
+	if secs > 0 && conc > 0 && flows > 0 && secs*conc*flows > maxCellFlows {
+		t.Fatalf("accepted a cell of %g s x %g x %g flows, over the %d-flow bound", secs, conc, flows, maxCellFlows)
+	}
+}
+
+// FuzzLowerRequest lowers arbitrary bodies as both request kinds. Lower
+// never panics; an accepted request is a valid grid whose cells stay
+// within maxCellFlows (exactly one cell for /v1/decide); and a v1 body
+// that sets a v2 field is rejected naming it. Lower runs no engine, so
+// any body is cheap to try.
+func FuzzLowerRequest(f *testing.F) {
+	const w = `"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}`
+	const xpcs = `"workload":{"name":"XPCS","unit_size":"2GB","complexity_flop_per_gb":17e12,"local":"5TF","remote":"100TF"}`
+	example, err := os.ReadFile("../../examples/portfolio/portfolio.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		// internal/service/service_test.go
+		`{"workload":{"name":"w"},"surprise":1}`,
+		`{"workload":{"name":"w"}} trailing`,
+		`{"workload":{"name":"w","unit_size":"many","local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}}`,
+		`{"workload":{"name":"w","unit_size":"2GB","local":"5TF","remote":"100TF"},"cell":{"rtts":"8ms,32ms"}}`,
+		`{"schema":"v1",` + w + `}`,
+		`{` + w + `,"cell":{"duration_s":1,"size":"0.5GB","concs":"2","pflows":"2"}}`,
+		`{` + w + `,"cell":{"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms"}}`,
+		`{` + w + `,"cell":{"edge_caps":"10Gbps"}}`,
+		`{` + w + `,"cell":{"wan_rtts":"30ms"}}`,
+		`{` + w + `,"cell":{"concurrency":2}}`,
+		`{` + w + `,"cell":{"duration_s":1},"prefilter":0.25}`,
+		`{"schema":"v3",` + w + `}`,
+		`{"portfolio":{"workloads":[{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}]},"grid":{"duration_s":1,"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms"}}`,
+		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms"},"prefilter":0.25}`,
+		`{"schema":"v2",` + w + `,"cell":{"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms","rtts":"8ms"}}`,
+		`{"schema":"v2",` + w + `,"cell":{"hops":"wan:100Gbps:30ms","edge_caps":"10Gbps"}}`,
+		`{"schema":"v2",` + w + `,"cell":{"hops":"edge:10Gbps:2ms,ingress:40Gbps:1ms","wan_rtts":"20ms"}}`,
+		`{"schema":"v2","portfolio":{"workloads":[{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}]},"grid":{"duration_s":1,"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms","buffers":"auto,2MB"}}`,
+		// internal/scenario/request_test.go
+		`{"schema":"v2",` + w + `,"cell":{"duration_s":2,"concurrency":3,"parallel_flows":5,"strategy":"scheduled","hops":"edge:10Gbps:2ms:1MB,wan:100Gbps:30ms:8MB:0.3","edge_caps":"10Gbps,60Gbps"}}`,
+		`{` + w + `,"cell":{"duration_s":1000000000}}`,
+		overflowPortfolioBody(),
+		// scripts/loadcheck.sh
+		`{` + xpcs + `,"cell":{"duration_s":1,"concs":"2","rtts":"8ms","crosses":"0"}}`,
+		`{` + xpcs + `,"cell":{"duration_s":1,"concs":"2","rtts":"32ms","crosses":"0.15"}}`,
+		`{"name":"portfolio","grid":{"duration_s":1,"concs":"2,4","rtts":"8ms,64ms","crosses":"0,0.3"},"portfolio":` + string(example) + `}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var dr DecideRequest
+		if decodeBody(body, &dr) == nil {
+			_, a, err := dr.Lower()
+			var v2 []string
+			if dr.Cell != nil {
+				v2 = gridV2Set(*dr.Cell)
+			}
+			if dr.Prefilter != 0 {
+				v2 = append(v2, "prefilter")
+			}
+			checkSchemaGate(t, dr.Schema, v2, err)
+			if err == nil && a != nil {
+				if err := a.Validate(); err != nil {
+					t.Fatalf("accepted cell fails Validate: %v", err)
+				}
+				if n := a.Size(); n != 1 {
+					t.Fatalf("accepted cell request lowers to %d cells", n)
+				}
+				checkCellBound(t, *a)
+			}
+		}
+		var pr PortfolioRequest
+		if decodeBody(body, &pr) == nil {
+			_, a, err := pr.Lower()
+			checkSchemaGate(t, pr.Schema, gridV2Set(pr.Grid), err)
+			if err == nil {
+				if err := a.Validate(); err != nil {
+					t.Fatalf("accepted portfolio grid fails Validate: %v", err)
+				}
+				checkCellBound(t, a)
+			}
+		}
+	})
 }
 
 // TestDecideAtCellPlacement: a v2 single-cell multi-hop request carries

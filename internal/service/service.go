@@ -24,8 +24,8 @@
 // Graceful shutdown is the caller's (cmd/decided's) job via
 // http.Server.Shutdown, which stops new connections and drains
 // in-flight handlers — and with them any engine runs — before
-// returning; the caller then flushes the segment index sidecar once
-// (workload.FlushDiskCache).
+// returning; the caller then flushes the segment index sidecar once and
+// releases the resident store (workload.CloseDiskCache).
 package service
 
 import (

@@ -1,8 +1,10 @@
 package tcpsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -59,8 +61,7 @@ type Engine struct {
 	timeouts   []int
 
 	// Sort scratch: spec indices, stable-ordered by arrival.
-	order    []int32
-	orderTmp []int32
+	order []int32
 
 	// Per-round scratch by active index, reused every round.
 	offered []float64
@@ -69,11 +70,10 @@ type Engine struct {
 	endT    []float64 // finish time of a flow that finished this round
 
 	// Result storage, reused across runs.
-	finished    []FlowResult
-	finishedTmp []FlowResult
-	counters    stats.LinkCounters
-	qx, qy      []float64 // QueueDepth backing, reused when RecordQueue
-	res         Result
+	finished []FlowResult
+	counters stats.LinkCounters
+	qx, qy   []float64 // QueueDepth backing, reused when RecordQueue
+	res      Result
 
 	soloSpecs []FlowSpec // scratch for SoloClientFCT
 }
@@ -109,20 +109,17 @@ func (e *Engine) grow(n int) {
 		e.retrans = make([]int64, 0, c)
 		e.timeouts = make([]int, 0, c)
 		e.order = make([]int32, n, c)
-		e.orderTmp = make([]int32, n, c)
 		e.offered = make([]float64, n, c)
 		e.lost = make([]float64, n, c)
 		e.weights = make([]float64, n, c)
 		e.endT = make([]float64, n, c)
 		e.finished = make([]FlowResult, 0, c)
-		e.finishedTmp = make([]FlowResult, n, c)
 		return
 	}
 	e.id = e.id[:n]
 	e.arrival = e.arrival[:n]
 	e.size = e.size[:n]
 	e.order = e.order[:n]
-	e.orderTmp = e.orderTmp[:n]
 	e.offered = e.offered[:n]
 	e.lost = e.lost[:n]
 	e.weights = e.weights[:n]
@@ -141,73 +138,6 @@ func (e *Engine) keepActive(k int) {
 	e.kCubic = e.kCubic[:k]
 	e.retrans = e.retrans[:k]
 	e.timeouts = e.timeouts[:k]
-}
-
-// mergeSortStable sorts a in place via bottom-up merges through tmp
-// (len(tmp) >= len(a)), allocation-free. Merges take from the left run
-// on ties, so equal keys keep input order — the same stability contract
-// as sort.SliceStable. The comparison context rides in ctx through a
-// static function value: a capturing closure here would heap-allocate
-// and break the engine's zero-alloc contract.
-func mergeSortStable[T, C any](a, tmp []T, ctx C, less func(C, *T, *T) bool) {
-	n := len(a)
-	x, y := a, tmp[:n]
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := mid + width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if less(ctx, &x[j], &x[i]) {
-					y[k] = x[j]
-					j++
-				} else {
-					y[k] = x[i]
-					i++
-				}
-				k++
-			}
-			for i < mid {
-				y[k] = x[i]
-				i++
-				k++
-			}
-			for j < hi {
-				y[k] = x[j]
-				j++
-				k++
-			}
-		}
-		x, y = y, x
-	}
-	if n > 0 && &x[0] != &a[0] {
-		copy(a, x)
-	}
-}
-
-func slotArrivalLess(specs []FlowSpec, x, y *int32) bool {
-	return specs[*x].Arrival < specs[*y].Arrival
-}
-
-func finishedLess(_ struct{}, x, y *FlowResult) bool {
-	if x.Arrival != y.Arrival {
-		return x.Arrival < y.Arrival
-	}
-	return x.ID < y.ID
-}
-
-// sortSlotsByArrival stable-sorts order by specs arrival. Stability
-// matches the original sort.SliceStable: equal arrivals keep spec order,
-// which fixes both the RNG draw order and the finish order of
-// simultaneous flows.
-func sortSlotsByArrival(order, tmp []int32, specs []FlowSpec) {
-	mergeSortStable(order, tmp, specs, slotArrivalLess)
 }
 
 // activate moves flows whose arrival has passed from the pending queue
@@ -255,16 +185,6 @@ func (e *Engine) cubicOnLoss(i int, now, mss float64) {
 	e.kCubic[i] = math.Cbrt(e.wmaxSeg[i] * (1 - cubicBeta) / cubicC)
 }
 
-// sortFinishedStable stable-sorts the finished slice by (Arrival, ID).
-// Equal keys keep finish order — the tie-break sort.SliceStable applied.
-func (e *Engine) sortFinishedStable() {
-	n := len(e.finished)
-	if cap(e.finishedTmp) < n {
-		e.finishedTmp = make([]FlowResult, n)
-	}
-	mergeSortStable(e.finished, e.finishedTmp[:n], struct{}{}, finishedLess)
-}
-
 // Run simulates the flows over the shared bottleneck, reusing the
 // engine's buffers. The returned Result is engine-owned: it is valid
 // until the next Run/SoloClientFCT call on this engine.
@@ -304,7 +224,13 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 	for i := range e.order {
 		e.order[i] = int32(i)
 	}
-	sortSlotsByArrival(e.order, e.orderTmp, specs)
+	// Stable, like the original sort.SliceStable: equal arrivals keep
+	// spec order, which fixes both the RNG draw order and the finish
+	// order of simultaneous flows. slices.SortStableFunc sorts in place
+	// without allocating.
+	slices.SortStableFunc(e.order, func(x, y int32) int {
+		return cmp.Compare(specs[x].Arrival, specs[y].Arrival)
+	})
 	for k, idx := range e.order {
 		s := specs[idx]
 		e.id[k] = s.ID
@@ -544,7 +470,14 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		queue = 0
 	}
 
-	e.sortFinishedStable()
+	// Order results by (Arrival, ID); equal keys keep finish order, the
+	// tie-break sort.SliceStable applied.
+	slices.SortStableFunc(e.finished, func(x, y FlowResult) int {
+		if c := cmp.Compare(x.Arrival, y.Arrival); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.ID, y.ID)
+	})
 	e.res.Flows = e.finished
 	e.res.Duration = t
 	if cfg.RecordQueue {

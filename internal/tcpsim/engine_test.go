@@ -2,7 +2,6 @@ package tcpsim
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -263,34 +262,5 @@ func TestEngineResultAliasing(t *testing.T) {
 	}
 	if ra.Duration == firstDuration {
 		t.Fatal("engine result unexpectedly not reused (contract changed? update docs)")
-	}
-}
-
-// TestSortSlotsByArrival exercises the allocation-free stable sort
-// directly: random keys against the stdlib stable sort, with duplicate
-// arrivals to verify stability.
-func TestSortSlotsByArrival(t *testing.T) {
-	rng := sim.NewRNG(3)
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(97)
-		specs := make([]FlowSpec, n)
-		for i := range specs {
-			specs[i] = FlowSpec{ID: i, Arrival: math.Floor(rng.Float64()*10) / 2} // many ties
-		}
-		order := make([]int32, n)
-		tmp := make([]int32, n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sortSlotsByArrival(order, tmp, specs)
-		for i := 1; i < n; i++ {
-			a, b := specs[order[i-1]], specs[order[i]]
-			if a.Arrival > b.Arrival {
-				t.Fatalf("trial %d: unsorted at %d", trial, i)
-			}
-			if a.Arrival == b.Arrival && order[i-1] > order[i] {
-				t.Fatalf("trial %d: unstable at %d (slots %d, %d)", trial, i, order[i-1], order[i])
-			}
-		}
 	}
 }

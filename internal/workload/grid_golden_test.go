@@ -11,6 +11,7 @@ package workload
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -86,15 +87,44 @@ func gridGoldenDump(t *testing.T) string {
 		fmt.Fprintf(&b, "grid %s\n", g.name)
 		fmt.Fprintf(&b, "fingerprint %s\n", g.axes.Fingerprint())
 		fmt.Fprintf(&b, "netpoints %d size %d\n", g.axes.NetPoints(), g.axes.Size())
-		// The file was written while Axes still had a KeepClientResults
-		// field; its "false" term stays as a fixed token, like the
-		// fingerprint's ";keep=false".
-		fmt.Fprintf(&b, "normalized %s KeepClientResults:false}\n", strings.TrimSuffix(fmt.Sprintf("%+v", n), "}"))
+		fmt.Fprintf(&b, "normalized %s\n", normalizedValues(n))
 		for _, c := range g.axes.Cells() {
 			fmt.Fprintf(&b, "cell %+v %s\n", c, cellFingerprint(n.Experiment(c)))
 		}
 	}
 	return b.String()
+}
+
+// normalizedValues renders every field of normalized axes by name with
+// its exact value — integer nanoseconds and FormatFloat(x, 'g', -1, 64)
+// floats, as Fingerprint does — so a field added to, removed from or
+// renamed in Axes or tcpsim.Config moves no line of the golden file
+// unless a value moves.
+func normalizedValues(n Axes) string {
+	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	b := fmt.Appendf(nil, "Duration=%d", int64(n.Duration))
+	b = appendList(b, " Concurrencies=", n.Concurrencies, appendInt)
+	b = appendList(b, " ParallelFlows=", n.ParallelFlows, appendInt)
+	b = appendList(b, " TransferSizes=", n.TransferSizes, appendFloat)
+	b = appendList(b, " RTTs=", n.RTTs, appendInt)
+	b = appendList(b, " Buffers=", n.Buffers, appendFloat)
+	b = appendList(b, " CCs=", n.CCs, appendInt)
+	b = appendList(b, " CrossFractions=", n.CrossFractions, appendFloat)
+	b = fmt.Appendf(b, " Strategy=%d", int(n.Strategy))
+	net := n.Net
+	b = fmt.Appendf(b, " Net.Capacity=%s Net.BaseRTT=%d Net.MSS=%s Net.Buffer=%s Net.InitCwndSegments=%d Net.RTO=%d Net.Seed=%d Net.MaxTime=%s",
+		f(float64(net.Capacity)), int64(net.BaseRTT), f(float64(net.MSS)), f(float64(net.Buffer)),
+		net.InitCwndSegments, int64(net.RTO), net.Seed, f(net.MaxTime))
+	b = fmt.Appendf(b, " Net.Cross.Fraction=%s Net.Cross.Period=%d Net.Cross.Duty=%s Net.Cross.PhaseJitter=%t Net.RecordQueue=%t Net.CC=%d",
+		f(net.Cross.Fraction), int64(net.Cross.Period), f(net.Cross.Duty), net.Cross.PhaseJitter, net.RecordQueue, int(net.CC))
+	for i, h := range n.Path {
+		b = fmt.Appendf(b, " Path[%d].Role=%s Path[%d].Capacity=%s Path[%d].RTT=%d Path[%d].Buffer=%s Path[%d].CrossFraction=%s",
+			i, h.Role, i, f(float64(h.Capacity)), i, int64(h.RTT), i, f(float64(h.Buffer)), i, f(h.CrossFraction))
+	}
+	b = appendList(b, " EdgeCaps=", n.EdgeCaps, appendFloat)
+	b = appendList(b, " WANRTTs=", n.WANRTTs, appendInt)
+	b = appendList(b, " IngressBuffers=", n.IngressBuffers, appendFloat)
+	return string(b)
 }
 
 func TestGridGolden(t *testing.T) {

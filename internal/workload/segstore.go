@@ -561,26 +561,16 @@ func RefreshDiskCache(dir string) {
 	segmentStore(dir).refresh()
 }
 
-// FlushDiskCache rewrites dir's segment index sidecar if this process
-// changed the index since the last write — the graceful-shutdown hook
-// for long-lived processes, which otherwise flush only once per grid
-// run. Failure is silent, like every sidecar write: the tail scan
-// recovers everything the sidecar would have said. dir "" is a no-op.
-func FlushDiskCache(dir string) {
-	if dir == "" {
-		return
-	}
-	segmentStore(dir).flushIndex()
-}
-
-// CloseDiskCache flushes dir's segment index sidecar (FlushDiskCache)
-// and then releases the directory's resident store entirely: file
-// handles closed, in-memory index freed, registry entry removed. This
-// is the clean-shutdown hook for long-lived processes (cmd/decided) —
-// without it a server that touched many cache directories over its
-// lifetime keeps every index resident forever. A later access to the
-// same directory in the same process simply reloads from disk. dir ""
-// is a no-op.
+// CloseDiskCache rewrites dir's segment index sidecar if this process
+// changed the index since the last write, then releases the directory's
+// resident store entirely: file handles closed, in-memory index freed,
+// registry entry removed. This is the clean-shutdown hook for
+// long-lived processes (cmd/decided) — without it a server that touched
+// many cache directories over its lifetime keeps every index resident
+// forever. A sidecar write failure is silent: the tail scan recovers
+// everything the sidecar would have said. A later access to the same
+// directory in the same process simply reloads from disk. dir "" is a
+// no-op.
 func CloseDiskCache(dir string) {
 	if dir == "" {
 		return
