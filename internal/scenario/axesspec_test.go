@@ -155,6 +155,7 @@ func TestParsePath(t *testing.T) {
 
 func TestAxesSpecHopApply(t *testing.T) {
 	base := workload.Axes{
+		Duration:      time.Second,
 		Concurrencies: []int{4},
 		ParallelFlows: []int{8},
 		TransferSizes: []units.ByteSize{0.5 * units.GB},

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -184,7 +183,7 @@ func TestPortfolioRequestRejectsCellCountOverflow(t *testing.T) {
 }
 
 // TestLowerBoundsCellFlows: a cell whose duration_s × concurrency ×
-// parallel flows exceeds maxCellFlows is a request error, in both
+// parallel flows exceeds workload.MaxCellFlows is a request error, in both
 // request kinds. Each rejected request here would otherwise build
 // billions of flow specs before the engine's first round, so the test
 // stops at Lower.
@@ -192,7 +191,7 @@ func TestLowerBoundsCellFlows(t *testing.T) {
 	for name, cell := range map[string]GridSpec{
 		"duration":    {DurationS: 1e9},
 		"concurrency": {AxesSpec: AxesSpec{Concs: "100000000"}},
-		"one past":    {DurationS: maxCellFlows/32 + 1},
+		"one past":    {DurationS: workload.MaxCellFlows/32 + 1},
 	} {
 		_, _, err := DecideRequest{Workload: cellWorkload(), Cell: &cell}.Lower()
 		if err == nil || !strings.Contains(err.Error(), "flow limit per cell") {
@@ -209,8 +208,8 @@ func TestLowerBoundsCellFlows(t *testing.T) {
 	if _, _, err := pr.Lower(); err == nil || !strings.Contains(err.Error(), "flow limit per cell") {
 		t.Errorf("portfolio with one oversized cell: err = %v", err)
 	}
-	// A cell of exactly maxCellFlows flows (2048 s × 4 × 8) is accepted.
-	if _, _, err := (DecideRequest{Workload: cellWorkload(), Cell: &GridSpec{DurationS: maxCellFlows / 32}}).Lower(); err != nil {
+	// A cell of exactly workload.MaxCellFlows flows (2048 s × 4 × 8) is accepted.
+	if _, _, err := (DecideRequest{Workload: cellWorkload(), Cell: &GridSpec{DurationS: workload.MaxCellFlows / 32}}).Lower(); err != nil {
 		t.Errorf("cell at the bound: %v", err)
 	}
 }
@@ -276,22 +275,29 @@ func checkSchemaGate(t *testing.T, schema string, v2 []string, err error) {
 	t.Fatalf("schema %q request with v2 fields %v: error %q names none of them", schema, v2, err)
 }
 
-// checkCellBound asserts that every cell of accepted axes simulates at
-// most maxCellFlows flows, computing the largest cell's count in
-// floating point so that no product can wrap.
-func checkCellBound(t *testing.T, a workload.Axes) {
+// checkCells asserts that every cell of accepted axes passes its own
+// experiment's validation, the rule set a cell meets when it runs.
+// Grids over 4,096 cells, the server's default budget, are not
+// enumerated.
+func checkCells(t *testing.T, a workload.Axes) {
 	t.Helper()
-	secs, conc, flows := float64(a.Duration/time.Second), float64(slices.Max(a.Concurrencies)), float64(slices.Max(a.ParallelFlows))
-	if secs > 0 && conc > 0 && flows > 0 && secs*conc*flows > maxCellFlows {
-		t.Fatalf("accepted a cell of %g s x %g x %g flows, over the %d-flow bound", secs, conc, flows, maxCellFlows)
+	if a.Size() > 4096 {
+		return
+	}
+	n := a
+	n.Net = a.Path.Effective(a.Net) // the one field of normalized axes Experiment reads that Cells leaves raw
+	for _, c := range a.Cells() {
+		if err := n.Experiment(c).Validate(); err != nil {
+			t.Fatalf("accepted grid holds a cell its experiment rejects: %v\ncell %+v", err, c)
+		}
 	}
 }
 
 // FuzzLowerRequest lowers arbitrary bodies as both request kinds. Lower
-// never panics; an accepted request is a valid grid whose cells stay
-// within maxCellFlows (exactly one cell for /v1/decide); and a v1 body
-// that sets a v2 field is rejected naming it. Lower runs no engine, so
-// any body is cheap to try.
+// never panics; an accepted request is a valid grid every cell of which
+// its experiment accepts (exactly one cell for /v1/decide); and a v1
+// body that sets a v2 field is rejected naming it. Lower runs no
+// engine, so any body is cheap to try.
 func FuzzLowerRequest(f *testing.F) {
 	const w = `"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}`
 	const xpcs = `"workload":{"name":"XPCS","unit_size":"2GB","complexity_flop_per_gb":17e12,"local":"5TF","remote":"100TF"}`
@@ -327,6 +333,24 @@ func FuzzLowerRequest(f *testing.F) {
 		`{` + xpcs + `,"cell":{"duration_s":1,"concs":"2","rtts":"8ms","crosses":"0"}}`,
 		`{` + xpcs + `,"cell":{"duration_s":1,"concs":"2","rtts":"32ms","crosses":"0.15"}}`,
 		`{"name":"portfolio","grid":{"duration_s":1,"concs":"2,4","rtts":"8ms,64ms","crosses":"0,0.3"},"portfolio":` + string(example) + `}`,
+		// cells the experiment rejects, each a 500 from decided once
+		`{` + w + `,"cell":{"duration_s":1,"concs":"0"}}`,
+		`{` + w + `,"cell":{"duration_s":10000000000}}`,
+		`{` + w + `,"cell":{"duration_s":20000000000}}`,
+		`{` + w + `,"cell":{"duration_s":1,"rtts":"-5ms"}}`,
+		`{` + w + `,"cell":{"duration_s":1,"rtts":"0s"}}`,
+		`{` + w + `,"cell":{"duration_s":1,"crosses":"0.99"}}`,
+		`{` + w + `,"cell":{"duration_s":1,"crosses":"NaN"}}`,
+		`{` + w + `,"cell":{"duration_s":1,"sizes":"-1GB"}}`,
+		`{` + w + `,"cell":{"duration_s":1,"sizes":"0GB"}}`,
+		`{` + w + `,"cell":{"duration_s":1,"buffers":"-1MB"}}`,
+		`{` + w + `,"cell":{"duration_s":1,"pflows":"1000"}}`,
+		`{` + w + `,"cell":{"duration_s":1,"bandwidth":"0Gbps"}}`,
+		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"concurrency":-2}}`,
+		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"hops":"edge:10Gbps:2ms:1MB:NaN,wan:100Gbps:30ms"}}`,
+		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"hops":"edge:10Gbps:2ms:1MB:0.97,wan:100Gbps:30ms"}}`,
+		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"hops":"edge:10Gbps:2000000h,wan:100Gbps:2000000h"}}`,
+		`{"name":"portfolio","grid":{"duration_s":1,"concs":"1,0"},"portfolio":` + string(example) + `}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -349,7 +373,7 @@ func FuzzLowerRequest(f *testing.F) {
 				if n := a.Size(); n != 1 {
 					t.Fatalf("accepted cell request lowers to %d cells", n)
 				}
-				checkCellBound(t, *a)
+				checkCells(t, *a)
 			}
 		}
 		var pr PortfolioRequest
@@ -360,7 +384,7 @@ func FuzzLowerRequest(f *testing.F) {
 				if err := a.Validate(); err != nil {
 					t.Fatalf("accepted portfolio grid fails Validate: %v", err)
 				}
-				checkCellBound(t, a)
+				checkCells(t, a)
 			}
 		}
 	})

@@ -30,12 +30,14 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/tcpsim"
 	"repro/internal/workload"
 )
 
@@ -161,6 +163,18 @@ func (s *Server) measure(a workload.Axes) (*workload.GridResult, workload.CacheS
 	return s.cache.GetStats(a, 0)
 }
 
+// measureStatus is the status of a failed measure. Validation has
+// already refused every cell the model cannot run, so a failure is a
+// server fault (500), except a cell that does not drain within the
+// simulator's MaxTime horizon: that is a property of the request's input
+// (422).
+func measureStatus(err error) int {
+	if errors.Is(err, tcpsim.ErrHorizon) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusInternalServerError
+}
+
 // checkSize enforces the per-request cell budget.
 func (s *Server) checkSize(a workload.Axes) error {
 	if n := a.Size(); n > s.cfg.MaxCells {
@@ -198,7 +212,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	g, st, err := s.measure(*axes)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		writeError(w, measureStatus(err), err)
 		return
 	}
 	resp, err := scenario.DecideAtCell(wl, g, req.Prefilter)
@@ -234,7 +248,7 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	g, st, err := s.measure(axes)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		writeError(w, measureStatus(err), err)
 		return
 	}
 	pg, err := scenario.DecidePortfolio(pf, g)

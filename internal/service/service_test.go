@@ -287,6 +287,82 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// cacheCounters reads the cells-requested and engine-runs counters off
+// /v1/stats.
+func cacheCounters(t *testing.T, base string) (cells, runs int64) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st statsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Cache.Cells, st.Cache.EngineRuns
+}
+
+// TestBadCellsRejected: a cell the experiment cannot run is a client
+// error. Each body answers 400 naming the offending quantity, before any
+// cell is requested from the cache or any engine runs.
+func TestBadCellsRejected(t *testing.T) {
+	ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	w := `"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}`
+	cell := func(fields string) string { return `{` + w + `,"cell":{"duration_s":1,` + fields + `}}` }
+	v2 := func(fields string) string { return `{"schema":"v2",` + w + `,"cell":{"duration_s":1,` + fields + `}}` }
+	cases := []struct{ path, body, want string }{
+		{"/v1/decide", cell(`"concs":"0"`), "concurrency must be > 0"},
+		{"/v1/decide", `{` + w + `,"cell":{"duration_s":10000000000}}`, "duration_s 10000000000"},
+		{"/v1/decide", `{` + w + `,"cell":{"duration_s":20000000000}}`, "duration_s 20000000000"},
+		{"/v1/decide", cell(`"rtts":"-5ms"`), "base RTT must be > 0"},
+		{"/v1/decide", cell(`"rtts":"0s"`), "base RTT must be > 0"},
+		{"/v1/decide", cell(`"crosses":"0.99"`), "cross-traffic fraction 0.99"},
+		{"/v1/decide", cell(`"crosses":"NaN"`), "cross-traffic fraction NaN"},
+		{"/v1/decide", cell(`"sizes":"-1GB"`), "transfer size must be > 0"},
+		{"/v1/decide", cell(`"sizes":"0GB"`), "transfer size must be > 0"},
+		{"/v1/decide", cell(`"buffers":"-1MB"`), "buffer must be finite and >= 0"},
+		{"/v1/decide", cell(`"pflows":"1000"`), "parallel flows must be in [1,999]"},
+		{"/v1/decide", cell(`"bandwidth":"0Gbps"`), "capacity must be finite and > 0"},
+		{"/v1/decide", v2(`"concurrency":-2`), "concurrency must be > 0"},
+		{"/v1/decide", v2(`"hops":"edge:10Gbps:2ms:1MB:NaN,wan:100Gbps:30ms"`), "fraction NaN"},
+		{"/v1/decide", v2(`"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms:8MB:NaN"`), "fraction NaN"},
+		{"/v1/decide", v2(`"hops":"edge:10Gbps:2ms:1MB:0.97,wan:100Gbps:30ms"`), "cross-traffic fraction 0.97"},
+		{"/v1/decide", v2(`"hops":"edge:10Gbps:2000000h,wan:100Gbps:2000000h"`), "base RTT must be > 0"},
+		{"/v1/decide", cell(`"concs":"100000000"`), "flow limit per cell"},
+		{"/v1/portfolio", `{"portfolio":{"workloads":[{` + w[len(`"workload":{`):] + `]},"grid":{"duration_s":1,"concs":"1,0"}}`,
+			"concurrency must be > 0"},
+	}
+	cells, runs := cacheCounters(t, ts.URL)
+	for _, tc := range cases {
+		resp, data := post(t, ts.URL+tc.path, []byte(tc.body))
+		var e errorResponse
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatalf("%s: decoding %s: %v", tc.body, data, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s %s:\n got %d %q\nwant 400 naming %q", tc.path, tc.body, resp.StatusCode, e.Error, tc.want)
+		}
+	}
+	if c, r := cacheCounters(t, ts.URL); c != cells || r != runs {
+		t.Errorf("rejected cells moved the cache counters: cells %d -> %d, engine runs %d -> %d", cells, c, runs, r)
+	}
+}
+
+// TestHorizonIsUnprocessable: a valid cell whose transfers cannot drain
+// within the simulator's MaxTime horizon (2GB per client over 10 Mbps)
+// answers 422 naming the horizon: a property of the input, not a server
+// fault.
+func TestHorizonIsUnprocessable(t *testing.T) {
+	ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	body := `{"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF"},` +
+		`"cell":{"duration_s":1,"bandwidth":"10Mbps"}}`
+	resp, data := post(t, ts.URL+"/v1/decide", []byte(body))
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "MaxTime horizon") {
+		t.Fatalf("10 Mbps cell: status %d body %s, want 422 naming the MaxTime horizon", resp.StatusCode, data)
+	}
+}
+
 // TestStatsAndHealthz: the observability endpoints answer and the stats
 // body carries the greppable cache line.
 func TestStatsAndHealthz(t *testing.T) {

@@ -1,137 +1,9 @@
-// Package sim provides the small discrete-event simulation substrate the
-// network simulators are built on: a time-ordered event queue, a
-// simulation clock, and a deterministic seeded random source. Keeping
-// these in one place guarantees every experiment in the reproduction is
-// bit-reproducible from its seed.
+// Package sim provides the deterministic seeded random source the
+// network simulators draw from. Keeping it in one place guarantees every
+// experiment in the reproduction is bit-reproducible from its seed.
 package sim
 
-import (
-	"container/heap"
-	"errors"
-	"math/rand"
-)
-
-// Event is a callback scheduled at a simulation time (seconds).
-type Event struct {
-	Time float64
-	Fn   func()
-
-	seq int // tie-breaker: FIFO among equal-time events
-}
-
-// ErrEmptyQueue is returned by Pop on an empty queue.
-var ErrEmptyQueue = errors.New("sim: empty event queue")
-
-// EventQueue is a min-heap of events ordered by time, then insertion
-// order. The zero value is ready to use.
-type EventQueue struct {
-	h   eventHeap
-	seq int
-}
-
-// Push schedules fn at time t.
-func (q *EventQueue) Push(t float64, fn func()) {
-	q.seq++
-	heap.Push(&q.h, &Event{Time: t, Fn: fn, seq: q.seq})
-}
-
-// Len returns the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
-
-// PeekTime returns the time of the earliest pending event.
-func (q *EventQueue) PeekTime() (float64, error) {
-	if len(q.h) == 0 {
-		return 0, ErrEmptyQueue
-	}
-	return q.h[0].Time, nil
-}
-
-// Pop removes and returns the earliest event.
-func (q *EventQueue) Pop() (*Event, error) {
-	if len(q.h) == 0 {
-		return nil, ErrEmptyQueue
-	}
-	return heap.Pop(&q.h).(*Event), nil
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// Clock tracks simulation time and drives an EventQueue.
-type Clock struct {
-	now float64
-	q   EventQueue
-}
-
-// Now returns the current simulation time in seconds.
-func (c *Clock) Now() float64 { return c.now }
-
-// Schedule enqueues fn to run after delay seconds (>= 0; negative delays
-// run "now").
-func (c *Clock) Schedule(delay float64, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	c.q.Push(c.now+delay, fn)
-}
-
-// ScheduleAt enqueues fn at absolute time t (clamped to now).
-func (c *Clock) ScheduleAt(t float64, fn func()) {
-	if t < c.now {
-		t = c.now
-	}
-	c.q.Push(t, fn)
-}
-
-// Pending returns the number of scheduled events.
-func (c *Clock) Pending() int { return c.q.Len() }
-
-// Step runs the earliest event, advancing the clock to its time.
-// It reports whether an event ran.
-func (c *Clock) Step() bool {
-	e, err := c.q.Pop()
-	if err != nil {
-		return false
-	}
-	c.now = e.Time
-	e.Fn()
-	return true
-}
-
-// RunUntil processes events until the queue is empty or the next event
-// is later than tmax; the clock never advances past executed events.
-func (c *Clock) RunUntil(tmax float64) {
-	for {
-		t, err := c.q.PeekTime()
-		if err != nil || t > tmax {
-			return
-		}
-		c.Step()
-	}
-}
-
-// Run processes all events.
-func (c *Clock) Run() {
-	for c.Step() {
-	}
-}
+import "math/rand"
 
 // RNG is the deterministic random source for simulations. It wraps
 // math/rand with an explicit seed so that experiment results are

@@ -1,122 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestEventQueueOrdering(t *testing.T) {
-	var q EventQueue
-	var order []int
-	q.Push(3, func() { order = append(order, 3) })
-	q.Push(1, func() { order = append(order, 1) })
-	q.Push(2, func() { order = append(order, 2) })
-	for q.Len() > 0 {
-		e, err := q.Pop()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Fn()
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestEventQueueFIFOAmongTies(t *testing.T) {
-	var q EventQueue
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		q.Push(5, func() { order = append(order, i) })
-	}
-	for q.Len() > 0 {
-		e, _ := q.Pop()
-		e.Fn()
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie order broken: %v", order)
-		}
-	}
-}
-
-func TestEventQueueEmpty(t *testing.T) {
-	var q EventQueue
-	if _, err := q.Pop(); err != ErrEmptyQueue {
-		t.Errorf("Pop = %v", err)
-	}
-	if _, err := q.PeekTime(); err != ErrEmptyQueue {
-		t.Errorf("PeekTime = %v", err)
-	}
-}
-
-func TestClockAdvances(t *testing.T) {
-	var c Clock
-	var at []float64
-	c.Schedule(2, func() { at = append(at, c.Now()) })
-	c.Schedule(1, func() {
-		at = append(at, c.Now())
-		// Events can schedule more events.
-		c.Schedule(0.5, func() { at = append(at, c.Now()) })
-	})
-	c.Run()
-	want := []float64{1, 1.5, 2}
-	if len(at) != 3 {
-		t.Fatalf("ran %d events: %v", len(at), at)
-	}
-	for i := range want {
-		if at[i] != want[i] {
-			t.Fatalf("times = %v, want %v", at, want)
-		}
-	}
-	if c.Now() != 2 {
-		t.Fatalf("final clock = %v", c.Now())
-	}
-}
-
-func TestClockRunUntil(t *testing.T) {
-	var c Clock
-	ran := 0
-	for _, tt := range []float64{1, 2, 3, 4} {
-		c.ScheduleAt(tt, func() { ran++ })
-	}
-	c.RunUntil(2.5)
-	if ran != 2 {
-		t.Fatalf("ran %d events, want 2", ran)
-	}
-	if c.Pending() != 2 {
-		t.Fatalf("pending = %d", c.Pending())
-	}
-	c.RunUntil(100)
-	if ran != 4 {
-		t.Fatalf("ran %d after second RunUntil", ran)
-	}
-}
-
-func TestScheduleClamping(t *testing.T) {
-	var c Clock
-	c.Schedule(5, func() {})
-	c.Step()
-	// Scheduling in the past clamps to now.
-	fired := false
-	c.ScheduleAt(1, func() { fired = true })
-	c.Step()
-	if !fired || c.Now() != 5 {
-		t.Fatalf("past event: fired=%v now=%v", fired, c.Now())
-	}
-	c.Schedule(-3, func() { fired = true })
-	if tm, _ := c.q.PeekTime(); tm != 5 {
-		t.Fatalf("negative delay not clamped: %v", tm)
-	}
-}
-
-func TestStepOnEmpty(t *testing.T) {
-	var c Clock
-	if c.Step() {
-		t.Fatal("Step on empty queue returned true")
-	}
-}
+import "testing"
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
@@ -157,29 +41,5 @@ func TestRNGPerm(t *testing.T) {
 			t.Fatalf("bad perm: %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-// Property: events always execute in non-decreasing time order.
-func TestQuickEventOrdering(t *testing.T) {
-	f := func(times []float64) bool {
-		var c Clock
-		var ran []float64
-		for _, tt := range times {
-			if tt < 0 || tt != tt { // negative or NaN
-				continue
-			}
-			c.ScheduleAt(tt, func() { ran = append(ran, c.Now()) })
-		}
-		c.Run()
-		for i := 1; i < len(ran); i++ {
-			if ran[i] < ran[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

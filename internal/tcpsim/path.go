@@ -112,7 +112,7 @@ func (p Path) Validate() error {
 		if h.Buffer < 0 {
 			return fmt.Errorf("tcpsim: path hop %v: buffer must be non-negative", h.Role)
 		}
-		if h.CrossFraction < 0 || h.CrossFraction >= 1 {
+		if !(h.CrossFraction >= 0 && h.CrossFraction < 1) { // NaN too
 			return fmt.Errorf("tcpsim: path hop %v: cross fraction %g outside [0, 1)", h.Role, h.CrossFraction)
 		}
 	}

@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,10 @@ func TestPathValidate(t *testing.T) {
 		"negative buf":  {{Role: HopEdge, Capacity: 1e9, RTT: time.Millisecond, Buffer: -1}},
 		"cross out of range": {
 			{Role: HopEdge, Capacity: 1e9, RTT: time.Millisecond, CrossFraction: 1},
+		},
+		"NaN cross": {
+			{Role: HopEdge, Capacity: 1e9, RTT: time.Millisecond},
+			{Role: HopWAN, Capacity: 1e9, RTT: time.Millisecond, CrossFraction: math.NaN()},
 		},
 		"unknown role": {{Role: HopRole(7), Capacity: 1e9, RTT: time.Millisecond}},
 	}

@@ -12,10 +12,12 @@ package workload
 // must cover them.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -195,12 +197,14 @@ func (r linkAxis[T]) filled(p tcpsim.Path, link tcpsim.Config, vals []T) []T {
 	return []T{r.fill(link, h)}
 }
 
-// Validate checks that any Path is structurally sound, that the six link
-// axes follow the link-axis table, that the Table 2 plane and sizes are
-// non-empty, and that the grid's cell count fits an int. Per-cell
-// parameter validation (positive RTTs, known CC, ...) happens when each
-// cell's Experiment runs. Validate is stable under normalized(): a
-// normalized Axes validates iff its source did.
+// Validate is the one gate for everything a grid's cells can hold. It
+// checks that any Path is structurally sound, that the six link axes
+// follow the link-axis table, that the Table 2 plane and sizes are
+// non-empty and that the grid's cell count fits an int; then that every
+// cell passes Experiment.Validate, the one home of the per-cell rules, so
+// an accepted grid never fails a cell before it simulates. Validate is
+// stable under normalized(): a normalized Axes validates iff its source
+// did.
 func (a Axes) Validate() error {
 	if err := a.Path.Validate(); err != nil {
 		return fmt.Errorf("workload: %w", err)
@@ -240,7 +244,94 @@ func (a Axes) Validate() error {
 		}
 		cells *= n
 	}
+	a.Net = link // Validate's own copy: cells read the composed link, as normalized() leaves it
+	return a.validateCells()
+}
+
+// validateCells applies Experiment.Validate to every cell of a grid that
+// passed Validate's structural checks, without enumerating the cells.
+// Every per-cell rule reads one cell field, except the flow bound, which
+// grows with concurrency and flows. So it checks a base cell, the Table
+// 2 plane's largest cell, and the base cell moved along each axis in
+// turn. On a multi-hop grid a WAN RTT moves only the summed RTT, and an
+// edge capacity picks the bottleneck hop whose link the point takes; an
+// ingress buffer matters only through that bottleneck, so the buffers
+// are checked once per bottleneck the edge capacities pick. The work is
+// linear in the axis lengths, and on a flat grid allocation-free.
+func (a *Axes) validateCells() error {
+	n := a
+	check := func(c GridCell) error { return n.unseeded(c).Validate() }
+	c0 := GridCell{
+		TransferSize:  a.TransferSizes[0],
+		CC:            firstOr(a.CCs, a.Net.CC),
+		Concurrency:   slices.Min(a.Concurrencies),
+		ParallelFlows: slices.Min(a.ParallelFlows),
+	}
+	var err error
+	if a.multiHop() {
+		norm := a.normalized()
+		n = &norm
+		caps, rtts, bufs := n.linkAxes()
+		c0 = n.atHops(c0, caps[0], rtts[0], bufs[0])
+		err = cmp.Or(check(c0),
+			checkAlong(check, c0, caps, func(c *GridCell, v units.BitRate) { *c = n.atHops(*c, v, rtts[0], bufs[0]) }),
+			checkAlong(check, c0, rtts, func(c *GridCell, v time.Duration) { *c = n.atHops(*c, caps[0], v, bufs[0]) }))
+		var seen [3]bool // by bottleneck role
+		for _, e := range caps {
+			if r := n.Path.WithAxes(e, 0, 0).Bottleneck().Role; !seen[r] && err == nil {
+				seen[r] = true
+				err = checkAlong(check, c0, bufs, func(c *GridCell, v units.ByteSize) { *c = n.atHops(*c, e, rtts[0], v) })
+			}
+		}
+	} else {
+		c0.RTT = firstOr(a.RTTs, a.Net.BaseRTT)
+		c0.Buffer = firstOr(a.Buffers, a.Net.Buffer)
+		c0.CrossFraction = firstOr(a.CrossFractions, a.Net.Cross.Fraction)
+		err = cmp.Or(check(c0),
+			checkAlong(check, c0, a.RTTs, func(c *GridCell, v time.Duration) { c.RTT = v }),
+			checkAlong(check, c0, a.Buffers, func(c *GridCell, v units.ByteSize) { c.Buffer = v }),
+			checkAlong(check, c0, a.CrossFractions, func(c *GridCell, v float64) { c.CrossFraction = v }))
+	}
+	err = cmp.Or(err,
+		checkAlong(check, c0, a.TransferSizes, func(c *GridCell, v units.ByteSize) { c.TransferSize = v }),
+		checkAlong(check, c0, a.CCs, func(c *GridCell, v tcpsim.CongestionControl) { c.CC = v }))
+	hi := c0
+	hi.Concurrency, hi.ParallelFlows = slices.Max(a.Concurrencies), slices.Max(a.ParallelFlows)
+	if err == nil && hi != c0 {
+		err = check(hi)
+	}
+	return err
+}
+
+// checkAlong checks cell c moved along one axis: set to each of vals in
+// turn but the first, which c already holds or was checked at. It
+// returns the first failure.
+func checkAlong[T any](check func(GridCell) error, c GridCell, vals []T, set func(*GridCell, T)) error {
+	for _, v := range vals[min(1, len(vals)):] {
+		set(&c, v)
+		if err := check(c); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// firstOr returns the first of vals, or fill when vals is empty.
+func firstOr[T any](vals []T, fill T) T {
+	if len(vals) > 0 {
+		return vals[0]
+	}
+	return fill
+}
+
+// atHops returns c moved to the network point (ecap, wanRTT, ingressBuf)
+// of a normalized multi-hop grid: the point's path composed down to its
+// bottleneck, plus the hop knobs that made it.
+func (a Axes) atHops(c GridCell, ecap units.BitRate, wanRTT time.Duration, ingressBuf units.ByteSize) GridCell {
+	eff := a.Path.WithAxes(ecap, wanRTT, ingressBuf).Effective(a.Net)
+	c.RTT, c.Buffer, c.CrossFraction, c.Capacity = eff.BaseRTT, eff.Buffer, eff.Cross.Fraction, eff.Capacity
+	c.EdgeCap, c.WANRTT, c.IngressBuffer = ecap, wanRTT, ingressBuf
+	return c
 }
 
 // flatCaps is a flat grid's capacity axis: the base link's capacity only.
@@ -316,10 +407,7 @@ func (a Axes) Cells() []GridCell {
 				for _, buf := range bufs {
 					pt := GridCell{TransferSize: size, RTT: rtt, Buffer: buf}
 					if n.multiHop() {
-						eff := n.Path.WithAxes(ecap, rtt, buf).Effective(n.Net)
-						pt = GridCell{TransferSize: size, RTT: eff.BaseRTT, Buffer: eff.Buffer,
-							CrossFraction: eff.Cross.Fraction, Capacity: eff.Capacity,
-							EdgeCap: ecap, WANRTT: rtt, IngressBuffer: buf}
+						pt = n.atHops(GridCell{TransferSize: size}, ecap, rtt, buf)
 					}
 					for _, cc := range n.CCs {
 						for _, cross := range n.CrossFractions {
@@ -409,6 +497,14 @@ func (a Axes) netPointSeedOffset(c GridCell) int64 {
 // a runnable Experiment with its deterministic per-cell seed: Run on it
 // reproduces the cell's row, with the full per-client results.
 func (a Axes) Experiment(c GridCell) Experiment {
+	e := a.unseeded(c)
+	e.Net.Seed = a.Net.Seed + int64(c.Concurrency*100+c.ParallelFlows) + a.netPointSeedOffset(c)
+	return e
+}
+
+// unseeded is Experiment without the per-cell seed, which no validation
+// rule reads and which costs most of Experiment.
+func (a *Axes) unseeded(c GridCell) Experiment {
 	net := a.Net
 	net.BaseRTT = c.RTT
 	net.Buffer = c.Buffer
@@ -422,7 +518,6 @@ func (a Axes) Experiment(c GridCell) Experiment {
 		// it does enter the cell fingerprint, so records never collide.
 		net.Capacity = c.Capacity
 	}
-	net.Seed = a.Net.Seed + int64(c.Concurrency*100+c.ParallelFlows) + a.netPointSeedOffset(c)
 	return Experiment{
 		Duration:      a.Duration,
 		Concurrency:   c.Concurrency,

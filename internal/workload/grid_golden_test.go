@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -259,6 +260,74 @@ func TestValidateMessages(t *testing.T) {
 			a.IngressBuffers = make([]units.ByteSize, 1024)
 			return a
 		}, "workload: grid cell count overflows int"},
+		// Past the structural checks, every cell must pass its own
+		// Experiment.Validate, which words the rejection.
+		{"zero duration", func(a Axes) Axes {
+			a.Duration = 0
+			return a
+		}, "workload: duration must be > 0, got 0s"},
+		{"zero concurrency", func(a Axes) Axes {
+			a.Concurrencies = []int{2, 0}
+			return a
+		}, "workload: concurrency must be > 0, got 0"},
+		{"1000 parallel flows", func(a Axes) Axes {
+			a.ParallelFlows = []int{2, 1000}
+			return a
+		}, "workload: parallel flows must be in [1,999], got 1000"},
+		{"flow limit per cell", func(a Axes) Axes {
+			a.Concurrencies = []int{2, MaxCellFlows/8 + 1}
+			return a
+		}, "workload: a cell of 1 s x 8193 clients/s x 8 flows exceeds the 65536-flow limit per cell"},
+		{"zero transfer size", func(a Axes) Axes {
+			a.TransferSizes = []units.ByteSize{units.GB, 0}
+			return a
+		}, "workload: transfer size must be > 0, got 0 B"},
+		{"unknown CC", func(a Axes) Axes {
+			a.CCs = []tcpsim.CongestionControl{tcpsim.Reno, 2}
+			return a
+		}, "tcpsim: unknown congestion control 2"},
+		{"zero capacity on a flat grid", func(a Axes) Axes {
+			a.Path, a.EdgeCaps, a.WANRTTs = nil, nil, nil
+			a.Net.Capacity = 0
+			return a
+		}, "tcpsim: capacity must be finite and > 0, got 0 bps"},
+		{"zero RTT on a flat grid", func(a Axes) Axes {
+			a.Path, a.EdgeCaps, a.WANRTTs = nil, nil, nil
+			a.RTTs = []time.Duration{8 * time.Millisecond, 0}
+			return a
+		}, "tcpsim: base RTT must be > 0, got 0s"},
+		{"negative buffer on a flat grid", func(a Axes) Axes {
+			a.Path, a.EdgeCaps, a.WANRTTs = nil, nil, nil
+			a.Buffers = []units.ByteSize{0, -units.MB}
+			return a
+		}, "tcpsim: buffer must be finite and >= 0, got -1.00 MB"},
+		{"cross fraction past 0.95 on a flat grid", func(a Axes) Axes {
+			a.Path, a.EdgeCaps, a.WANRTTs = nil, nil, nil
+			a.CrossFractions = []float64{0, 0.99}
+			return a
+		}, "tcpsim: cross-traffic fraction 0.99 out of [0, 0.95]"},
+		{"summed RTT wraps", func(a Axes) Axes {
+			a.WANRTTs = []time.Duration{20 * time.Millisecond, math.MaxInt64}
+			return a
+		}, "tcpsim: base RTT must be > 0, got -2562047h47m16.851775809s"},
+		{"bottleneck hop's cross fraction past 0.95", func(a Axes) Axes {
+			a.Path[0].CrossFraction = 0.97
+			return a
+		}, "tcpsim: cross-traffic fraction 0.97 out of [0, 0.95]"},
+		// At 10 Gbps the edge is the bottleneck and the ingress buffer
+		// idle; at 60 Gbps the 40-Gbps ingress takes over with its buffer.
+		{"infinite ingress buffer behind a later edge capacity", func(a Axes) Axes {
+			a.IngressBuffers = []units.ByteSize{4 * units.MB, units.ByteSize(math.Inf(1))}
+			return a
+		}, "tcpsim: buffer must be finite and >= 0, got +Inf PB"},
+		// An infinite edge capacity ties an infinite WAN hop, and the
+		// first hop wins the tie.
+		{"infinite edge capacity at a tie", func(a Axes) Axes {
+			a.Path = a.Path[:2]
+			a.Path[1].Capacity = units.BitRate(math.Inf(1))
+			a.EdgeCaps = []units.BitRate{10e9, units.BitRate(math.Inf(1))}
+			return a
+		}, "tcpsim: capacity must be finite and > 0, got +Inf Tbps"},
 	}
 	for _, tc := range cases {
 		err := tc.mutate(multiHopAxes()).Validate()

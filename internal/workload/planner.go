@@ -131,11 +131,8 @@ func planGrid(a Axes, store *cellStore) *gridPlan {
 // are not attributable to one request (they are shared across whatever
 // requests happen to contend or trigger the one-time index load) and
 // are reported as 0 here; the process-wide ReadCacheStats carries them.
+// a must be validated and normalized, as GetStats leaves it.
 func runGridIncrementalStats(a Axes, workers int, store *cellStore) (*GridResult, CacheStats, error) {
-	if err := a.Validate(); err != nil {
-		return nil, CacheStats{}, err
-	}
-	a = a.normalized()
 	plan := planGrid(a, store)
 	stats := CacheStats{
 		CellsRequested:   int64(len(plan.rows)),

@@ -77,7 +77,16 @@ func DefaultExperiment() Experiment {
 	}
 }
 
-// Validate checks the experiment parameters.
+// MaxCellFlows bounds the work of one experiment. Spawning seconds ×
+// concurrency × parallel flows is the number of flow specs the engine
+// builds before its first round, so without it one cell could exhaust
+// the process's memory. The paper's Table 2 sweep runs at most
+// 10 s × 8 × 8 = 640 flows per cell.
+const MaxCellFlows = 1 << 16
+
+// Validate checks the experiment parameters. It is the one home of the
+// per-cell rules: Axes.Validate applies it to a grid's cells before any
+// of them runs.
 func (e Experiment) Validate() error {
 	if e.Duration <= 0 {
 		return fmt.Errorf("workload: duration must be > 0, got %v", e.Duration)
@@ -87,6 +96,13 @@ func (e Experiment) Validate() error {
 	}
 	if e.ParallelFlows <= 0 || e.ParallelFlows >= 1000 {
 		return fmt.Errorf("workload: parallel flows must be in [1,999], got %d", e.ParallelFlows)
+	}
+	// The spawning seconds as both strategies count them. Dividing the
+	// bound factor by factor keeps the product from overflowing.
+	secs := max(1, int(e.Duration/time.Second))
+	if e.Concurrency > MaxCellFlows/secs/e.ParallelFlows {
+		return fmt.Errorf("workload: a cell of %d s x %d clients/s x %d flows exceeds the %d-flow limit per cell",
+			secs, e.Concurrency, e.ParallelFlows, MaxCellFlows)
 	}
 	if e.TransferSize <= 0 {
 		return fmt.Errorf("workload: transfer size must be > 0, got %v", e.TransferSize)

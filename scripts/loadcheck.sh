@@ -12,7 +12,10 @@
 #       streamdecide -json archive for the same portfolio and grid,
 #       served warm (X-Cache-Stats reports engine-runs=0),
 #   (d) SIGTERM drains cleanly: exit 0 and a final cache-stats line
-#       showing the server itself simulated only the one coalesced cell.
+#       showing the server itself simulated only the one coalesced cell,
+#   (e) run just before (d): a /v1/decide cell and a /v1/portfolio grid
+#       holding a value no cell can run (concurrency 0) each answer 400
+#       naming it, and engine-runs does not move.
 #
 # Progress lines are appended to $OUT_LOG so CI can upload them (plus
 # the server log on failure) as an artifact.
@@ -155,6 +158,23 @@ fi
 pf_stats=$(grep -i '^x-cache-stats:' "$WORK/pf_headers" | tr -d '\r')
 echo "portfolio: $pf_stats" | tee -a "$OUT_LOG"
 echo "$pf_stats" | grep -q 'engine-runs=0' || fail "portfolio request simulated" "engine-runs=0" "$pf_stats"
+
+echo "== bad cells: 400 before any engine run =="
+runs_before=$(stats_engine_runs)
+bad_status() { # PATH BODY -> the HTTP status; the body lands in $WORK/bad.json
+    curl -sS -o "$WORK/bad.json" -w '%{http_code}' -X POST \
+        -H 'Content-Type: application/json' -d "$2" "$BASE$1"
+}
+code=$(bad_status /v1/decide "$(decide_body 0 8ms 0)")
+grep -q 'concurrency must be' "$WORK/bad.json" && [ "$code" = 400 ] \
+    || fail "bad /v1/decide cell" "400 naming the concurrency" "$code $(cat "$WORK/bad.json")"
+code=$(bad_status /v1/portfolio "$(printf '{"grid":{"duration_s":1,"concs":"2,0"},"portfolio":%s}' \
+    "$(cat examples/portfolio/portfolio.json)")")
+grep -q 'concurrency must be' "$WORK/bad.json" && [ "$code" = 400 ] \
+    || fail "bad /v1/portfolio grid" "400 naming the concurrency" "$code $(cat "$WORK/bad.json")"
+runs_after=$(stats_engine_runs)
+echo "bad cells: 400 and 400, engine-runs delta $((runs_after - runs_before))" | tee -a "$OUT_LOG"
+[ "$runs_after" -eq "$runs_before" ] || fail "bad cells simulated" "engine-runs delta 0" "$((runs_after - runs_before))"
 
 echo "== graceful shutdown =="
 kill -TERM "$SERVER_PID"
