@@ -271,10 +271,7 @@ func BenchmarkAblationQueueing(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mean, err := res.TraceLog().Durations().Mean()
-		if err != nil {
-			b.Fatal(err)
-		}
+		mean := meanTransferTime(res)
 		q, err := queueing.TransferQueue(float64(e.Concurrency), e.TransferSize, e.Net.Capacity)
 		if err != nil {
 			b.Fatal(err)
@@ -288,29 +285,6 @@ func BenchmarkAblationQueueing(b *testing.B) {
 		}
 	}
 	b.ReportMetric(ratio, "md1_over_sim")
-}
-
-// BenchmarkAblationContinuum quantifies how badly the continuum
-// approximation (Eq. 2: delay ≈ propagation) underestimates congested
-// transfers (ablation #4).
-func BenchmarkAblationContinuum(b *testing.B) {
-	cfg := tcpsim.DefaultConfig()
-	tspecs, _ := ablationSpecs()
-	var factor float64
-	for i := 0; i < b.N; i++ {
-		res, err := tcpsim.Run(cfg, tspecs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst := 0.0
-		for _, f := range res.Flows {
-			if d := f.Duration(); d > worst {
-				worst = d
-			}
-		}
-		factor = core.ContinuumError(units.Seconds(worst), 0.5*units.GB, cfg.Capacity, cfg.BaseRTT/2)
-	}
-	b.ReportMetric(factor, "underestimate_x")
 }
 
 // BenchmarkAblationThetaSweep maps θ sensitivity: the θ* break-even for

@@ -61,11 +61,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/plot"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -261,13 +263,36 @@ func runSingleSim(out io.Writer, axes workload.Axes, csvPath string) error {
 		if err != nil {
 			return err
 		}
-		if err := res.TraceLog().WriteCSV(f); err != nil {
+		if err := traceLog(res).WriteCSV(f); err != nil {
 			f.Close()
 			return err
 		}
 		return f.Close()
 	}
 	return nil
+}
+
+// traceLog converts a simulated result into the per-client trace that
+// live mode writes, with the experiment parameters recorded as metadata.
+func traceLog(r *workload.Result) *trace.Log {
+	l := trace.NewLog()
+	l.SetMeta("strategy", r.Experiment.Strategy.String())
+	l.SetMeta("concurrency", strconv.Itoa(r.Experiment.Concurrency))
+	l.SetMeta("parallel_flows", strconv.Itoa(r.Experiment.ParallelFlows))
+	l.SetMeta("transfer_size_bytes", strconv.FormatFloat(r.Experiment.TransferSize.Bytes(), 'g', -1, 64))
+	l.SetMeta("duration_s", strconv.FormatFloat(r.Experiment.Duration.Seconds(), 'g', -1, 64))
+	l.SetMeta("capacity_bps", strconv.FormatFloat(r.Experiment.Net.Capacity.BitsPerSecond(), 'g', -1, 64))
+	for _, c := range r.Clients {
+		l.Add(trace.Transfer{
+			ClientID:    c.ClientID,
+			Flows:       c.Flows,
+			Bytes:       c.Bytes,
+			Start:       c.Start,
+			End:         c.End,
+			Retransmits: c.Retransmits,
+		})
+	}
+	return l
 }
 
 // runPortfolioSim sweeps the scenario grid (cached, like every sim

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/transport"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -392,5 +396,69 @@ func TestBadArgs(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+func TestTraceLogRoundTrip(t *testing.T) {
+	e := workload.DefaultExperiment()
+	e.Duration = 3 * time.Second
+	e.Concurrency = 1
+	res, err := workload.Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := traceLog(res)
+	if len(l.Transfers) != len(res.Clients) {
+		t.Fatalf("log entries = %d, want %d", len(l.Transfers), len(res.Clients))
+	}
+	if l.Meta["strategy"] != "simultaneous" || l.Meta["concurrency"] != "1" {
+		t.Errorf("meta = %v", l.Meta)
+	}
+	max, err := l.MaxDuration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(max-res.WorstFCT.Seconds()) > 1e-9 {
+		t.Errorf("log max %v vs result worst %v", max, res.WorstFCT)
+	}
+}
+
+// TestLiveTransportMatchesTraceSchema runs a small live load and checks
+// that its trace CSV has the simulated trace's schema — -csv output from
+// the two modes must be interchangeable downstream.
+func TestLiveTransportMatchesTraceSchema(t *testing.T) {
+	g, err := transport.ListenServers(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	liveLog, err := transport.RunLoad(g, transport.LoadConfig{
+		Seconds:     1,
+		Concurrency: 2,
+		Client:      transport.ClientConfig{Flows: 2, Bytes: 512 * units.KB},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := workload.DefaultExperiment()
+	e.Duration = time.Second
+	simRes, err := workload.Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simLog := traceLog(simRes)
+
+	var liveBuf, simBuf strings.Builder
+	if err := liveLog.WriteCSV(&liveBuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := simLog.WriteCSV(&simBuf); err != nil {
+		t.Fatal(err)
+	}
+	liveHeader := strings.SplitN(liveBuf.String(), "\n", 2)[0]
+	simHeader := strings.SplitN(simBuf.String(), "\n", 2)[0]
+	if liveHeader != simHeader {
+		t.Fatalf("trace schemas diverge: %q vs %q", liveHeader, simHeader)
 	}
 }

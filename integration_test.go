@@ -7,7 +7,6 @@ package repro
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/queueing"
 	"repro/internal/tcpsim"
-	"repro/internal/transport"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -60,10 +58,7 @@ func TestQueueingPredictsScheduledSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simMean, err := res.TraceLog().Durations().Mean()
-	if err != nil {
-		t.Fatal(err)
-	}
+	simMean := meanTransferTime(res)
 	q, err := queueing.TransferQueue(float64(e.Concurrency), e.TransferSize, e.Net.Capacity)
 	if err != nil {
 		t.Fatal(err)
@@ -205,44 +200,13 @@ func TestThetaChainFsimToCore(t *testing.T) {
 	}
 }
 
-// TestLiveTransportMatchesTraceSchema runs a small live load and checks
-// the resulting trace round-trips and aggregates exactly like simulated
-// traces — the two measurement paths must be interchangeable downstream.
-func TestLiveTransportMatchesTraceSchema(t *testing.T) {
-	g, err := transport.ListenServers(2)
-	if err != nil {
-		t.Fatal(err)
+// meanTransferTime is the mean client completion time of a simulated run.
+func meanTransferTime(res *workload.Result) float64 {
+	sum := 0.0
+	for _, c := range res.Clients {
+		sum += c.TransferTime()
 	}
-	defer g.Close()
-	liveLog, err := transport.RunLoad(g, transport.LoadConfig{
-		Seconds:     1,
-		Concurrency: 2,
-		Client:      transport.ClientConfig{Flows: 2, Bytes: 512 * units.KB},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e := workload.DefaultExperiment()
-	e.Duration = time.Second
-	simRes, err := workload.Run(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simLog := simRes.TraceLog()
-
-	var liveBuf, simBuf strings.Builder
-	if err := liveLog.WriteCSV(&liveBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := simLog.WriteCSV(&simBuf); err != nil {
-		t.Fatal(err)
-	}
-	liveHeader := strings.SplitN(liveBuf.String(), "\n", 2)[0]
-	simHeader := strings.SplitN(simBuf.String(), "\n", 2)[0]
-	if liveHeader != simHeader {
-		t.Fatalf("trace schemas diverge: %q vs %q", liveHeader, simHeader)
-	}
+	return sum / float64(len(res.Clients))
 }
 
 // TestSuiteHeadlinesWithinPaperShape pins the quick-sweep suite's

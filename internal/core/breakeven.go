@@ -123,13 +123,6 @@ func (p Params) SweepR(from, to float64, n int) (stats.Series, error) {
 	})
 }
 
-// SweepGainVsAlpha evaluates the gain G across an α range.
-func (p Params) SweepGainVsAlpha(from, to float64, n int) (stats.Series, error) {
-	return p.sweep("gain(alpha)", from, to, n, func(v float64) float64 {
-		return p.WithAlpha(v).Gain()
-	})
-}
-
 // GainGrid evaluates the gain G = T_local/T_pct over an (α, r) grid —
 // the remote-wins frontier surface (G > 1 means stream to remote). Rows
 // index rs, columns index alphas.

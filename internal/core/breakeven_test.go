@@ -152,15 +152,6 @@ func TestSweeps(t *testing.T) {
 			t.Fatalf("r sweep should decrease T_pct at %d", i)
 		}
 	}
-	s, err = p.SweepGainVsAlpha(0.1, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < s.Len(); i++ {
-		if s.Y[i] < s.Y[i-1] {
-			t.Fatalf("gain sweep should increase at %d", i)
-		}
-	}
 }
 
 func TestSweepErrors(t *testing.T) {

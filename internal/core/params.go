@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/units"
 )
@@ -47,6 +48,7 @@ var (
 	ErrBadTheta             = errors.New("core: theta must be >= 1")
 	ErrNegativeComplexity   = errors.New("core: complexity must be >= 0")
 	ErrTransferExceedsLink  = errors.New("core: transfer rate exceeds link bandwidth (alpha > 1)")
+	ErrTimeOutOfRange       = errors.New("core: model time exceeds time.Duration's range")
 )
 
 // Validate checks the parameters for physical consistency.
@@ -72,8 +74,21 @@ func (p Params) Validate() error {
 	if float64(p.TransferRate) > float64(p.Bandwidth.ByteRate())*(1+1e-9) {
 		return fmt.Errorf("%w (%v > %v)", ErrTransferExceedsLink, p.TransferRate, p.Bandwidth.ByteRate())
 	}
+	// Past time.Duration's range both times would saturate at the same
+	// 2562047h and every comparison between them would be meaningless.
+	flop := p.ComplexityFLOPPerByte * p.UnitSize.Bytes()
+	if tLocal := flop / p.LocalRate.PerSecond(); !fitsDuration(tLocal) {
+		return fmt.Errorf("%w: T_local = %.3g s", ErrTimeOutOfRange, tLocal)
+	}
+	if tPct := p.Theta*p.UnitSize.Bytes()/p.TransferRate.BytesPerSecond() + flop/p.RemoteRate.PerSecond(); !fitsDuration(tPct) {
+		return fmt.Errorf("%w: θ·T_transfer + T_remote = %.3g s", ErrTimeOutOfRange, tPct)
+	}
 	return nil
 }
+
+// fitsDuration reports whether sec seconds is a time.Duration that
+// units.Seconds need not saturate (false for NaN).
+func fitsDuration(sec float64) bool { return sec*1e9 < math.MaxInt64 }
 
 // Alpha returns α = R_transfer / Bw, the transfer efficiency coefficient.
 func (p Params) Alpha() float64 {

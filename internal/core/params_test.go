@@ -45,6 +45,8 @@ func TestValidateRejects(t *testing.T) {
 		{"zero transfer", func(p *Params) { p.TransferRate = 0 }, ErrNonPositiveTransfer},
 		{"theta below 1", func(p *Params) { p.Theta = 0.5 }, ErrBadTheta},
 		{"alpha above 1", func(p *Params) { p.TransferRate = 4 * units.GBps }, ErrTransferExceedsLink},
+		{"T_local past time.Duration", func(p *Params) { p.ComplexityFLOPPerByte = 1e299 }, ErrTimeOutOfRange},
+		{"T_pct past time.Duration", func(p *Params) { p.Theta = 1e300 }, ErrTimeOutOfRange},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -96,7 +96,7 @@ func (r Regime) String() string {
 }
 
 // RegimeClassifier maps worst-case transfer times to regimes.
-// The zero value is not usable; use NewRegimeClassifier or
+// The zero value is not usable; set both bounds or use
 // DefaultRegimeClassifier.
 type RegimeClassifier struct {
 	// RealTimeBound is the largest worst-case transfer time still
@@ -112,14 +112,6 @@ type RegimeClassifier struct {
 // sits at 2–3 s, severe goes beyond.
 func DefaultRegimeClassifier() RegimeClassifier {
 	return RegimeClassifier{RealTimeBound: time.Second, SevereBound: 3 * time.Second}
-}
-
-// NewRegimeClassifier builds a classifier with explicit bounds.
-func NewRegimeClassifier(realTime, severe time.Duration) (RegimeClassifier, error) {
-	if realTime <= 0 || severe <= realTime {
-		return RegimeClassifier{}, fmt.Errorf("core: need 0 < realTime < severe, got %v, %v", realTime, severe)
-	}
-	return RegimeClassifier{RealTimeBound: realTime, SevereBound: severe}, nil
 }
 
 // Classify maps a worst-case transfer time to its regime.

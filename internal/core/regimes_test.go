@@ -97,22 +97,6 @@ func TestRegimeStrings(t *testing.T) {
 	}
 }
 
-func TestNewRegimeClassifierValidation(t *testing.T) {
-	if _, err := NewRegimeClassifier(0, time.Second); err == nil {
-		t.Error("zero real-time bound accepted")
-	}
-	if _, err := NewRegimeClassifier(2*time.Second, time.Second); err == nil {
-		t.Error("severe < realTime accepted")
-	}
-	rc, err := NewRegimeClassifier(500*time.Millisecond, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.Classify(time.Second) != RegimeModerate {
-		t.Error("custom bounds not applied")
-	}
-}
-
 func TestClassifyCurveRegimes(t *testing.T) {
 	c := fig2aLikeCurve(t)
 	rc := DefaultRegimeClassifier()

@@ -136,23 +136,6 @@ func (c *SSSCurve) WorstForBatch(utilization float64, size units.ByteSize) (time
 	return w, nil
 }
 
-// WorstForSize scales the interpolated worst-case time at the given
-// utilization to a different transfer size, assuming worst-case time
-// scales linearly with size at fixed utilization (the effective
-// worst-case rate stays constant). This is the conservative upper bound
-// alternative to WorstForBatch.
-func (c *SSSCurve) WorstForSize(utilization float64, size units.ByteSize) (time.Duration, error) {
-	w, err := c.WorstAt(utilization)
-	if err != nil {
-		return 0, err
-	}
-	if c.Size <= 0 {
-		return 0, fmt.Errorf("core: curve has non-positive size %v", c.Size)
-	}
-	scale := size.Bytes() / c.Size.Bytes()
-	return units.Seconds(w.Seconds() * scale), nil
-}
-
 // UtilizationOf returns the fraction of the curve's link a sustained
 // generation rate consumes (e.g. 2 GB/s on 25 Gbps = 0.64).
 func (c *SSSCurve) UtilizationOf(rate units.ByteRate) float64 {

@@ -52,17 +52,18 @@ func TestWorstForBatchEmptyCurve(t *testing.T) {
 
 func TestWorstForBatchVsWorstForSize(t *testing.T) {
 	c := fig2aLikeCurve(t)
-	// For batches larger than the measurement size, linear scaling
-	// (WorstForSize) must dominate the batch estimate — it is the
-	// conservative bound.
+	// For batches larger than the measurement size, linear scaling of
+	// the worst case by size must dominate the batch estimate — it is
+	// the conservative bound.
 	batch, err := c.WorstForBatch(0.8, 4*units.GB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := c.WorstForSize(0.8, 4*units.GB)
+	w, err := c.WorstAt(0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scaled := units.Seconds(w.Seconds() * (4 * units.GB).Bytes() / c.Size.Bytes())
 	if scaled < batch {
 		t.Fatalf("linear scaling %v should bound batch estimate %v", scaled, batch)
 	}

@@ -129,7 +129,7 @@ func TestSSSCurveInterpolation(t *testing.T) {
 	}
 }
 
-func TestSSSCurveScoreAndScaling(t *testing.T) {
+func TestSSSCurveScoreAt(t *testing.T) {
 	c := fig2aLikeCurve(t)
 	// Score at 96%: 6 s / 0.16 s = 37.5.
 	s, err := c.ScoreAt(0.96)
@@ -138,15 +138,6 @@ func TestSSSCurveScoreAndScaling(t *testing.T) {
 	}
 	if math.Abs(s-37.5) > 0.1 {
 		t.Errorf("ScoreAt(0.96) = %v", s)
-	}
-	// Case-study §5 extrapolation: a 2 GB batch at 64% utilization takes
-	// 4x the 0.5 GB worst case.
-	w, err := c.WorstForSize(0.64, 2*units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(w, 4800*time.Millisecond, 10*time.Millisecond) {
-		t.Errorf("WorstForSize = %v", w)
 	}
 }
 

@@ -17,7 +17,9 @@ func fctSample() *stats.Sample {
 	for i := 0; i < 90; i++ {
 		s.Add(0.2 + float64(i%5)*0.01)
 	}
-	s.AddAll(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5)
+	for _, x := range []float64{2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5} {
+		s.Add(x)
+	}
 	return s
 }
 

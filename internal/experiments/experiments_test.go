@@ -253,7 +253,10 @@ func TestRunAllSuite(t *testing.T) {
 	wantIDs := []string{"table1", "table2", "fig2a", "fig2b", "fig3", "fig4", "table3",
 		"regimes", "casestudy", "headline", "ext-heatmap", "ext-variability", "ext-pipeline", "ext-gainmap",
 		"ext-hopfrontier"}
-	got := suite.IDs()
+	var got []string
+	for _, a := range suite.Artifacts {
+		got = append(got, a.ID)
+	}
 	if len(got) != len(wantIDs) {
 		t.Fatalf("artifacts = %v", got)
 	}

@@ -23,15 +23,6 @@ func (s *Suite) Get(id string) (Artifact, bool) {
 	return Artifact{}, false
 }
 
-// IDs returns all artifact IDs in generation order.
-func (s *Suite) IDs() []string {
-	out := make([]string, len(s.Artifacts))
-	for i, a := range s.Artifacts {
-		out[i] = a.ID
-	}
-	return out
-}
-
 // PaperSweep is the full Table 2 sweep (10 s, concurrency 1–8,
 // P ∈ {2,4,8}); QuickSweep is a scaled-down variant for tests and fast
 // iteration (same axes shape, 3 s duration, fewer cells).

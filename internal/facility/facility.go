@@ -1,7 +1,7 @@
 // Package facility carries the instrument-facility presets the paper's
 // motivation (§2.2) and case study (§5) draw on: LHC trigger farms,
-// LCLS-II's data reduction pipeline, APS tomographic reconstruction, and
-// FRIB's DELERIA streaming. Each preset packages published rates and
+// APS tomographic reconstruction, FRIB's DELERIA streaming, and the
+// LCLS-II workflows of Table 3. Each preset packages published rates and
 // compute demands in the units the core model consumes.
 package facility
 
@@ -26,23 +26,6 @@ type Workflow struct {
 	Compute units.FLOPS
 	// Description summarizes the science context.
 	Description string
-}
-
-// UnitSize returns the natural per-second data unit the case study uses:
-// one second of output at the workflow's throughput.
-func (w Workflow) UnitSize() units.ByteSize {
-	return units.ByteSize(w.Throughput.BytesPerSecond())
-}
-
-// ComplexityFLOPPerByte returns the model's C coefficient: compute
-// demand per byte of input (FLOPS needed for one second of data over
-// the bytes in one second of data).
-func (w Workflow) ComplexityFLOPPerByte() float64 {
-	b := w.Throughput.BytesPerSecond()
-	if b <= 0 {
-		return 0
-	}
-	return w.Compute.PerSecond() / b
 }
 
 // String renders a Table 3 style row.
@@ -96,14 +79,6 @@ type Instrument struct {
 	Notes string
 }
 
-// ReductionFactor returns raw/reduced (0 when undefined).
-func (i Instrument) ReductionFactor() float64 {
-	if i.ReducedRate <= 0 {
-		return 0
-	}
-	return i.RawRate.BytesPerSecond() / i.ReducedRate.BytesPerSecond()
-}
-
 // LHC models the §2.2.1 trigger chain: 40 TB/s raw collisions reduced to
 // ~1 GB/s for permanent storage.
 func LHC() Instrument {
@@ -113,18 +88,6 @@ func LHC() Instrument {
 		ReducedRate: 1 * units.GBps,
 		Link:        100 * units.Gbps,
 		Notes:       "40 MHz collisions; two-tier triggers reduce 40 TB/s to ~1 GB/s",
-	}
-}
-
-// LCLS2 models §2.2.2: 200 GB/s (2023) scaling toward 1 TB/s (2029),
-// with a 10x data reduction pipeline and ESnet connectivity to NERSC.
-func LCLS2() Instrument {
-	return Instrument{
-		Name:        "LCLS-II",
-		RawRate:     200 * units.GBps,
-		ReducedRate: 20 * units.GBps,
-		Link:        400 * units.Gbps,
-		Notes:       "1 MHz imaging detectors; DRP reduces an order of magnitude; streams to NERSC over ESnet",
 	}
 }
 
@@ -152,11 +115,6 @@ func FRIB() Instrument {
 		Link:        40 * units.Gbps,
 		Notes:       "GRETA signal decomposition over ESnet; 97.5% reduction preserving physics",
 	}
-}
-
-// Instruments returns all §2.2 presets.
-func Instruments() []Instrument {
-	return []Instrument{LHC(), LCLS2(), APS(), FRIB()}
 }
 
 // DELERIAProcesses is the paper's figure for parallel analysis processes

@@ -100,16 +100,6 @@ func Enable(point string, f Fault) {
 	points[point] = &state{f: f}
 }
 
-// Disable disarms a failpoint; unknown points are a no-op.
-func Disable(point string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := points[point]; ok {
-		delete(points, point)
-		armed.Add(-1)
-	}
-}
-
 // Reset disarms every failpoint.
 func Reset() {
 	mu.Lock()

@@ -96,7 +96,7 @@ func TestRenameFailureLeavesDestinationUntouched(t *testing.T) {
 	if _, err := os.Stat(dst); !os.IsNotExist(err) {
 		t.Fatalf("destination exists after failed rename (stat err %v)", err)
 	}
-	Disable("p")
+	Reset()
 	if err := Rename("p", src, dst); err != nil {
 		t.Fatalf("disarmed Rename = %v", err)
 	}

@@ -121,11 +121,6 @@ func (fs FileSystem) ReadTime(n int, each units.ByteSize) (time.Duration, error)
 	return meta + payload, nil
 }
 
-// WriteOneFile is WriteTime for a single file.
-func (fs FileSystem) WriteOneFile(size units.ByteSize) (time.Duration, error) {
-	return fs.WriteTime(1, size)
-}
-
 // DTN models the data transfer node service moving files between two
 // facilities (the paper's Fig. 1a staged path): a per-file setup cost —
 // control-channel round trips, checksum initialization, destination file
@@ -144,7 +139,7 @@ type DTN struct {
 	// Rate is the effective wire rate (α·Bw of the model).
 	Rate units.ByteRate
 	// ChecksumRate, when positive, adds per-file integrity verification
-	// at this rate (see WithChecksum). Zero disables verification.
+	// at this rate. Zero disables verification.
 	ChecksumRate units.ByteRate
 }
 
@@ -180,31 +175,6 @@ func (d DTN) effectiveSetup() time.Duration {
 	return d.PerFileSetup / time.Duration(d.Pipelining)
 }
 
-// FileTransferTime returns the time the DTN needs for one file once it
-// starts: amortized setup plus wire time.
-func (d DTN) FileTransferTime(size units.ByteSize) (time.Duration, error) {
-	if err := d.Validate(); err != nil {
-		return 0, err
-	}
-	if size < 0 {
-		return 0, fmt.Errorf("%w, got %v", ErrBadFileSize, size)
-	}
-	wire := units.Seconds(size.Bytes() / d.Rate.BytesPerSecond())
-	return d.effectiveSetup() + wire + d.checksumTime(size), nil
-}
-
-// BatchTransferTime returns the time to move n equal files back to back.
-func (d DTN) BatchTransferTime(n int, each units.ByteSize) (time.Duration, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("%w, got %d", ErrBadFileCount, n)
-	}
-	one, err := d.FileTransferTime(each)
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(n) * one, nil
-}
-
 // ThetaFor computes the model's θ coefficient (Eq. 7) implied by this
 // staged path for a transfer of the given total size split into n files:
 // θ = (T_IO + T_transfer)/T_transfer where T_transfer is the pure wire
@@ -237,4 +207,12 @@ func ThetaFor(local FileSystem, d DTN, remote FileSystem, n int, total units.Byt
 	verify := d.checksumTime(each).Seconds() * float64(n)
 	tIO := wTime.Seconds() + rTime.Seconds() + setup + verify
 	return (tIO + wire) / wire, nil
+}
+
+// checksumTime returns the per-file verification time (0 when disabled).
+func (d DTN) checksumTime(size units.ByteSize) time.Duration {
+	if d.ChecksumRate <= 0 {
+		return 0
+	}
+	return units.Seconds(size.Bytes() / d.ChecksumRate.BytesPerSecond())
 }

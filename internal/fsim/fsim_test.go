@@ -107,44 +107,6 @@ func TestSmallFilePenaltyDominates(t *testing.T) {
 	}
 }
 
-func TestDTNFileTransferTime(t *testing.T) {
-	d := DTN{Name: "t", PerFileSetup: time.Second, Pipelining: 1, Rate: 1.5 * units.GBps}
-	got, err := d.FileTransferTime(3 * units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 3 * time.Second; got != want {
-		t.Fatalf("FileTransferTime = %v, want %v", got, want)
-	}
-	// Pipelining amortizes only the setup.
-	d.Pipelining = 4
-	got, err = d.FileTransferTime(3 * units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2250 * time.Millisecond; got != want {
-		t.Fatalf("pipelined = %v, want %v", got, want)
-	}
-}
-
-func TestDTNBatch(t *testing.T) {
-	d := APSToALCF()
-	one, err := d.FileTransferTime(units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten, err := d.BatchTransferTime(10, units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ten != 10*one {
-		t.Fatalf("batch = %v, want %v", ten, 10*one)
-	}
-	if _, err := d.BatchTransferTime(0, units.GB); !errors.Is(err, ErrBadFileCount) {
-		t.Errorf("zero batch: %v", err)
-	}
-}
-
 func TestDTNValidate(t *testing.T) {
 	d := APSToALCF()
 	d.Pipelining = 0
@@ -161,8 +123,10 @@ func TestDTNValidate(t *testing.T) {
 	if err := d.Validate(); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("negative setup: %v", err)
 	}
-	if _, err := d.FileTransferTime(-1); err == nil {
-		t.Error("negative size accepted")
+	d = APSToALCF()
+	d.ChecksumRate = -1
+	if err := d.Validate(); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("negative checksum rate: %v", err)
 	}
 }
 
@@ -243,5 +207,23 @@ func TestSingleLargeFileThetaModest(t *testing.T) {
 	}
 	if math.IsNaN(theta) {
 		t.Fatal("NaN theta")
+	}
+}
+
+func TestChecksumRaisesTheta(t *testing.T) {
+	local, remote := VoyagerGPFS(), EagleLustre()
+	plain := APSToALCF()
+	verified := plain
+	verified.ChecksumRate = 500 * units.MBps
+	thetaPlain, err := ThetaFor(local, plain, remote, 10, 12*units.GB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thetaVerified, err := ThetaFor(local, verified, remote, 10, 12*units.GB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if thetaVerified <= thetaPlain {
+		t.Fatalf("checksum theta %v should exceed plain %v", thetaVerified, thetaPlain)
 	}
 }

@@ -1,28 +1,11 @@
 package monitor
 
 import (
-	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/units"
 )
-
-func TestQuantileAndRegimeErrorsOnEmpty(t *testing.T) {
-	tr, err := NewTracker(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Quantile(0.5); !errors.Is(err, ErrEmptyWindow) {
-		t.Errorf("Quantile err = %v", err)
-	}
-	if _, err := tr.SSS(); !errors.Is(err, ErrEmptyWindow) {
-		t.Errorf("SSS err = %v", err)
-	}
-	if _, err := tr.Regime(); !errors.Is(err, ErrEmptyWindow) {
-		t.Errorf("Regime err = %v", err)
-	}
-}
 
 func TestQuantileBounds(t *testing.T) {
 	tr, err := NewTracker(testConfig())
@@ -34,15 +17,8 @@ func TestQuantileBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p50, err := tr.Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p50 != 250*time.Millisecond {
+	if p50 := snapshot(t, tr).P50; p50 != 250*time.Millisecond {
 		t.Fatalf("p50 = %v", p50)
-	}
-	if _, err := tr.Quantile(1.5); err == nil {
-		t.Error("out-of-range quantile accepted")
 	}
 }
 

@@ -3,8 +3,8 @@
 // methodology. The paper argues facilities lack "consistent measurement
 // frameworks to quantify these metrics in instrument-HPC systems";
 // monitor.Tracker is that framework's core: stream per-transfer
-// completion times in, read windowed worst-case / P99 / SSS out, and get
-// regime transitions as they happen.
+// completion times in, read windowed worst-case / P99 / SSS and regime
+// snapshots out.
 //
 // The tracker keeps a bounded time window of observations (a ring of
 // buckets), so memory is O(window/granularity + observations in window)
@@ -129,51 +129,6 @@ func (t *Tracker) sample() (*stats.Sample, error) {
 		s.Add(o.fct)
 	}
 	return s, nil
-}
-
-// Worst returns the windowed worst-case completion time (T_worst).
-func (t *Tracker) Worst() (time.Duration, error) {
-	s, err := t.sample()
-	if err != nil {
-		return 0, err
-	}
-	max, err := s.Max()
-	if err != nil {
-		return 0, err
-	}
-	return units.Seconds(max), nil
-}
-
-// Quantile returns a windowed completion-time quantile.
-func (t *Tracker) Quantile(q float64) (time.Duration, error) {
-	s, err := t.sample()
-	if err != nil {
-		return 0, err
-	}
-	v, err := s.Quantile(q)
-	if err != nil {
-		return 0, err
-	}
-	return units.Seconds(v), nil
-}
-
-// SSS returns the windowed Streaming Speed Score: windowed worst over
-// the configured theoretical transfer time.
-func (t *Tracker) SSS() (float64, error) {
-	w, err := t.Worst()
-	if err != nil {
-		return 0, err
-	}
-	return core.SSS(w, t.cfg.Size, t.cfg.Bandwidth)
-}
-
-// Regime classifies the current windowed worst case.
-func (t *Tracker) Regime() (core.Regime, error) {
-	w, err := t.Worst()
-	if err != nil {
-		return 0, err
-	}
-	return t.classifier.Classify(w), nil
 }
 
 // Snapshot bundles the tracker's current view for dashboards.

@@ -19,6 +19,15 @@ func testConfig() Config {
 	}
 }
 
+func snapshot(t *testing.T, tr *Tracker) Snapshot {
+	t.Helper()
+	s, err := tr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Window: 0, Size: units.GB, Bandwidth: units.Gbps},
@@ -40,8 +49,8 @@ func TestObserveAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Worst(); !errors.Is(err, ErrEmptyWindow) {
-		t.Errorf("empty worst err = %v", err)
+	if _, err := tr.Snapshot(); !errors.Is(err, ErrEmptyWindow) {
+		t.Errorf("empty snapshot err = %v", err)
 	}
 	for i, fct := range []time.Duration{200 * time.Millisecond, 300 * time.Millisecond, 5 * time.Second} {
 		if err := tr.Observe(float64(i), fct); err != nil {
@@ -51,20 +60,15 @@ func TestObserveAndStats(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	w, err := tr.Worst()
-	if err != nil || w != 5*time.Second {
-		t.Fatalf("worst = %v, %v", w, err)
+	snap := snapshot(t, tr)
+	if snap.Worst != 5*time.Second {
+		t.Fatalf("worst = %v", snap.Worst)
 	}
-	sss, err := tr.SSS()
-	if err != nil {
-		t.Fatal(err)
+	if math.Abs(snap.SSS-31.25) > 0.01 {
+		t.Fatalf("SSS = %v, want 31.25", snap.SSS)
 	}
-	if math.Abs(sss-31.25) > 0.01 {
-		t.Fatalf("SSS = %v, want 31.25", sss)
-	}
-	regime, err := tr.Regime()
-	if err != nil || regime != core.RegimeSevere {
-		t.Fatalf("regime = %v, %v", regime, err)
+	if snap.Regime != core.RegimeSevere {
+		t.Fatalf("regime = %v", snap.Regime)
 	}
 }
 
@@ -83,27 +87,25 @@ func TestWindowExpiry(t *testing.T) {
 	if err := tr.Advance(9); err != nil {
 		t.Fatal(err)
 	}
-	w, _ := tr.Worst()
-	if w != 5*time.Second {
+	if w := snapshot(t, tr).Worst; w != 5*time.Second {
 		t.Fatalf("worst at t=9 = %v", w)
 	}
 	// At t=11 it expires; the window holds only the fast transfer.
 	if err := tr.Advance(11); err != nil {
 		t.Fatal(err)
 	}
-	w, err = tr.Worst()
-	if err != nil || w != 200*time.Millisecond {
-		t.Fatalf("worst after expiry = %v, %v", w, err)
+	snap := snapshot(t, tr)
+	if snap.Worst != 200*time.Millisecond {
+		t.Fatalf("worst after expiry = %v", snap.Worst)
 	}
-	regime, _ := tr.Regime()
-	if regime != core.RegimeLow {
-		t.Fatalf("regime after recovery = %v", regime)
+	if snap.Regime != core.RegimeLow {
+		t.Fatalf("regime after recovery = %v", snap.Regime)
 	}
 	// Everything can expire.
 	if err := tr.Advance(100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Worst(); !errors.Is(err, ErrEmptyWindow) {
+	if _, err := tr.Snapshot(); !errors.Is(err, ErrEmptyWindow) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -167,11 +169,7 @@ func TestSnapshot(t *testing.T) {
 
 func TestCustomClassifier(t *testing.T) {
 	cfg := testConfig()
-	cl, err := core.NewRegimeClassifier(100*time.Millisecond, 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Classifier = cl
+	cfg.Classifier = core.RegimeClassifier{RealTimeBound: 100 * time.Millisecond, SevereBound: 500 * time.Millisecond}
 	tr, err := NewTracker(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +177,7 @@ func TestCustomClassifier(t *testing.T) {
 	if err := tr.Observe(0, 300*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	regime, _ := tr.Regime()
-	if regime != core.RegimeModerate {
+	if regime := snapshot(t, tr).Regime; regime != core.RegimeModerate {
 		t.Fatalf("custom classifier regime = %v", regime)
 	}
 }
@@ -219,11 +216,11 @@ func TestQuickWindowedWorst(t *testing.T) {
 				want = r.fct
 			}
 		}
-		got, err := tr.Worst()
+		got, err := tr.Snapshot()
 		if err != nil {
 			return false
 		}
-		return math.Abs(got.Seconds()-want) < 1e-9
+		return math.Abs(got.Worst.Seconds()-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -1,12 +1,10 @@
 // Package reduction models the online data-reduction pipelines that make
-// the paper's facilities viable at all (§2.2): LHC trigger chains
-// cutting 40 TB/s to ~1 GB/s, LCLS-II's Data Reduction Pipeline cutting
-// an order of magnitude, and DELERIA's signal decomposition keeping 2.5%
-// of the raw waveforms. A pipeline is a sequence of stages, each with a
-// reduction factor, a compute cost per input byte, an optional
-// throughput ceiling, and a decision latency; the package answers what
-// comes out the far end (rate, compute demand, latency) so the core
-// decision model can be applied to any stage boundary.
+// the paper's facilities viable at all (§2.2), with the LHC trigger
+// chain cutting 40 TB/s to ~1 GB/s as its preset. A pipeline is a
+// sequence of stages, each with a reduction factor, a compute cost per
+// input byte and a decision latency; the package answers what comes out
+// the far end (rate, compute demand, latency) so the core decision model
+// can be applied to any stage boundary.
 package reduction
 
 import (
@@ -26,8 +24,6 @@ type Stage struct {
 	Factor float64
 	// ComplexityFLOPPerByte is the compute spent per *input* byte.
 	ComplexityFLOPPerByte float64
-	// MaxInput caps the rate the stage can digest (0 = unbounded).
-	MaxInput units.ByteRate
 	// Latency is the per-item decision latency the stage adds.
 	Latency time.Duration
 }
@@ -39,9 +35,6 @@ func (s Stage) Validate() error {
 	}
 	if s.ComplexityFLOPPerByte < 0 {
 		return fmt.Errorf("reduction: stage %q negative complexity", s.Name)
-	}
-	if s.MaxInput < 0 {
-		return fmt.Errorf("reduction: stage %q negative ceiling", s.Name)
 	}
 	if s.Latency < 0 {
 		return fmt.Errorf("reduction: stage %q negative latency", s.Name)
@@ -55,11 +48,8 @@ type Pipeline struct {
 	Stages []Stage
 }
 
-// Errors.
-var (
-	ErrEmptyPipeline = errors.New("reduction: pipeline has no stages")
-	ErrOverCapacity  = errors.New("reduction: stage input exceeds its ceiling")
-)
+// ErrEmptyPipeline is returned for a pipeline without stages.
+var ErrEmptyPipeline = errors.New("reduction: pipeline has no stages")
 
 // Validate checks every stage.
 func (p Pipeline) Validate() error {
@@ -84,26 +74,6 @@ func (p Pipeline) TotalReduction() (float64, error) {
 		f *= s.Factor
 	}
 	return f, nil
-}
-
-// OutputRate pushes an input rate through the chain, checking each
-// stage's ceiling; ErrOverCapacity identifies the stage that saturates.
-func (p Pipeline) OutputRate(in units.ByteRate) (units.ByteRate, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if in < 0 {
-		return 0, fmt.Errorf("reduction: negative input rate %v", in)
-	}
-	rate := in
-	for _, s := range p.Stages {
-		if s.MaxInput > 0 && rate > s.MaxInput {
-			return 0, fmt.Errorf("%w: stage %q gets %v, ceiling %v",
-				ErrOverCapacity, s.Name, rate, s.MaxInput)
-		}
-		rate = units.ByteRate(float64(rate) / s.Factor)
-	}
-	return rate, nil
 }
 
 // ComputeDemand returns the total sustained compute the pipeline needs
@@ -172,38 +142,6 @@ func ATLASTrigger() Pipeline {
 				Factor:                100,
 				ComplexityFLOPPerByte: 500, // software reconstruction
 				Latency:               200 * time.Millisecond,
-			},
-		},
-	}
-}
-
-// LCLS2DRP approximates §2.2.2's Data Reduction Pipeline: one software
-// stage reducing an order of magnitude with ~1 s feedback latency.
-func LCLS2DRP() Pipeline {
-	return Pipeline{
-		Name: "LCLS-II Data Reduction Pipeline",
-		Stages: []Stage{
-			{
-				Name:                  "DRP (compression/feature extraction/software trigger)",
-				Factor:                10,
-				ComplexityFLOPPerByte: 100,
-				Latency:               time.Second,
-			},
-		},
-	}
-}
-
-// DELERIADecomposition approximates §2.2.4: signal decomposition keeping
-// 2.5% of the data (97.5% reduction) across ~100 remote processes.
-func DELERIADecomposition() Pipeline {
-	return Pipeline{
-		Name: "DELERIA signal decomposition",
-		Stages: []Stage{
-			{
-				Name:                  "waveform signal decomposition",
-				Factor:                40, // 97.5% reduction
-				ComplexityFLOPPerByte: 2000,
-				Latency:               100 * time.Millisecond,
 			},
 		},
 	}

@@ -14,7 +14,6 @@ func TestStageValidate(t *testing.T) {
 	bad := []Stage{
 		{Name: "amplifier", Factor: 0.5},
 		{Name: "neg complexity", Factor: 2, ComplexityFLOPPerByte: -1},
-		{Name: "neg ceiling", Factor: 2, MaxInput: -1},
 		{Name: "neg latency", Factor: 2, Latency: -time.Second},
 	}
 	for _, s := range bad {
@@ -33,7 +32,7 @@ func TestEmptyPipeline(t *testing.T) {
 	if err := p.Validate(); !errors.Is(err, ErrEmptyPipeline) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := p.OutputRate(units.GBps); err == nil {
+	if _, err := p.StageRates(units.GBps); err == nil {
 		t.Error("empty pipeline produced output")
 	}
 }
@@ -48,11 +47,11 @@ func TestATLASReductionMatchesPaper(t *testing.T) {
 	if f != 40000 {
 		t.Fatalf("total reduction = %v, want 40000", f)
 	}
-	out, err := p.OutputRate(40 * units.TBps)
+	rates, err := p.StageRates(40 * units.TBps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(out.BytesPerSecond()-1e9) > 1 {
+	if out := rates[len(rates)-1]; math.Abs(out.BytesPerSecond()-1e9) > 1 {
 		t.Fatalf("output = %v, want 1 GB/s", out)
 	}
 	lat, err := p.Latency()
@@ -62,64 +61,6 @@ func TestATLASReductionMatchesPaper(t *testing.T) {
 	// Dominated by the HLT's software latency.
 	if lat < 200*time.Millisecond || lat > 201*time.Millisecond {
 		t.Fatalf("latency = %v", lat)
-	}
-}
-
-func TestLCLS2AndDELERIAPresets(t *testing.T) {
-	drp := LCLS2DRP()
-	f, err := drp.TotalReduction()
-	if err != nil || f != 10 {
-		t.Errorf("DRP reduction = %v, %v", f, err)
-	}
-	out, err := drp.OutputRate(200 * units.GBps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out.BytesPerSecond()-20e9) > 1 {
-		t.Errorf("DRP out = %v, want 20 GB/s (paper §2.2.2)", out)
-	}
-
-	del := DELERIADecomposition()
-	// 97.5% reduction: out/in = 0.025.
-	in := (40 * units.Gbps).ByteRate()
-	out, err = del.OutputRate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := out.BytesPerSecond() / in.BytesPerSecond()
-	if math.Abs(ratio-0.025) > 1e-9 {
-		t.Errorf("DELERIA keeps %v of data, want 0.025", ratio)
-	}
-}
-
-func TestCeilingEnforced(t *testing.T) {
-	p := Pipeline{
-		Name: "capped",
-		Stages: []Stage{
-			{Name: "a", Factor: 2, MaxInput: units.GBps},
-		},
-	}
-	if _, err := p.OutputRate(2 * units.GBps); !errors.Is(err, ErrOverCapacity) {
-		t.Fatalf("err = %v", err)
-	}
-	out, err := p.OutputRate(0.5 * units.GBps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != 0.25*units.GBps {
-		t.Fatalf("out = %v", out)
-	}
-	// The ceiling applies to the rate *entering* the stage: a later
-	// stage sees reduced input.
-	p2 := Pipeline{
-		Name: "chain",
-		Stages: []Stage{
-			{Name: "pre", Factor: 10},
-			{Name: "capped", Factor: 2, MaxInput: units.GBps},
-		},
-	}
-	if _, err := p2.OutputRate(5 * units.GBps); err != nil {
-		t.Fatalf("reduced input should clear the ceiling: %v", err)
 	}
 }
 
@@ -156,10 +97,7 @@ func TestComputeDemandPerStageRates(t *testing.T) {
 }
 
 func TestNegativeInputRejected(t *testing.T) {
-	p := LCLS2DRP()
-	if _, err := p.OutputRate(-1); err == nil {
-		t.Error("negative rate accepted")
-	}
+	p := ATLASTrigger()
 	if _, err := p.ComputeDemand(-1); err == nil {
 		t.Error("negative rate accepted")
 	}
@@ -174,11 +112,12 @@ func TestQuickOutputMonotoneAndReducing(t *testing.T) {
 		if ra > rb {
 			ra, rb = rb, ra
 		}
-		oa, err1 := p.OutputRate(ra)
-		ob, err2 := p.OutputRate(rb)
+		sa, err1 := p.StageRates(ra)
+		sb, err2 := p.StageRates(rb)
 		if err1 != nil || err2 != nil {
 			return false
 		}
+		oa, ob := sa[len(sa)-1], sb[len(sb)-1]
 		return oa <= ob && oa <= ra && ob <= rb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -188,13 +127,14 @@ func TestQuickOutputMonotoneAndReducing(t *testing.T) {
 
 // Property: TotalReduction equals the rate ratio for unbounded pipelines.
 func TestQuickReductionConsistency(t *testing.T) {
-	p := LCLS2DRP()
+	p := ATLASTrigger()
 	f := func(raw uint32) bool {
 		in := units.ByteRate(raw) + 1
-		out, err := p.OutputRate(in)
+		rates, err := p.StageRates(in)
 		if err != nil {
 			return false
 		}
+		out := rates[len(rates)-1]
 		total, err := p.TotalReduction()
 		if err != nil {
 			return false

@@ -114,12 +114,19 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers code with v as indented JSON. v is encoded before
+// the status goes out, so a value JSON cannot carry (a NaN or infinite
+// float) answers 500 with an error body instead of a 200 with none.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		code = http.StatusInternalServerError
+		// A struct holding one string always encodes.
+		body, _ = json.MarshalIndent(errorResponse{Error: fmt.Sprintf("encoding response: %v", err)}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

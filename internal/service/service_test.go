@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -332,6 +333,8 @@ func TestBadCellsRejected(t *testing.T) {
 		{"/v1/decide", cell(`"concs":"100000000"`), "flow limit per cell"},
 		{"/v1/portfolio", `{"portfolio":{"workloads":[{` + w[len(`"workload":{`):] + `]},"grid":{"duration_s":1,"concs":"1,0"}}`,
 			"concurrency must be > 0"},
+		{"/v1/decide", `{` + strings.Replace(w, `"2GB"`, `"1e300GB"`, 1) + `}`, "T_local"},
+		{"/v1/decide", `{` + strings.Replace(w, `17000000000000`, `1e308`, 1) + `}`, "T_local"},
 	}
 	cells, runs := cacheCounters(t, ts.URL)
 	for _, tc := range cases {
@@ -654,5 +657,22 @@ func TestServiceSiblingWriters(t *testing.T) {
 	}
 	if got.Measured == nil || got.Measured.RateBps <= 0 {
 		t.Fatalf("post-compaction foreign cell returned a defective record: %+v", got.Measured)
+	}
+}
+
+// TestWriteJSONUnencodable: a response JSON cannot carry (a NaN float)
+// answers 500 with an error body, not a 200 with an empty one.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"gain": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500 (body %q)", rec.Code, rec.Body.String())
+	}
+	var body errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, "NaN") {
+		t.Fatalf("body = %q (%v), want a JSON error naming NaN", rec.Body.String(), err)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q", ct)
 	}
 }

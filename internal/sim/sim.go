@@ -25,17 +25,3 @@ func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
-
-// Intn returns a uniform int in [0, n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Jitter returns a value uniformly distributed in [-spread, +spread].
-func (g *RNG) Jitter(spread float64) float64 {
-	return (g.r.Float64()*2 - 1) * spread
-}
-
-// ExpFloat64 returns an exponentially distributed value with mean 1.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }

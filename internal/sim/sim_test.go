@@ -21,25 +21,3 @@ func TestRNGDeterminism(t *testing.T) {
 		t.Fatal("different seeds produced identical streams")
 	}
 }
-
-func TestRNGJitterBounds(t *testing.T) {
-	g := NewRNG(1)
-	for i := 0; i < 1000; i++ {
-		j := g.Jitter(0.25)
-		if j < -0.25 || j > 0.25 {
-			t.Fatalf("jitter out of range: %v", j)
-		}
-	}
-}
-
-func TestRNGPerm(t *testing.T) {
-	g := NewRNG(2)
-	p := g.Perm(10)
-	seen := make(map[int]bool)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("bad perm: %v", p)
-		}
-		seen[v] = true
-	}
-}

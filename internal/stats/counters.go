@@ -30,9 +30,6 @@ func (c *LinkCounters) Record(t, cumBytes float64, cumPackets int64) error {
 	return nil
 }
 
-// Len returns the number of recorded samples.
-func (c *LinkCounters) Len() int { return len(c.samples) }
-
 // Reset discards all samples while keeping the underlying capacity, so a
 // reused recorder (tcpsim's engine) stays allocation-free in steady
 // state.
@@ -90,21 +87,6 @@ func (c *LinkCounters) MeanUtilization(capacityBytesPerSec float64) (float64, er
 		return 0, fmt.Errorf("stats: zero-length recording")
 	}
 	return (last.bytes - first.bytes) / dt / capacityBytesPerSec, nil
-}
-
-// PeakUtilization returns the maximum per-interval utilization.
-func (c *LinkCounters) PeakUtilization(capacityBytesPerSec float64) (float64, error) {
-	ivs, err := c.Utilization(capacityBytesPerSec)
-	if err != nil {
-		return 0, err
-	}
-	peak := 0.0
-	for _, iv := range ivs {
-		if iv.Utilization > peak {
-			peak = iv.Utilization
-		}
-	}
-	return peak, nil
 }
 
 // Series is an ordered (x, y) sequence used to hand data to the plot

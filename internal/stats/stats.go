@@ -1,6 +1,6 @@
 // Package stats provides the sample statistics the paper's measurement
 // methodology needs: summaries (mean/min/max/stddev), exact quantiles,
-// empirical CDFs, histograms, and tail metrics (P90/P99/max). The paper
+// empirical CDFs and tail metrics (P90/P99/max). The paper
 // argues that worst-case and tail behaviour — not averages — determine
 // streaming feasibility, so max and high quantiles are first-class here.
 package stats
@@ -42,24 +42,12 @@ func (s *Sample) Reset() {
 	s.sorted = false
 }
 
-// AddAll appends many observations.
-func (s *Sample) AddAll(xs ...float64) {
-	s.xs = append(s.xs, xs...)
-	s.sorted = false
-}
-
 // Len returns the number of observations.
 func (s *Sample) Len() int { return len(s.xs) }
 
 // Values returns a copy of the observations in insertion-or-sorted order
 // (sorted if a quantile has been computed since the last Add).
 func (s *Sample) Values() []float64 { return append([]float64(nil), s.xs...) }
-
-// Sorted returns the observations sorted ascending (copy).
-func (s *Sample) Sorted() []float64 {
-	s.ensureSorted()
-	return append([]float64(nil), s.xs...)
-}
 
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
@@ -141,11 +129,6 @@ func (s *Sample) Quantile(q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac, nil
-}
-
-// Percentile is Quantile(p/100).
-func (s *Sample) Percentile(p float64) (float64, error) {
-	return s.Quantile(p / 100)
 }
 
 // Summary bundles the statistics the experiment reports print.
@@ -230,59 +213,4 @@ func (s *Sample) CDF() ([]CDFPoint, error) {
 		pts = append(pts, CDFPoint{X: s.xs[i], P: float64(i+1) / float64(n)})
 	}
 	return pts, nil
-}
-
-// Histogram is a fixed-width binned view of a sample.
-type Histogram struct {
-	Lo, Hi float64 // range covered; observations outside are clamped
-	Counts []int
-}
-
-// NewHistogram bins the sample into n equal-width bins spanning
-// [min, max]. n must be >= 1.
-func (s *Sample) NewHistogram(n int) (*Histogram, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >=1 bins, got %d", n)
-	}
-	if len(s.xs) == 0 {
-		return nil, ErrNoSamples
-	}
-	lo, _ := s.Min()
-	hi, _ := s.Max()
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-	if hi == lo {
-		h.Counts[0] = len(s.xs)
-		return h, nil
-	}
-	w := (hi - lo) / float64(n)
-	for _, x := range s.xs {
-		i := int((x - lo) / w)
-		if i >= n {
-			i = n - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		h.Counts[i]++
-	}
-	return h, nil
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	n := len(h.Counts)
-	if n == 0 {
-		return h.Lo
-	}
-	w := (h.Hi - h.Lo) / float64(n)
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Total returns the number of binned observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }

@@ -160,36 +160,6 @@ func TestTailIndex(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	s := NewSample(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-	h, err := s.NewHistogram(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 10 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// Bins: [0,1.8) [1.8,3.6) [3.6,5.4) [5.4,7.2) [7.2,9]
-	want := []int{2, 2, 2, 2, 2}
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Errorf("bin %d = %d, want %d (%v)", i, h.Counts[i], c, h.Counts)
-		}
-	}
-	if got := h.BinCenter(0); math.Abs(got-0.9) > 1e-12 {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
-
-	if _, err := s.NewHistogram(0); err == nil {
-		t.Error("0-bin histogram should fail")
-	}
-	flat := NewSample(2, 2, 2)
-	h, err = flat.NewHistogram(3)
-	if err != nil || h.Counts[0] != 3 {
-		t.Errorf("degenerate histogram: %v %v", h, err)
-	}
-}
-
 // Property: quantile is monotone in q and bounded by [min, max].
 func TestQuickQuantileMonotone(t *testing.T) {
 	f := func(raw []float64, qa, qb float64) bool {

@@ -62,14 +62,3 @@ func (ct CrossTraffic) consumedAt(t, phase float64) float64 {
 	}
 	return 0
 }
-
-// MeanLoad returns the long-run average background load.
-func (ct CrossTraffic) MeanLoad() float64 {
-	if !ct.enabled() {
-		return 0
-	}
-	if ct.Period <= 0 {
-		return ct.Fraction
-	}
-	return ct.Fraction * ct.Duty
-}

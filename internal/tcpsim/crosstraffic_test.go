@@ -62,23 +62,6 @@ func TestCrossTrafficWaveform(t *testing.T) {
 	}
 }
 
-func TestCrossTrafficMeanLoad(t *testing.T) {
-	cases := []struct {
-		ct   CrossTraffic
-		want float64
-	}{
-		{CrossTraffic{}, 0},
-		{CrossTraffic{Fraction: 0.4}, 0.4},
-		{CrossTraffic{Fraction: 0.4, Period: time.Second, Duty: 0.5}, 0.2},
-		{CrossTraffic{Fraction: 0.6, Period: time.Second, Duty: 1}, 0.6},
-	}
-	for i, c := range cases {
-		if got := c.ct.MeanLoad(); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("case %d mean = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
 func TestCrossTrafficSlowsTransfers(t *testing.T) {
 	// A solo 0.5 GB flow with 50% constant background must take roughly
 	// twice as long as on an idle link.

@@ -3,11 +3,11 @@ package tcpsim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -17,7 +17,7 @@ import (
 // constant and square-wave cross traffic with and without phase jitter,
 // 1–64 flows with zero-size flows, tied arrivals and idle gaps, and
 // queue recording on and off.
-func randomCase(rng *sim.RNG) (Config, []FlowSpec) {
+func randomCase(rng *rand.Rand) (Config, []FlowSpec) {
 	cfg := DefaultConfig()
 	cfg.Seed = int64(rng.Intn(1 << 30))
 	cfg.Capacity = []units.BitRate{units.Gbps, 10 * units.Gbps, 25 * units.Gbps, 100 * units.Gbps}[rng.Intn(4)]
@@ -146,7 +146,7 @@ func matchReference(e *Engine, cfg Config, specs []FlowSpec) error {
 // every Result field — or fail with the same error.
 func TestEngineMatchesReferenceRandom(t *testing.T) {
 	const cases = 600
-	rng := sim.NewRNG(20261017)
+	rng := rand.New(rand.NewSource(20261017))
 	e := NewEngine()
 	var cubic, jitter, recorded, zeroSize, oneMSS int
 	for i := 0; i < cases; i++ {
@@ -194,7 +194,7 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	}
 	e := NewEngine()
 	f.Fuzz(func(t *testing.T, seed int64) {
-		cfg, specs := randomCase(sim.NewRNG(seed))
+		cfg, specs := randomCase(rand.New(rand.NewSource(seed)))
 		if err := matchReference(e, cfg, specs); err != nil {
 			t.Fatalf("seed %d (%+v, %d flows): %v", seed, cfg, len(specs), err)
 		}

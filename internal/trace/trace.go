@@ -1,18 +1,15 @@
 // Package trace records per-transfer measurements — the paper's
 // "application-level performance indicators (detailed transfer time logs
-// per client)" — together with experiment metadata, and round-trips them
-// through CSV and JSON so runs can be archived and re-analyzed.
+// per client)" — together with experiment metadata, and writes them as
+// CSV so runs can be archived and re-analyzed.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -20,40 +17,30 @@ import (
 // Transfer is one client transfer observation.
 type Transfer struct {
 	// ClientID identifies the client within the experiment.
-	ClientID int `json:"client_id"`
+	ClientID int
 	// Flows is the number of parallel TCP flows the client used.
-	Flows int `json:"flows"`
+	Flows int
 	// Bytes is the total payload moved by the client.
-	Bytes float64 `json:"bytes"`
+	Bytes float64
 	// Start is the client spawn time, seconds since experiment start.
-	Start float64 `json:"start_s"`
+	Start float64
 	// End is the completion time, seconds since experiment start.
-	End float64 `json:"end_s"`
+	End float64
 	// Retransmits counts retransmitted segments across the client's flows
 	// (0 when the transport does not expose it).
-	Retransmits int64 `json:"retransmits"`
+	Retransmits int64
 }
 
 // Duration returns the transfer completion time in seconds.
 func (t Transfer) Duration() float64 { return t.End - t.Start }
 
-// Throughput returns the achieved rate in bytes/second, or 0 for
-// zero-duration transfers.
-func (t Transfer) Throughput() float64 {
-	d := t.Duration()
-	if d <= 0 {
-		return 0
-	}
-	return t.Bytes / d
-}
-
 // Log is an append-only collection of transfers plus run metadata.
 type Log struct {
 	// Meta carries free-form experiment parameters (concurrency, flows,
 	// strategy, link speed, ...), keyed by parameter name.
-	Meta map[string]string `json:"meta"`
+	Meta map[string]string
 	// Transfers holds the per-client records.
-	Transfers []Transfer `json:"transfers"`
+	Transfers []Transfer
 }
 
 // NewLog returns an empty log with initialized metadata.
@@ -72,9 +59,6 @@ func (l *Log) SetMeta(key, value string) {
 	l.Meta[key] = value
 }
 
-// Len returns the number of transfer records.
-func (l *Log) Len() int { return len(l.Transfers) }
-
 // Durations returns all transfer durations as a stats.Sample.
 func (l *Log) Durations() *stats.Sample {
 	s := &stats.Sample{}
@@ -91,39 +75,6 @@ func (l *Log) MaxDuration() (float64, error) {
 		return 0, errors.New("trace: empty log")
 	}
 	return l.Durations().Max()
-}
-
-// TotalBytes sums the payload across all transfers.
-func (l *Log) TotalBytes() float64 {
-	sum := 0.0
-	for _, t := range l.Transfers {
-		sum += t.Bytes
-	}
-	return sum
-}
-
-// Span returns the [earliest start, latest end] covered by the log.
-func (l *Log) Span() (start, end float64, err error) {
-	if len(l.Transfers) == 0 {
-		return 0, 0, errors.New("trace: empty log")
-	}
-	start, end = l.Transfers[0].Start, l.Transfers[0].End
-	for _, t := range l.Transfers[1:] {
-		if t.Start < start {
-			start = t.Start
-		}
-		if t.End > end {
-			end = t.End
-		}
-	}
-	return start, end, nil
-}
-
-// SortByStart orders transfers by spawn time (stable).
-func (l *Log) SortByStart() {
-	sort.SliceStable(l.Transfers, func(i, j int) bool {
-		return l.Transfers[i].Start < l.Transfers[j].Start
-	})
 }
 
 var csvHeader = []string{"client_id", "flows", "bytes", "start_s", "end_s", "retransmits"}
@@ -152,71 +103,4 @@ func (l *Log) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("trace: flushing CSV: %w", err)
 	}
 	return nil
-}
-
-// ReadCSV parses transfers previously written by WriteCSV into a new Log
-// (metadata is not round-tripped through CSV; use JSON for that).
-func ReadCSV(r io.Reader) (*Log, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading CSV: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, errors.New("trace: empty CSV")
-	}
-	if len(recs[0]) != len(csvHeader) {
-		return nil, fmt.Errorf("trace: CSV header has %d columns, want %d", len(recs[0]), len(csvHeader))
-	}
-	for i, h := range csvHeader {
-		if recs[0][i] != h {
-			return nil, fmt.Errorf("trace: CSV column %d is %q, want %q", i, recs[0][i], h)
-		}
-	}
-	l := NewLog()
-	for i, rec := range recs[1:] {
-		var t Transfer
-		var errs [6]error
-		t.ClientID, errs[0] = strconv.Atoi(rec[0])
-		t.Flows, errs[1] = strconv.Atoi(rec[1])
-		t.Bytes, errs[2] = strconv.ParseFloat(rec[2], 64)
-		t.Start, errs[3] = strconv.ParseFloat(rec[3], 64)
-		t.End, errs[4] = strconv.ParseFloat(rec[4], 64)
-		t.Retransmits, errs[5] = strconv.ParseInt(rec[5], 10, 64)
-		for _, e := range errs {
-			if e != nil {
-				return nil, fmt.Errorf("trace: CSV row %d: %w", i+1, e)
-			}
-		}
-		l.Add(t)
-	}
-	return l, nil
-}
-
-// WriteJSON writes the full log (metadata + transfers) as indented JSON.
-func (l *Log) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(l); err != nil {
-		return fmt.Errorf("trace: encoding JSON: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON parses a log written by WriteJSON.
-func ReadJSON(r io.Reader) (*Log, error) {
-	var l Log
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&l); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
-	}
-	if l.Meta == nil {
-		l.Meta = make(map[string]string)
-	}
-	return &l, nil
-}
-
-// Stamp records the wall-clock time an experiment ran at, for archival.
-func (l *Log) Stamp(now time.Time) {
-	l.SetMeta("recorded_at", now.UTC().Format(time.RFC3339))
 }

@@ -2,11 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
-	"strings"
+	"strconv"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func sampleLog() *Log {
@@ -24,30 +24,13 @@ func TestTransferDerived(t *testing.T) {
 	if d := tr.Duration(); d != 2 {
 		t.Errorf("Duration = %v", d)
 	}
-	if th := tr.Throughput(); th != 5e8 {
-		t.Errorf("Throughput = %v", th)
-	}
-	zero := Transfer{Bytes: 10, Start: 5, End: 5}
-	if th := zero.Throughput(); th != 0 {
-		t.Errorf("zero-duration throughput = %v", th)
-	}
 }
 
 func TestLogAggregates(t *testing.T) {
 	l := sampleLog()
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
-	}
 	max, err := l.MaxDuration()
 	if err != nil || max != 5 {
 		t.Errorf("MaxDuration = %v, %v", max, err)
-	}
-	if tb := l.TotalBytes(); tb != 1.5e9 {
-		t.Errorf("TotalBytes = %v", tb)
-	}
-	start, end, err := l.Span()
-	if err != nil || start != 0 || end != 7 {
-		t.Errorf("Span = %v..%v, %v", start, end, err)
 	}
 	s := l.Durations()
 	if s.Len() != 3 {
@@ -58,85 +41,20 @@ func TestLogAggregates(t *testing.T) {
 	if _, err := empty.MaxDuration(); err == nil {
 		t.Error("empty MaxDuration should fail")
 	}
-	if _, _, err := empty.Span(); err == nil {
-		t.Error("empty Span should fail")
-	}
 }
 
-func TestSortByStart(t *testing.T) {
-	l := NewLog()
-	l.Add(Transfer{ClientID: 2, Start: 5})
-	l.Add(Transfer{ClientID: 0, Start: 1})
-	l.Add(Transfer{ClientID: 1, Start: 3})
-	l.SortByStart()
-	for i, tr := range l.Transfers {
-		if tr.ClientID != i {
-			t.Fatalf("order wrong: %+v", l.Transfers)
-		}
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	l := sampleLog()
+func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := l.WriteCSV(&buf); err != nil {
+	if err := sampleLog().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != l.Len() {
-		t.Fatalf("round trip lost rows: %d vs %d", got.Len(), l.Len())
-	}
-	for i := range l.Transfers {
-		if got.Transfers[i] != l.Transfers[i] {
-			t.Errorf("row %d: %+v != %+v", i, got.Transfers[i], l.Transfers[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty CSV should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
-		t.Error("wrong header width should fail")
-	}
-	bad := "client_id,flows,bytes,start_s,end_s,retransmits\nx,1,2,3,4,5\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Error("non-numeric cell should fail")
-	}
-	wrongName := "client,flows,bytes,start_s,end_s,retransmits\n"
-	if _, err := ReadCSV(strings.NewReader(wrongName)); err == nil {
-		t.Error("wrong header name should fail")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	l := sampleLog()
-	l.Stamp(time.Date(2025, 11, 16, 9, 0, 0, 0, time.UTC))
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Meta["concurrency"] != "4" || got.Meta["recorded_at"] != "2025-11-16T09:00:00Z" {
-		t.Errorf("meta lost: %v", got.Meta)
-	}
-	if got.Len() != 3 || got.Transfers[1].Retransmits != 12 {
-		t.Errorf("transfers lost: %+v", got.Transfers)
-	}
-	if _, err := ReadJSON(strings.NewReader("{")); err == nil {
-		t.Error("truncated JSON should fail")
-	}
-	// A JSON log without meta gets an initialized map.
-	got, err = ReadJSON(strings.NewReader(`{"transfers":[]}`))
-	if err != nil || got.Meta == nil {
-		t.Errorf("nil meta not initialized: %v %v", got, err)
+	want := `client_id,flows,bytes,start_s,end_s,retransmits
+0,8,5e+08,0,0.2,0
+1,8,5e+08,1,2.5,12
+2,8,5e+08,2,7,0
+`
+	if buf.String() != want {
+		t.Fatalf("CSV =\n%s\nwant\n%s", buf.String(), want)
 	}
 }
 
@@ -148,8 +66,8 @@ func TestSetMetaOnZeroValue(t *testing.T) {
 	}
 }
 
-// Property: CSV round-trip preserves every transfer exactly for finite
-// values.
+// Property: the CSV is lossless — every field of a finite transfer
+// parses back to the value written.
 func TestQuickCSVRoundTrip(t *testing.T) {
 	f := func(id uint8, flows uint8, payload, start, dur float64) bool {
 		if math.IsNaN(payload) || math.IsInf(payload, 0) ||
@@ -164,11 +82,17 @@ func TestQuickCSVRoundTrip(t *testing.T) {
 		if err := l.WriteCSV(&buf); err != nil {
 			return false
 		}
-		got, err := ReadCSV(&buf)
-		if err != nil || got.Len() != 1 {
+		recs, err := csv.NewReader(&buf).ReadAll()
+		if err != nil || len(recs) != 2 {
 			return false
 		}
-		return got.Transfers[0] == tr
+		row := recs[1]
+		b, errB := strconv.ParseFloat(row[2], 64)
+		s, errS := strconv.ParseFloat(row[3], 64)
+		e, errE := strconv.ParseFloat(row[4], 64)
+		return errB == nil && errS == nil && errE == nil &&
+			row[0] == strconv.Itoa(tr.ClientID) && row[1] == strconv.Itoa(tr.Flows) &&
+			b == tr.Bytes && s == tr.Start && e == tr.End && row[5] == "0"
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -159,30 +159,3 @@ func TestLoadFailurePropagates(t *testing.T) {
 		t.Fatal("dead server accepted")
 	}
 }
-
-func TestStreamFramesServerGone(t *testing.T) {
-	g, err := ListenServers(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := g.Addrs()[0]
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	src := FrameSource{Frames: 3, FrameSize: units.KB, Interval: 0}
-	if _, err := StreamFrames(addr, src); err == nil {
-		t.Fatal("streaming to dead server succeeded")
-	}
-}
-
-func TestStageAndTransferUnwritableDir(t *testing.T) {
-	g, err := ListenServers(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	src := FrameSource{Frames: 2, FrameSize: units.KB, Interval: 0}
-	if _, err := StageAndTransfer(g.Addrs()[0], src, "/nonexistent/dir/for/staging", 1); err == nil {
-		t.Fatal("unwritable staging dir accepted")
-	}
-}

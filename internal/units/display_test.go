@@ -151,13 +151,7 @@ func TestParseExponentEdge(t *testing.T) {
 	}
 }
 
-func TestSecAndIsZero(t *testing.T) {
-	if Sec(1500*time.Millisecond) != 1.5 {
-		t.Error("Sec wrong")
-	}
-	if !ByteSize(0).IsZero() || ByteSize(1).IsZero() {
-		t.Error("IsZero wrong")
-	}
+func TestRateAccessors(t *testing.T) {
 	if (25 * Gbps).BitsPerSecond() != 25e9 {
 		t.Error("BitsPerSecond wrong")
 	}

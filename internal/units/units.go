@@ -44,12 +44,6 @@ const (
 // Bytes returns the size as a plain float64 byte count.
 func (s ByteSize) Bytes() float64 { return float64(s) }
 
-// Bits returns the size in bits.
-func (s ByteSize) Bits() float64 { return float64(s) * 8 }
-
-// IsZero reports whether the size is exactly zero.
-func (s ByteSize) IsZero() bool { return s == 0 }
-
 // String formats the size with an automatically chosen decimal suffix,
 // e.g. "0.50 GB", "12.08 GB", "512 B".
 func (s ByteSize) String() string {
@@ -157,18 +151,6 @@ func (r ByteRate) String() string {
 	}
 }
 
-// TimeToMove returns how long moving size at this rate takes.
-// It returns +Inf duration semantics via a very large duration when the
-// rate is zero or negative; callers that need to distinguish should
-// check the rate first.
-func (r ByteRate) TimeToMove(size ByteSize) time.Duration {
-	if r <= 0 {
-		return time.Duration(math.MaxInt64)
-	}
-	sec := float64(size) / float64(r)
-	return Seconds(sec)
-}
-
 // FLOPS is a compute rate in floating-point operations per second.
 type FLOPS float64
 
@@ -226,9 +208,6 @@ func Seconds(sec float64) time.Duration {
 	}
 	return time.Duration(ns)
 }
-
-// Sec converts a time.Duration to float64 seconds.
-func Sec(d time.Duration) float64 { return d.Seconds() }
 
 // parseNumberSuffix splits "12.5GB" into 12.5 and "GB" (suffix trimmed
 // and case preserved). Accepts an optional single space between number

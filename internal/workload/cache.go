@@ -77,13 +77,6 @@ func NewGridCache() *GridCache { return &GridCache{} }
 // disables persistence).
 func (c *GridCache) SetDiskDir(dir string) { c.cells.setDir(dir) }
 
-// DiskDir returns the configured disk directory ("" when persistence is
-// off or the store has degraded after a write failure).
-func (c *GridCache) DiskDir() string { return c.cells.activeDir() }
-
-// Len reports how many distinct results the cache holds in memory.
-func (c *GridCache) Len() int { return c.mem.len() }
-
 // Purge empties the in-memory memo. Cell records persist on disk; use
 // PurgeDiskCache to remove those.
 func (c *GridCache) Purge() { c.mem.purge() }

@@ -159,7 +159,7 @@ func TestSweepCacheHitsShareResult(t *testing.T) {
 	if !sharesRows(g, a) {
 		t.Fatal("explicit singleton axes hold a separate memo entry")
 	}
-	if n := defaultGridCache.Len(); n != 1 {
+	if n := defaultGridCache.mem.len(); n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 
@@ -172,12 +172,12 @@ func TestSweepCacheHitsShareResult(t *testing.T) {
 	if sharesRows(c, a) {
 		t.Fatal("different strategy shared a cache entry")
 	}
-	if n := defaultGridCache.Len(); n != 2 {
+	if n := defaultGridCache.mem.len(); n != 2 {
 		t.Fatalf("cache holds %d entries, want 2", n)
 	}
 
 	PurgeGridCache()
-	if n := defaultGridCache.Len(); n != 0 {
+	if n := defaultGridCache.mem.len(); n != 0 {
 		t.Fatalf("purged cache holds %d entries", n)
 	}
 	d, err := RunGridCached(cfg, 0)
@@ -220,7 +220,7 @@ func TestSweepCacheSingleFlight(t *testing.T) {
 			t.Fatal("concurrent calls returned distinct results")
 		}
 	}
-	if n := defaultGridCache.Len(); n != 1 {
+	if n := defaultGridCache.mem.len(); n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 }

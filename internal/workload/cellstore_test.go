@@ -226,13 +226,13 @@ func TestUnwritableCacheDirDegrades(t *testing.T) {
 
 	c := NewGridCache()
 	c.SetDiskDir(unwritable)
-	if c.DiskDir() != unwritable {
-		t.Fatalf("DiskDir = %q before any write", c.DiskDir())
+	if c.cells.activeDir() != unwritable {
+		t.Fatalf("DiskDir = %q before any write", c.cells.activeDir())
 	}
 	if _, err := c.Get(fastAxes(), 0); err != nil {
 		t.Fatalf("unwritable cache dir failed the run: %v", err)
 	}
-	if c.DiskDir() != "" {
+	if c.cells.activeDir() != "" {
 		t.Error("store did not degrade to persistence-off after write failure")
 	}
 

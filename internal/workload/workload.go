@@ -11,14 +11,12 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/tcpsim"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -374,27 +372,4 @@ func finalize(res *Result) (*Result, error) {
 	}
 	res.SSS = s
 	return res, nil
-}
-
-// TraceLog converts the result into a trace.Log for archival, with the
-// experiment parameters recorded as metadata.
-func (r *Result) TraceLog() *trace.Log {
-	l := trace.NewLog()
-	l.SetMeta("strategy", r.Experiment.Strategy.String())
-	l.SetMeta("concurrency", strconv.Itoa(r.Experiment.Concurrency))
-	l.SetMeta("parallel_flows", strconv.Itoa(r.Experiment.ParallelFlows))
-	l.SetMeta("transfer_size_bytes", strconv.FormatFloat(r.Experiment.TransferSize.Bytes(), 'g', -1, 64))
-	l.SetMeta("duration_s", strconv.FormatFloat(r.Experiment.Duration.Seconds(), 'g', -1, 64))
-	l.SetMeta("capacity_bps", strconv.FormatFloat(r.Experiment.Net.Capacity.BitsPerSecond(), 'g', -1, 64))
-	for _, c := range r.Clients {
-		l.Add(trace.Transfer{
-			ClientID:    c.ClientID,
-			Flows:       c.Flows,
-			Bytes:       c.Bytes,
-			Start:       c.Start,
-			End:         c.End,
-			Retransmits: c.Retransmits,
-		})
-	}
-	return l
 }

@@ -194,29 +194,6 @@ func TestWorstGrowsWithLoadSimultaneous(t *testing.T) {
 	}
 }
 
-func TestTraceLogRoundTrip(t *testing.T) {
-	e := fastExperiment()
-	e.Concurrency = 1
-	res, err := Run(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := res.TraceLog()
-	if l.Len() != len(res.Clients) {
-		t.Fatalf("log entries = %d, want %d", l.Len(), len(res.Clients))
-	}
-	if l.Meta["strategy"] != "simultaneous" || l.Meta["concurrency"] != "1" {
-		t.Errorf("meta = %v", l.Meta)
-	}
-	max, err := l.MaxDuration()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(max-res.WorstFCT.Seconds()) > 1e-9 {
-		t.Errorf("log max %v vs result worst %v", max, res.WorstFCT)
-	}
-}
-
 func TestRunUnknownStrategy(t *testing.T) {
 	e := fastExperiment()
 	e.Strategy = Strategy(42)

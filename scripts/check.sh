@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# check.sh — the repo's CI gate. Runs formatting, vet, build, the full
-# test suite (root package, ./internal/..., and ./cmd/... — `./...` is
-# module-rooted and covers them all), and a short benchmark smoke that
+# check.sh — the repo's CI gate. Runs formatting, vet, build, the
+# dead-export and link-budget gate, the full test suite (root package,
+# ./internal/..., and ./cmd/... — `./...` is module-rooted and covers
+# them all), and a short benchmark smoke that
 # includes the bench-regression comparison against the tracked
 # BENCH_sweep.json (run `go run ./cmd/benchjson` without -quick for the
 # paper-scale numbers recorded in PERFORMANCE.md).
@@ -29,6 +30,13 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== dead exports and cmd/decided line budget =="
+# Fails on an exported identifier no non-test code (module, examples or
+# perfbench) references unless scripts/deadexports/allow.txt lists it,
+# on a stale allowlist entry, and when cmd/decided's closure outgrows
+# its pinned budget. Standard library only; needs no network.
+go run ./scripts/deadexports
 
 echo "== go test =="
 # SHORT=1 also propagates -short so benchmark-shaped tests (the
