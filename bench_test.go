@@ -427,7 +427,11 @@ func BenchmarkAblationCubic(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.Duration
+		end := 0.0
+		for _, f := range res.Flows {
+			end = max(end, f.End)
+		}
+		return end
 	}
 	var ratio float64
 	for i := 0; i < b.N; i++ {

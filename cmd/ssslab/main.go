@@ -61,7 +61,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -273,15 +272,9 @@ func runSingleSim(out io.Writer, axes workload.Axes, csvPath string) error {
 }
 
 // traceLog converts a simulated result into the per-client trace that
-// live mode writes, with the experiment parameters recorded as metadata.
+// live mode writes.
 func traceLog(r *workload.Result) *trace.Log {
-	l := trace.NewLog()
-	l.SetMeta("strategy", r.Experiment.Strategy.String())
-	l.SetMeta("concurrency", strconv.Itoa(r.Experiment.Concurrency))
-	l.SetMeta("parallel_flows", strconv.Itoa(r.Experiment.ParallelFlows))
-	l.SetMeta("transfer_size_bytes", strconv.FormatFloat(r.Experiment.TransferSize.Bytes(), 'g', -1, 64))
-	l.SetMeta("duration_s", strconv.FormatFloat(r.Experiment.Duration.Seconds(), 'g', -1, 64))
-	l.SetMeta("capacity_bps", strconv.FormatFloat(r.Experiment.Net.Capacity.BitsPerSecond(), 'g', -1, 64))
+	l := &trace.Log{}
 	for _, c := range r.Clients {
 		l.Add(trace.Transfer{
 			ClientID:    c.ClientID,

@@ -411,9 +411,6 @@ func TestTraceLogRoundTrip(t *testing.T) {
 	if len(l.Transfers) != len(res.Clients) {
 		t.Fatalf("log entries = %d, want %d", len(l.Transfers), len(res.Clients))
 	}
-	if l.Meta["strategy"] != "simultaneous" || l.Meta["concurrency"] != "1" {
-		t.Errorf("meta = %v", l.Meta)
-	}
 	max, err := l.MaxDuration()
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/units"
 )
@@ -59,8 +58,6 @@ type HopParams struct {
 	Name string
 	// Capacity is the hop's raw link rate.
 	Capacity units.BitRate
-	// RTT is the hop's latency contribution.
-	RTT time.Duration
 	// CrossFraction is the share of capacity lost to cross-traffic.
 	CrossFraction float64
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/units"
 )
@@ -11,9 +10,9 @@ import (
 // testHops: a fast edge, a congested WAN bottleneck, a roomy ingress.
 func testHops() []HopParams {
 	return []HopParams{
-		{Name: "edge", Capacity: 100 * units.Gbps, RTT: 2 * time.Millisecond},
-		{Name: "wan", Capacity: 100 * units.Gbps, RTT: 30 * time.Millisecond, CrossFraction: 0.8},
-		{Name: "ingress", Capacity: 40 * units.Gbps, RTT: time.Millisecond},
+		{Name: "edge", Capacity: 100 * units.Gbps},
+		{Name: "wan", Capacity: 100 * units.Gbps, CrossFraction: 0.8},
+		{Name: "ingress", Capacity: 40 * units.Gbps},
 	}
 }
 

@@ -163,9 +163,6 @@ type Decision struct {
 	// within the effective transfer rate α·Bw (always true when no
 	// generation rate was supplied).
 	SustainedOK bool
-	// DeadlineOK reports whether the winning path meets the deadline
-	// (always true when no deadline was supplied).
-	DeadlineOK bool
 	// Reason is a one-line human-readable justification.
 	Reason string
 }
@@ -195,7 +192,6 @@ func Decide(p Params, opts DecideOpts) (Decision, error) {
 		Breakdown:   p.Breakdown(),
 		Gain:        p.Gain(),
 		SustainedOK: true,
-		DeadlineOK:  true,
 	}
 
 	// Sustained feasibility: the instrument must not outpace the
@@ -211,7 +207,6 @@ func Decide(p Params, opts DecideOpts) (Decision, error) {
 		// Remote is off the table; local wins if it meets the deadline.
 		if opts.Deadline > 0 && d.Breakdown.TLocal > opts.Deadline {
 			d.Choice = ChooseInfeasible
-			d.DeadlineOK = false
 			d.Reason = fmt.Sprintf("generation rate %v exceeds effective transfer rate %v and local time %v misses deadline %v",
 				opts.GenerationRate, p.TransferRate, d.Breakdown.TLocal, opts.Deadline)
 		} else {
@@ -221,7 +216,6 @@ func Decide(p Params, opts DecideOpts) (Decision, error) {
 		}
 	case remoteWins:
 		if opts.Deadline > 0 && d.Breakdown.TPct > opts.Deadline {
-			d.DeadlineOK = false
 			if d.Breakdown.TLocal <= opts.Deadline {
 				d.Choice = ChooseLocal
 				d.Reason = fmt.Sprintf("remote is faster (gain %.2f) but T_pct %v misses deadline %v; local %v meets it",
@@ -238,7 +232,6 @@ func Decide(p Params, opts DecideOpts) (Decision, error) {
 		}
 	default:
 		if opts.Deadline > 0 && d.Breakdown.TLocal > opts.Deadline {
-			d.DeadlineOK = false
 			if d.Breakdown.TPct <= opts.Deadline {
 				// Local is nominally faster but misses the deadline while
 				// remote meets it — cannot happen when TPct >= TLocal, kept

@@ -158,7 +158,7 @@ func TestFig4OrderingAndHeadline(t *testing.T) {
 	// paper's claims: streaming fastest, 1440 slowest.
 	byLabel := map[string]time.Duration{}
 	for _, v := range fig4.Variants {
-		byLabel[v.Label] = v.Completion
+		byLabel[v.Label] = v.Timeline.Completion
 	}
 	stream := byLabel["0.033s/frame streaming"]
 	worst := byLabel["0.033s/frame 1440 file(s)"]
@@ -271,8 +271,8 @@ func TestRunAllSuite(t *testing.T) {
 	if _, ok := suite.Get("nonexistent"); ok {
 		t.Error("Get(nonexistent) succeeded")
 	}
-	if suite.Headline.MaxReductionPercent <= 0 {
-		t.Error("suite headline not populated")
+	if h, _ := suite.Get("headline"); !strings.Contains(h.Text, "reduction: up to ") || strings.Contains(h.Text, "up to 0.0%") {
+		t.Errorf("suite headline not populated:\n%s", h.Text)
 	}
 }
 

@@ -11,11 +11,10 @@ import (
 
 // Fig4Variant is one bar of Fig. 4: a transfer method at a frame rate.
 type Fig4Variant struct {
-	Label      string
-	Interval   time.Duration
-	Files      int // 0 = streaming
-	Timeline   pipeline.Timeline
-	Completion time.Duration
+	Label    string
+	Interval time.Duration
+	Files    int // 0 = streaming
+	Timeline pipeline.Timeline
 }
 
 // Fig4Result carries the figure plus the raw variants for the headline
@@ -47,7 +46,7 @@ func Fig4() (*Fig4Result, error) {
 		label := fmt.Sprintf("%s streaming", rate)
 		res.Variants = append(res.Variants, Fig4Variant{
 			Label: label, Interval: interval, Files: 0,
-			Timeline: stream, Completion: stream.Completion,
+			Timeline: stream,
 		})
 		bars = append(bars, plot.Bar{Label: label, Value: stream.Completion.Seconds()})
 
@@ -59,7 +58,7 @@ func Fig4() (*Fig4Result, error) {
 			label := fmt.Sprintf("%s %d file(s)", rate, n)
 			res.Variants = append(res.Variants, Fig4Variant{
 				Label: label, Interval: interval, Files: n,
-				Timeline: tl, Completion: tl.Completion,
+				Timeline: tl,
 			})
 			bars = append(bars, plot.Bar{Label: label, Value: tl.Completion.Seconds()})
 		}

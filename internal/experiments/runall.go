@@ -10,7 +10,6 @@ import (
 // Suite is the complete regenerated evaluation.
 type Suite struct {
 	Artifacts []Artifact
-	Headline  HeadlineNumbers
 }
 
 // Get returns the artifact with the given ID, if present.
@@ -85,11 +84,10 @@ func RunAll(sweep workload.Axes) (*Suite, error) {
 	}
 	suite.Artifacts = append(suite.Artifacts, study.Artifact)
 
-	numbers, headline, err := Headline(fig4, fig2a)
+	_, headline, err := Headline(fig4, fig2a)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: headline: %w", err)
 	}
-	suite.Headline = numbers
 	suite.Artifacts = append(suite.Artifacts, headline)
 
 	// Future-work extensions (ext-* IDs; DESIGN.md §5, EXPERIMENTS.md).

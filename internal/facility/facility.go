@@ -7,7 +7,6 @@ package facility
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/units"
 )
@@ -24,8 +23,6 @@ type Workflow struct {
 	Throughput units.ByteRate
 	// Compute is the analysis demand for one second of data.
 	Compute units.FLOPS
-	// Description summarizes the science context.
-	Description string
 }
 
 // String renders a Table 3 style row.
@@ -37,22 +34,20 @@ func (w Workflow) String() string {
 // 34 TF offline analysis (2023 numbers from Thayer et al.).
 func LCLS2CoherentScattering() Workflow {
 	return Workflow{
-		Facility:    "LCLS-II",
-		Name:        "Coherent Scattering (XPCS, XSVS)",
-		Throughput:  2 * units.GBps,
-		Compute:     34 * units.TeraFLOPS,
-		Description: "X-ray photon correlation and speckle visibility spectroscopy; throughput after 10x data reduction",
+		Facility:   "LCLS-II",
+		Name:       "Coherent Scattering (XPCS, XSVS)",
+		Throughput: 2 * units.GBps,
+		Compute:    34 * units.TeraFLOPS,
 	}
 }
 
 // LCLS2LiquidScattering is Table 3 row 2: 4 GB/s, 20 TF.
 func LCLS2LiquidScattering() Workflow {
 	return Workflow{
-		Facility:    "LCLS-II",
-		Name:        "Liquid Scattering",
-		Throughput:  4 * units.GBps,
-		Compute:     20 * units.TeraFLOPS,
-		Description: "liquid-jet scattering; throughput after 10x data reduction",
+		Facility:   "LCLS-II",
+		Name:       "Liquid Scattering",
+		Throughput: 4 * units.GBps,
+		Compute:    20 * units.TeraFLOPS,
 	}
 }
 
@@ -69,10 +64,6 @@ type Instrument struct {
 	RawRate units.ByteRate
 	// ReducedRate is the post-reduction rate that must move.
 	ReducedRate units.ByteRate
-	// FrameSize is the natural detector quantum (zero if not framed).
-	FrameSize units.ByteSize
-	// FrameInterval is the production cadence (zero if not framed).
-	FrameInterval time.Duration
 	// Link is the WAN capacity toward remote compute.
 	Link units.BitRate
 	// Notes cites the numbers' provenance.
@@ -95,13 +86,11 @@ func LHC() Instrument {
 // ALCF; the Fig. 4 scan parameters come from this facility.
 func APS() Instrument {
 	return Instrument{
-		Name:          "APS",
-		RawRate:       60 * units.GBps,
-		ReducedRate:   10 * units.GBps,
-		FrameSize:     2048 * 2048 * 2 * units.Byte,
-		FrameInterval: 33 * time.Millisecond,
-		Link:          100 * units.Gbps,
-		Notes:         "480 Gb/s detectors; 2048x2048 16-bit projections; streams to ALCF for reconstruction",
+		Name:        "APS",
+		RawRate:     60 * units.GBps,
+		ReducedRate: 10 * units.GBps,
+		Link:        100 * units.Gbps,
+		Notes:       "480 Gb/s detectors; 2048x2048 16-bit projections; streams to ALCF for reconstruction",
 	}
 }
 

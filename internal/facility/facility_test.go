@@ -46,16 +46,6 @@ func TestInstrumentsComplete(t *testing.T) {
 	}
 }
 
-func TestAPSFrameMatchesFig4(t *testing.T) {
-	aps := APS()
-	if aps.FrameSize != 2048*2048*2*units.Byte {
-		t.Errorf("frame size = %v", aps.FrameSize)
-	}
-	if aps.FrameInterval.Seconds() != 0.033 {
-		t.Errorf("frame interval = %v", aps.FrameInterval)
-	}
-}
-
 func TestDELERIAPerProcess(t *testing.T) {
 	// 240 MB/s over 100 processes = 2.4 MB/s per process — the paper's
 	// "roughly 2 MB/s per compute process".

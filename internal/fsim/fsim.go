@@ -25,8 +25,6 @@ import (
 
 // FileSystem models one parallel file system mount.
 type FileSystem struct {
-	// Name identifies the preset in reports.
-	Name string
 	// CreateLatency is the metadata cost to create+open a new file.
 	CreateLatency time.Duration
 	// OpenLatency is the metadata cost to open an existing file.
@@ -63,7 +61,6 @@ func (fs FileSystem) Validate() error {
 // metadata latency, a few GB/s per writer.
 func VoyagerGPFS() FileSystem {
 	return FileSystem{
-		Name:           "Voyager GPFS",
 		CreateLatency:  1 * time.Millisecond,
 		OpenLatency:    500 * time.Microsecond,
 		CloseLatency:   500 * time.Microsecond,
@@ -77,7 +74,6 @@ func VoyagerGPFS() FileSystem {
 // bandwidth per client is high.
 func EagleLustre() FileSystem {
 	return FileSystem{
-		Name:           "Eagle Lustre",
 		CreateLatency:  2 * time.Millisecond,
 		OpenLatency:    1 * time.Millisecond,
 		CloseLatency:   500 * time.Microsecond,
@@ -126,8 +122,6 @@ func (fs FileSystem) ReadTime(n int, each units.ByteSize) (time.Duration, error)
 // control-channel round trips, checksum initialization, destination file
 // creation — plus wire time at the effective transfer rate.
 type DTN struct {
-	// Name identifies the preset.
-	Name string
 	// PerFileSetup is the fixed per-file overhead. Operationally this is
 	// what makes 1,440 small files so much slower than 1 big file at
 	// equal volume; Globus-style transfers with checksums pay on the
@@ -138,15 +132,11 @@ type DTN struct {
 	Pipelining int
 	// Rate is the effective wire rate (α·Bw of the model).
 	Rate units.ByteRate
-	// ChecksumRate, when positive, adds per-file integrity verification
-	// at this rate. Zero disables verification.
-	ChecksumRate units.ByteRate
 }
 
 // APSToALCF approximates the Voyager→Eagle DTN path used by Fig. 4.
 func APSToALCF() DTN {
 	return DTN{
-		Name:         "APS->ALCF DTN",
 		PerFileSetup: 1 * time.Second,
 		Pipelining:   1,
 		Rate:         1.5 * units.GBps,
@@ -163,9 +153,6 @@ func (d DTN) Validate() error {
 	}
 	if d.Rate <= 0 {
 		return fmt.Errorf("%w: non-positive DTN rate", ErrBadConfig)
-	}
-	if d.ChecksumRate < 0 {
-		return fmt.Errorf("%w: negative checksum rate", ErrBadConfig)
 	}
 	return nil
 }
@@ -204,15 +191,6 @@ func ThetaFor(local FileSystem, d DTN, remote FileSystem, n int, total units.Byt
 		return 0, err
 	}
 	setup := d.effectiveSetup().Seconds() * float64(n)
-	verify := d.checksumTime(each).Seconds() * float64(n)
-	tIO := wTime.Seconds() + rTime.Seconds() + setup + verify
+	tIO := wTime.Seconds() + rTime.Seconds() + setup
 	return (tIO + wire) / wire, nil
-}
-
-// checksumTime returns the per-file verification time (0 when disabled).
-func (d DTN) checksumTime(size units.ByteSize) time.Duration {
-	if d.ChecksumRate <= 0 {
-		return 0
-	}
-	return units.Seconds(size.Bytes() / d.ChecksumRate.BytesPerSecond())
 }

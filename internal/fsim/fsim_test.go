@@ -11,9 +11,9 @@ import (
 )
 
 func TestPresetsValid(t *testing.T) {
-	for _, fs := range []FileSystem{VoyagerGPFS(), EagleLustre()} {
+	for i, fs := range []FileSystem{VoyagerGPFS(), EagleLustre()} {
 		if err := fs.Validate(); err != nil {
-			t.Errorf("%s invalid: %v", fs.Name, err)
+			t.Errorf("file system preset %d invalid: %v", i, err)
 		}
 	}
 	if err := APSToALCF().Validate(); err != nil {
@@ -36,7 +36,6 @@ func TestFileSystemValidate(t *testing.T) {
 
 func TestWriteTimeArithmetic(t *testing.T) {
 	fs := FileSystem{
-		Name:           "test",
 		CreateLatency:  time.Millisecond,
 		CloseLatency:   time.Millisecond,
 		WriteBandwidth: units.GBps,
@@ -54,7 +53,6 @@ func TestWriteTimeArithmetic(t *testing.T) {
 
 func TestReadTimeArithmetic(t *testing.T) {
 	fs := FileSystem{
-		Name:           "test",
 		OpenLatency:    2 * time.Millisecond,
 		CloseLatency:   time.Millisecond,
 		WriteBandwidth: units.GBps,
@@ -122,11 +120,6 @@ func TestDTNValidate(t *testing.T) {
 	d.PerFileSetup = -time.Second
 	if err := d.Validate(); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("negative setup: %v", err)
-	}
-	d = APSToALCF()
-	d.ChecksumRate = -1
-	if err := d.Validate(); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative checksum rate: %v", err)
 	}
 }
 
@@ -207,23 +200,5 @@ func TestSingleLargeFileThetaModest(t *testing.T) {
 	}
 	if math.IsNaN(theta) {
 		t.Fatal("NaN theta")
-	}
-}
-
-func TestChecksumRaisesTheta(t *testing.T) {
-	local, remote := VoyagerGPFS(), EagleLustre()
-	plain := APSToALCF()
-	verified := plain
-	verified.ChecksumRate = 500 * units.MBps
-	thetaPlain, err := ThetaFor(local, plain, remote, 10, 12*units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	thetaVerified, err := ThetaFor(local, verified, remote, 10, 12*units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if thetaVerified <= thetaPlain {
-		t.Fatalf("checksum theta %v should exceed plain %v", thetaVerified, thetaPlain)
 	}
 }

@@ -28,9 +28,6 @@ type Config struct {
 	// Size and Bandwidth define T_theoretical for SSS scoring.
 	Size      units.ByteSize
 	Bandwidth units.BitRate
-	// Classifier maps worst-case times to regimes; zero value selects
-	// the paper's defaults (1 s / 3 s).
-	Classifier core.RegimeClassifier
 }
 
 // Validate checks the configuration.
@@ -57,10 +54,9 @@ type observation struct {
 // tail statistics. It is not safe for concurrent use; callers that feed
 // it from several goroutines must serialize.
 type Tracker struct {
-	cfg        Config
-	classifier core.RegimeClassifier
-	obs        []observation // ordered by at; pruned to the window
-	now        float64
+	cfg Config
+	obs []observation // ordered by at; pruned to the window
+	now float64
 }
 
 // ErrEmptyWindow is returned when no observations are in the window.
@@ -71,11 +67,7 @@ func NewTracker(cfg Config) (*Tracker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cl := cfg.Classifier
-	if cl.RealTimeBound == 0 && cl.SevereBound == 0 {
-		cl = core.DefaultRegimeClassifier()
-	}
-	return &Tracker{cfg: cfg, classifier: cl}, nil
+	return &Tracker{cfg: cfg}, nil
 }
 
 // Observe records a transfer that completed at time `at` (seconds on the
@@ -169,7 +161,7 @@ func (t *Tracker) Snapshot() (Snapshot, error) {
 		P50:    units.Seconds(p50),
 		P99:    units.Seconds(p99),
 		SSS:    sss,
-		Regime: t.classifier.Classify(worst),
+		Regime: core.DefaultRegimeClassifier().Classify(worst),
 	}, nil
 }
 

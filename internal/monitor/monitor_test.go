@@ -167,21 +167,6 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestCustomClassifier(t *testing.T) {
-	cfg := testConfig()
-	cfg.Classifier = core.RegimeClassifier{RealTimeBound: 100 * time.Millisecond, SevereBound: 500 * time.Millisecond}
-	tr, err := NewTracker(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Observe(0, 300*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if regime := snapshot(t, tr).Regime; regime != core.RegimeModerate {
-		t.Fatalf("custom classifier regime = %v", regime)
-	}
-}
-
 // Property: the windowed worst equals the max of the observations still
 // inside the window, for any observation pattern.
 func TestQuickWindowedWorst(t *testing.T) {

@@ -266,8 +266,8 @@ func TestWriterFallsBehindSlowFS(t *testing.T) {
 
 func TestDefaultFileBasedUsesPresets(t *testing.T) {
 	cfg := DefaultFileBased(10)
-	if cfg.Local.Name != fsim.VoyagerGPFS().Name || cfg.Remote.Name != fsim.EagleLustre().Name {
-		t.Fatalf("presets wrong: %s / %s", cfg.Local.Name, cfg.Remote.Name)
+	if cfg.Local != fsim.VoyagerGPFS() || cfg.Remote != fsim.EagleLustre() {
+		t.Fatalf("presets wrong: %+v / %+v", cfg.Local, cfg.Remote)
 	}
 	if cfg.AggregateFiles != 10 {
 		t.Fatal("aggregate count not carried")

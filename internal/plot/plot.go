@@ -24,7 +24,6 @@ type Config struct {
 	Title  string // optional title line
 	XLabel string
 	YLabel string
-	LogY   bool // log10 y-axis (useful for long tails)
 }
 
 func (c Config) withDefaults() Config {
@@ -58,9 +57,6 @@ func LineChart(cfg Config, series ...stats.Series) string {
 	}
 	xmin, xmax := minMax(xs)
 	ymin, ymax := minMax(ys)
-	if cfg.LogY {
-		ymin, ymax = logBounds(ys)
-	}
 	if xmax == xmin {
 		xmax = xmin + 1
 	}
@@ -73,15 +69,8 @@ func LineChart(cfg Config, series ...stats.Series) string {
 		m := markers[si%len(markers)]
 		pts := make([][2]int, 0, s.Len())
 		for i := 0; i < s.Len(); i++ {
-			yv := s.Y[i]
-			if cfg.LogY {
-				if yv <= 0 {
-					continue
-				}
-				yv = math.Log10(yv)
-			}
 			col := scale(s.X[i], xmin, xmax, cfg.Width)
-			row := scale(yv, ymin, ymax, cfg.Height)
+			row := scale(s.Y[i], ymin, ymax, cfg.Height)
 			pts = append(pts, [2]int{col, row})
 		}
 		// Connect consecutive points with interpolated cells so trends
@@ -97,8 +86,7 @@ func LineChart(cfg Config, series ...stats.Series) string {
 	if cfg.Title != "" {
 		fmt.Fprintf(&sb, "%s\n", cfg.Title)
 	}
-	yLo, yHi := ymin, ymax
-	renderFrame(&sb, cfg, grid, xmin, xmax, yLo, yHi)
+	renderFrame(&sb, cfg, grid, xmin, xmax, ymin, ymax)
 	legend(&sb, series)
 	return sb.String()
 }
@@ -264,34 +252,11 @@ func minMax(xs []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-func logBounds(ys []float64) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, y := range ys {
-		if y <= 0 || math.IsNaN(y) || math.IsInf(y, 0) {
-			continue
-		}
-		l := math.Log10(y)
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	if math.IsInf(lo, 1) {
-		lo, hi = 0, 1
-	}
-	return lo, hi
-}
-
 func renderFrame(sb *strings.Builder, cfg Config, g *grid, xmin, xmax, ymin, ymax float64) {
 	ylabels := make([]string, cfg.Height)
 	labelW := 0
 	for r := 0; r < cfg.Height; r++ {
 		v := ymin + (ymax-ymin)*float64(r)/float64(cfg.Height-1)
-		if cfg.LogY {
-			v = math.Pow(10, v)
-		}
 		ylabels[r] = fmt.Sprintf("%.3g", v)
 		if len(ylabels[r]) > labelW {
 			labelW = len(ylabels[r])

@@ -57,20 +57,6 @@ func TestLineChartDegenerateRanges(t *testing.T) {
 	}
 }
 
-func TestLineChartLogY(t *testing.T) {
-	s := lineSeries("tail", 1, 0.1, 2, 1, 3, 10, 4, 100)
-	out := LineChart(Config{Width: 40, Height: 12, LogY: true}, s)
-	if !strings.Contains(out, "*") {
-		t.Errorf("log chart missing markers:\n%s", out)
-	}
-	// Zero/negative values must be skipped silently under LogY.
-	z := lineSeries("z", 1, 0, 2, -5, 3, 10)
-	out = LineChart(Config{Width: 40, Height: 12, LogY: true}, z)
-	if !strings.Contains(out, "*") {
-		t.Errorf("log chart with zeros dropped everything:\n%s", out)
-	}
-}
-
 func TestCDFChart(t *testing.T) {
 	pts := []stats.CDFPoint{{X: 0.1, P: 0.5}, {X: 0.2, P: 0.9}, {X: 5, P: 1.0}}
 	out := CDFChart(Config{Width: 40, Height: 10}, "fct", pts)

@@ -343,7 +343,6 @@ func hopParams(p tcpsim.Path, c workload.GridCell) []core.HopParams {
 		out = append(out, core.HopParams{
 			Name:          h.Role.String(),
 			Capacity:      h.Capacity,
-			RTT:           h.RTT,
 			CrossFraction: h.CrossFraction,
 		})
 	}

@@ -299,57 +299,22 @@ func checkCells(t *testing.T, a workload.Axes) {
 // body that sets a v2 field is rejected naming it. Lower runs no
 // engine, so any body is cheap to try.
 func FuzzLowerRequest(f *testing.F) {
-	const w = `"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}`
-	const xpcs = `"workload":{"name":"XPCS","unit_size":"2GB","complexity_flop_per_gb":17e12,"local":"5TF","remote":"100TF"}`
 	example, err := os.ReadFile("../../examples/portfolio/portfolio.json")
 	if err != nil {
 		f.Fatal(err)
 	}
+	bodies, err := os.ReadFile("testdata/request_bodies.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range strings.Split(string(bodies), "\n") {
+		if body != "" && !strings.HasPrefix(body, "#") {
+			f.Add([]byte(body))
+		}
+	}
 	for _, body := range []string{
-		// internal/service/service_test.go
-		`{"workload":{"name":"w"},"surprise":1}`,
-		`{"workload":{"name":"w"}} trailing`,
-		`{"workload":{"name":"w","unit_size":"many","local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}}`,
-		`{"workload":{"name":"w","unit_size":"2GB","local":"5TF","remote":"100TF"},"cell":{"rtts":"8ms,32ms"}}`,
-		`{"schema":"v1",` + w + `}`,
-		`{` + w + `,"cell":{"duration_s":1,"size":"0.5GB","concs":"2","pflows":"2"}}`,
-		`{` + w + `,"cell":{"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms"}}`,
-		`{` + w + `,"cell":{"edge_caps":"10Gbps"}}`,
-		`{` + w + `,"cell":{"wan_rtts":"30ms"}}`,
-		`{` + w + `,"cell":{"concurrency":2}}`,
-		`{` + w + `,"cell":{"duration_s":1},"prefilter":0.25}`,
-		`{"schema":"v3",` + w + `}`,
-		`{"portfolio":{"workloads":[{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}]},"grid":{"duration_s":1,"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms"}}`,
-		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms"},"prefilter":0.25}`,
-		`{"schema":"v2",` + w + `,"cell":{"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms","rtts":"8ms"}}`,
-		`{"schema":"v2",` + w + `,"cell":{"hops":"wan:100Gbps:30ms","edge_caps":"10Gbps"}}`,
-		`{"schema":"v2",` + w + `,"cell":{"hops":"edge:10Gbps:2ms,ingress:40Gbps:1ms","wan_rtts":"20ms"}}`,
-		`{"schema":"v2","portfolio":{"workloads":[{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}]},"grid":{"duration_s":1,"hops":"edge:10Gbps:2ms,wan:100Gbps:30ms","buffers":"auto,2MB"}}`,
-		// internal/scenario/request_test.go
-		`{"schema":"v2",` + w + `,"cell":{"duration_s":2,"concurrency":3,"parallel_flows":5,"strategy":"scheduled","hops":"edge:10Gbps:2ms:1MB,wan:100Gbps:30ms:8MB:0.3","edge_caps":"10Gbps,60Gbps"}}`,
-		`{` + w + `,"cell":{"duration_s":1000000000}}`,
 		overflowPortfolioBody(),
-		// scripts/loadcheck.sh
-		`{` + xpcs + `,"cell":{"duration_s":1,"concs":"2","rtts":"8ms","crosses":"0"}}`,
-		`{` + xpcs + `,"cell":{"duration_s":1,"concs":"2","rtts":"32ms","crosses":"0.15"}}`,
 		`{"name":"portfolio","grid":{"duration_s":1,"concs":"2,4","rtts":"8ms,64ms","crosses":"0,0.3"},"portfolio":` + string(example) + `}`,
-		// cells the experiment rejects, each a 500 from decided once
-		`{` + w + `,"cell":{"duration_s":1,"concs":"0"}}`,
-		`{` + w + `,"cell":{"duration_s":10000000000}}`,
-		`{` + w + `,"cell":{"duration_s":20000000000}}`,
-		`{` + w + `,"cell":{"duration_s":1,"rtts":"-5ms"}}`,
-		`{` + w + `,"cell":{"duration_s":1,"rtts":"0s"}}`,
-		`{` + w + `,"cell":{"duration_s":1,"crosses":"0.99"}}`,
-		`{` + w + `,"cell":{"duration_s":1,"crosses":"NaN"}}`,
-		`{` + w + `,"cell":{"duration_s":1,"sizes":"-1GB"}}`,
-		`{` + w + `,"cell":{"duration_s":1,"sizes":"0GB"}}`,
-		`{` + w + `,"cell":{"duration_s":1,"buffers":"-1MB"}}`,
-		`{` + w + `,"cell":{"duration_s":1,"pflows":"1000"}}`,
-		`{` + w + `,"cell":{"duration_s":1,"bandwidth":"0Gbps"}}`,
-		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"concurrency":-2}}`,
-		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"hops":"edge:10Gbps:2ms:1MB:NaN,wan:100Gbps:30ms"}}`,
-		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"hops":"edge:10Gbps:2ms:1MB:0.97,wan:100Gbps:30ms"}}`,
-		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"hops":"edge:10Gbps:2000000h,wan:100Gbps:2000000h"}}`,
 		`{"name":"portfolio","grid":{"duration_s":1,"concs":"1,0"},"portfolio":` + string(example) + `}`,
 	} {
 		f.Add([]byte(body))

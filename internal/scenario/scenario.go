@@ -125,7 +125,6 @@ func (w Workload) opts() (core.DecideOpts, error) {
 // Row is one decided workload.
 type Row struct {
 	Workload Workload
-	Params   core.Params
 	Decision core.Decision
 }
 
@@ -148,7 +147,7 @@ func DecideAll(f *File) ([]Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %s: %w", w.Name, err)
 		}
-		rows = append(rows, Row{Workload: w, Params: p, Decision: d})
+		rows = append(rows, Row{Workload: w, Decision: d})
 	}
 	return rows, nil
 }

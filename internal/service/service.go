@@ -263,11 +263,12 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// The body is the CLI's -json archive, byte for byte; the request's
-	// cache attribution rides in a header so it cannot perturb that.
-	w.Header().Set("Content-Type", "application/json")
+	// The body is the CLI's -json archive, byte for byte: writeJSON
+	// indents as PortfolioGrid.WriteJSON does, and answers 500 with an
+	// error body where the report cannot be encoded. The request's cache
+	// attribution rides in a header so it cannot perturb the body.
 	w.Header().Set("X-Cache-Stats", st.String())
-	pg.WriteJSON(w)
+	writeJSON(w, http.StatusOK, pg.Report())
 }
 
 // statsResponse is GET /v1/stats: uptime, per-endpoint request counts,

@@ -309,10 +309,29 @@ func cacheCounters(t *testing.T, base string) (cells, runs int64) {
 // cell is requested from the cache or any engine runs.
 func TestBadCellsRejected(t *testing.T) {
 	ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	cells, runs := cacheCounters(t, ts.URL)
+	for _, tc := range badCells() {
+		resp, data := post(t, ts.URL+tc.path, []byte(tc.body))
+		var e errorResponse
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatalf("%s: decoding %s: %v", tc.body, data, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s %s:\n got %d %q\nwant 400 naming %q", tc.path, tc.body, resp.StatusCode, e.Error, tc.want)
+		}
+	}
+	if c, r := cacheCounters(t, ts.URL); c != cells || r != runs {
+		t.Errorf("rejected cells moved the cache counters: cells %d -> %d, engine runs %d -> %d", cells, c, runs, r)
+	}
+}
+
+// badCells are bodies whose cell the experiment refuses, each with the
+// endpoint it goes to and a substring of its 400 message.
+func badCells() []struct{ path, body, want string } {
 	w := `"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}`
 	cell := func(fields string) string { return `{` + w + `,"cell":{"duration_s":1,` + fields + `}}` }
 	v2 := func(fields string) string { return `{"schema":"v2",` + w + `,"cell":{"duration_s":1,` + fields + `}}` }
-	cases := []struct{ path, body, want string }{
+	return []struct{ path, body, want string }{
 		{"/v1/decide", cell(`"concs":"0"`), "concurrency must be > 0"},
 		{"/v1/decide", `{` + w + `,"cell":{"duration_s":10000000000}}`, "duration_s 10000000000"},
 		{"/v1/decide", `{` + w + `,"cell":{"duration_s":20000000000}}`, "duration_s 20000000000"},
@@ -335,20 +354,6 @@ func TestBadCellsRejected(t *testing.T) {
 			"concurrency must be > 0"},
 		{"/v1/decide", `{` + strings.Replace(w, `"2GB"`, `"1e300GB"`, 1) + `}`, "T_local"},
 		{"/v1/decide", `{` + strings.Replace(w, `17000000000000`, `1e308`, 1) + `}`, "T_local"},
-	}
-	cells, runs := cacheCounters(t, ts.URL)
-	for _, tc := range cases {
-		resp, data := post(t, ts.URL+tc.path, []byte(tc.body))
-		var e errorResponse
-		if err := json.Unmarshal(data, &e); err != nil {
-			t.Fatalf("%s: decoding %s: %v", tc.body, data, err)
-		}
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
-			t.Errorf("%s %s:\n got %d %q\nwant 400 naming %q", tc.path, tc.body, resp.StatusCode, e.Error, tc.want)
-		}
-	}
-	if c, r := cacheCounters(t, ts.URL); c != cells || r != runs {
-		t.Errorf("rejected cells moved the cache counters: cells %d -> %d, engine runs %d -> %d", cells, c, runs, r)
 	}
 }
 

@@ -6,27 +6,26 @@ import (
 )
 
 // LinkCounters mimics the "network-level metrics (interface byte/packet
-// counters)" the paper collects: cumulative bytes and packets observed on
-// an interface, sampled over time so that utilization per interval can be
+// counters)" the paper collects: cumulative bytes observed on an
+// interface, sampled over time so that utilization per interval can be
 // derived afterwards.
 type LinkCounters struct {
 	samples []counterSample
 }
 
 type counterSample struct {
-	t       float64 // seconds since experiment start
-	bytes   float64 // cumulative bytes
-	packets int64   // cumulative packets
+	t     float64 // seconds since experiment start
+	bytes float64 // cumulative bytes
 }
 
 // Record appends a cumulative counter sample at time t (seconds).
 // Samples must be recorded with non-decreasing t; out-of-order samples
 // are rejected.
-func (c *LinkCounters) Record(t, cumBytes float64, cumPackets int64) error {
+func (c *LinkCounters) Record(t, cumBytes float64) error {
 	if n := len(c.samples); n > 0 && t < c.samples[n-1].t {
 		return fmt.Errorf("stats: counter sample at t=%v before previous t=%v", t, c.samples[n-1].t)
 	}
-	c.samples = append(c.samples, counterSample{t: t, bytes: cumBytes, packets: cumPackets})
+	c.samples = append(c.samples, counterSample{t: t, bytes: cumBytes})
 	return nil
 }
 
@@ -38,9 +37,7 @@ func (c *LinkCounters) Reset() { c.samples = c.samples[:0] }
 // UtilizationInterval is the average utilization over one sampling
 // interval, derived from consecutive cumulative counters.
 type UtilizationInterval struct {
-	Start, End  float64 // seconds
 	Bytes       float64 // bytes moved in the interval
-	Packets     int64
 	Utilization float64 // fraction of capacity used (0..1+), given capacity in bytes/s
 }
 
@@ -57,12 +54,7 @@ func (c *LinkCounters) Utilization(capacityBytesPerSec float64) ([]UtilizationIn
 	for i := 1; i < len(c.samples); i++ {
 		a, b := c.samples[i-1], c.samples[i]
 		dt := b.t - a.t
-		iv := UtilizationInterval{
-			Start:   a.t,
-			End:     b.t,
-			Bytes:   b.bytes - a.bytes,
-			Packets: b.packets - a.packets,
-		}
+		iv := UtilizationInterval{Bytes: b.bytes - a.bytes}
 		if dt > 0 {
 			iv.Utilization = iv.Bytes / dt / capacityBytesPerSec
 		}

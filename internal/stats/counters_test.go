@@ -15,10 +15,10 @@ func TestLinkCountersUtilization(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(c.Record(0, 0, 0))
-	must(c.Record(1, 5e8, 50))    // 0.5 GB in 1 s -> 50%
-	must(c.Record(2, 1.5e9, 150)) // 1.0 GB -> 100%
-	must(c.Record(3, 1.6e9, 160)) // 0.1 GB -> 10%
+	must(c.Record(0, 0))
+	must(c.Record(1, 5e8))   // 0.5 GB in 1 s -> 50%
+	must(c.Record(2, 1.5e9)) // 1.0 GB -> 100%
+	must(c.Record(3, 1.6e9)) // 0.1 GB -> 10%
 
 	ivs, err := c.Utilization(1e9)
 	if err != nil {
@@ -47,13 +47,13 @@ func TestLinkCountersErrors(t *testing.T) {
 	if _, err := c.Utilization(1e9); err == nil {
 		t.Error("expected error with no samples")
 	}
-	if err := c.Record(5, 0, 0); err != nil {
+	if err := c.Record(5, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Record(4, 0, 0); err == nil {
+	if err := c.Record(4, 0); err == nil {
 		t.Error("out-of-order sample should fail")
 	}
-	if err := c.Record(6, 10, 1); err != nil {
+	if err := c.Record(6, 10); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Utilization(0); err == nil {
@@ -64,8 +64,8 @@ func TestLinkCountersErrors(t *testing.T) {
 	}
 
 	var same LinkCounters
-	_ = same.Record(1, 0, 0)
-	_ = same.Record(1, 5, 1)
+	_ = same.Record(1, 0)
+	_ = same.Record(1, 5)
 	if _, err := same.MeanUtilization(1); err == nil {
 		t.Error("zero-length recording should fail")
 	}

@@ -58,7 +58,6 @@ type Engine struct {
 	epochStart []float64 // CUBIC: time of last loss (-1: no epoch yet)
 	kCubic     []float64 // CUBIC: time to regain wmax, seconds
 	retrans    []int64
-	timeouts   []int
 
 	// Sort scratch: spec indices, stable-ordered by arrival.
 	order []int32
@@ -107,7 +106,6 @@ func (e *Engine) grow(n int) {
 		e.epochStart = make([]float64, 0, c)
 		e.kCubic = make([]float64, 0, c)
 		e.retrans = make([]int64, 0, c)
-		e.timeouts = make([]int, 0, c)
 		e.order = make([]int32, n, c)
 		e.offered = make([]float64, n, c)
 		e.lost = make([]float64, n, c)
@@ -137,7 +135,6 @@ func (e *Engine) keepActive(k int) {
 	e.epochStart = e.epochStart[:k]
 	e.kCubic = e.kCubic[:k]
 	e.retrans = e.retrans[:k]
-	e.timeouts = e.timeouts[:k]
 }
 
 // activate moves flows whose arrival has passed from the pending queue
@@ -166,7 +163,6 @@ func (e *Engine) activate(now float64, next, n int, initCwnd, maxWin float64) in
 		e.epochStart = append(e.epochStart, -1)
 		e.kCubic = append(e.kCubic, 0)
 		e.retrans = append(e.retrans, 0)
-		e.timeouts = append(e.timeouts, 0)
 	}
 	return next
 }
@@ -252,8 +248,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 	t := e.arrival[0]
 	queue := 0.0       // backlog bytes in the bottleneck buffer
 	servedBytes := 0.0 // cumulative for counters
-	servedPkts := int64(0)
-	if err := e.counters.Record(t, 0, 0); err != nil {
+	if err := e.counters.Record(t, 0); err != nil {
 		return nil, err
 	}
 	nextPending := e.activate(t, 0, n, initCwnd, maxWin)
@@ -268,8 +263,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 			// (count it served), then jump to the next arrival.
 			if queue > 0 {
 				servedBytes += queue
-				servedPkts += int64(queue / mss)
-				if err := e.counters.Record(t+queue/capacity, servedBytes, servedPkts); err != nil {
+				if err := e.counters.Record(t+queue/capacity, servedBytes); err != nil {
 					return nil, err
 				}
 				queue = 0
@@ -363,7 +357,6 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 				lossRatio := lost[i] / offered[i]
 				if lossRatio > 0.95 {
 					// Whole window lost: retransmission timeout.
-					e.timeouts[i]++
 					if cubic {
 						e.cubicOnLoss(i, t+d+rto, mss)
 					}
@@ -432,7 +425,6 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 
 		// Counters.
 		servedBytes += served
-		servedPkts += int64(served / mss)
 		e.res.DroppedBytes += dropped
 		if cfg.RecordQueue {
 			e.res.QueueDepth.AddPoint(t, newQueue)
@@ -448,7 +440,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		// rounds finish no flow, and then compaction is the identity, so
 		// it is skipped.
 		t += d
-		if err := e.counters.Record(t, servedBytes, servedPkts); err != nil {
+		if err := e.counters.Record(t, servedBytes); err != nil {
 			return nil, err
 		}
 		if finishing {
@@ -462,9 +454,8 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 	// bytes may still be crossing the link.
 	if queue > 0 {
 		servedBytes += queue
-		servedPkts += int64(queue / mss)
 		t += queue / capacity
-		if err := e.counters.Record(t, servedBytes, servedPkts); err != nil {
+		if err := e.counters.Record(t, servedBytes); err != nil {
 			return nil, err
 		}
 		queue = 0
@@ -479,7 +470,6 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		return cmp.Compare(x.ID, y.ID)
 	})
 	e.res.Flows = e.finished
-	e.res.Duration = t
 	if cfg.RecordQueue {
 		// Recover grown capacity for the next recording run.
 		e.qx, e.qy = e.res.QueueDepth.X, e.res.QueueDepth.Y
@@ -501,7 +491,6 @@ func (e *Engine) compact() {
 				End:         e.endT[i],
 				Bytes:       e.size[slot],
 				Retransmits: e.retrans[i],
-				Timeouts:    e.timeouts[i],
 			})
 			continue
 		}
@@ -514,7 +503,6 @@ func (e *Engine) compact() {
 		e.epochStart[k] = e.epochStart[i]
 		e.kCubic[k] = e.kCubic[i]
 		e.retrans[k] = e.retrans[i]
-		e.timeouts[k] = e.timeouts[i]
 		k++
 	}
 	e.keepActive(k)

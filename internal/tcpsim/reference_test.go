@@ -94,8 +94,7 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 	t := pending[0].spec.Arrival
 	queue := 0.0
 	servedBytes := 0.0
-	servedPkts := int64(0)
-	if err := res.Counters.Record(t, 0, 0); err != nil {
+	if err := res.Counters.Record(t, 0); err != nil {
 		return nil, err
 	}
 
@@ -122,8 +121,7 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 		if len(active) == 0 {
 			if queue > 0 {
 				servedBytes += queue
-				servedPkts += int64(queue / mss)
-				if err := res.Counters.Record(t+queue/capacity, servedBytes, servedPkts); err != nil {
+				if err := res.Counters.Record(t+queue/capacity, servedBytes); err != nil {
 					return nil, err
 				}
 				queue = 0
@@ -191,7 +189,6 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 				f.result.Retransmits += int64(math.Ceil(lostPerFlow[i] / mss))
 				lossRatio := lostPerFlow[i] / offered[i]
 				if lossRatio > 0.95 {
-					f.result.Timeouts++
 					if cfg.CC == Cubic {
 						f.cubicOnLoss(t+d+rto, mss)
 					}
@@ -249,14 +246,13 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 		}
 
 		servedBytes += served
-		servedPkts += int64(served / mss)
 		res.DroppedBytes += dropped
 		if cfg.RecordQueue {
 			res.QueueDepth.AddPoint(t, newQueue)
 		}
 
 		t += d
-		if err := res.Counters.Record(t, servedBytes, servedPkts); err != nil {
+		if err := res.Counters.Record(t, servedBytes); err != nil {
 			return nil, err
 		}
 		keep := active[:0]
@@ -274,9 +270,8 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 
 	if queue > 0 {
 		servedBytes += queue
-		servedPkts += int64(queue / mss)
 		t += queue / capacity
-		if err := res.Counters.Record(t, servedBytes, servedPkts); err != nil {
+		if err := res.Counters.Record(t, servedBytes); err != nil {
 			return nil, err
 		}
 		queue = 0
@@ -289,6 +284,5 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 		return finished[i].ID < finished[j].ID
 	})
 	res.Flows = finished
-	res.Duration = t
 	return res, nil
 }

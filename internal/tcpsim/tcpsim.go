@@ -184,7 +184,6 @@ type FlowResult struct {
 	End         float64 // completion time (s)
 	Bytes       float64
 	Retransmits int64 // segments retransmitted after loss
-	Timeouts    int   // whole-window loss events (RTO stalls)
 }
 
 // Duration returns the flow completion time in seconds.
@@ -193,9 +192,7 @@ func (f FlowResult) Duration() float64 { return f.End - f.Arrival }
 // Result is a completed simulation.
 type Result struct {
 	Flows    []FlowResult
-	Counters *stats.LinkCounters // cumulative served bytes/packets per round
-	// Duration is the simulated time until the last flow drained.
-	Duration float64
+	Counters *stats.LinkCounters // cumulative served bytes per round
 	// DroppedBytes is the total payload dropped at the bottleneck.
 	DroppedBytes float64
 	// QueueDepth traces (time, backlog bytes) per round when

@@ -1,7 +1,7 @@
 // Package trace records per-transfer measurements — the paper's
 // "application-level performance indicators (detailed transfer time logs
-// per client)" — together with experiment metadata, and writes them as
-// CSV so runs can be archived and re-analyzed.
+// per client)" — and writes them as CSV so runs can be archived and
+// re-analyzed.
 package trace
 
 import (
@@ -34,30 +34,15 @@ type Transfer struct {
 // Duration returns the transfer completion time in seconds.
 func (t Transfer) Duration() float64 { return t.End - t.Start }
 
-// Log is an append-only collection of transfers plus run metadata.
+// Log is an append-only collection of transfers. The zero value is an
+// empty log.
 type Log struct {
-	// Meta carries free-form experiment parameters (concurrency, flows,
-	// strategy, link speed, ...), keyed by parameter name.
-	Meta map[string]string
 	// Transfers holds the per-client records.
 	Transfers []Transfer
 }
 
-// NewLog returns an empty log with initialized metadata.
-func NewLog() *Log {
-	return &Log{Meta: make(map[string]string)}
-}
-
 // Add appends a transfer record.
 func (l *Log) Add(t Transfer) { l.Transfers = append(l.Transfers, t) }
-
-// SetMeta records one metadata key.
-func (l *Log) SetMeta(key, value string) {
-	if l.Meta == nil {
-		l.Meta = make(map[string]string)
-	}
-	l.Meta[key] = value
-}
 
 // Durations returns all transfer durations as a stats.Sample.
 func (l *Log) Durations() *stats.Sample {
@@ -79,7 +64,7 @@ func (l *Log) MaxDuration() (float64, error) {
 
 var csvHeader = []string{"client_id", "flows", "bytes", "start_s", "end_s", "retransmits"}
 
-// WriteCSV writes the transfer records (not metadata) as CSV.
+// WriteCSV writes the transfer records as CSV.
 func (l *Log) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {

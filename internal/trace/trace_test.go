@@ -10,9 +10,7 @@ import (
 )
 
 func sampleLog() *Log {
-	l := NewLog()
-	l.SetMeta("concurrency", "4")
-	l.SetMeta("flows", "8")
+	l := &Log{}
 	l.Add(Transfer{ClientID: 0, Flows: 8, Bytes: 5e8, Start: 0, End: 0.2})
 	l.Add(Transfer{ClientID: 1, Flows: 8, Bytes: 5e8, Start: 1, End: 2.5, Retransmits: 12})
 	l.Add(Transfer{ClientID: 2, Flows: 8, Bytes: 5e8, Start: 2, End: 7.0})
@@ -58,14 +56,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestSetMetaOnZeroValue(t *testing.T) {
-	var l Log
-	l.SetMeta("k", "v") // must not panic on nil map
-	if l.Meta["k"] != "v" {
-		t.Fatal("SetMeta on zero value failed")
-	}
-}
-
 // Property: the CSV is lossless — every field of a finite transfer
 // parses back to the value written.
 func TestQuickCSVRoundTrip(t *testing.T) {
@@ -75,7 +65,7 @@ func TestQuickCSVRoundTrip(t *testing.T) {
 			math.IsNaN(dur) || math.IsInf(dur, 0) {
 			return true
 		}
-		l := NewLog()
+		l := &Log{}
 		tr := Transfer{ClientID: int(id), Flows: int(flows), Bytes: payload, Start: start, End: start + dur}
 		l.Add(tr)
 		var buf bytes.Buffer

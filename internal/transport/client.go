@@ -235,9 +235,7 @@ func RunLoad(g *ServerGroup, cfg LoadConfig) (*trace.Log, error) {
 	wg.Wait()
 	close(outcomes)
 
-	log := trace.NewLog()
-	log.SetMeta("mode", "live-loopback")
-	log.SetMeta("strategy", map[LoadStrategy]string{LoadSimultaneous: "simultaneous", LoadScheduled: "scheduled"}[cfg.Strategy])
+	log := &trace.Log{}
 	for o := range outcomes {
 		if o.err != nil {
 			return nil, fmt.Errorf("transport: client %d: %w", o.id, o.err)

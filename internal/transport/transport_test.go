@@ -138,9 +138,6 @@ func TestRunLoadSimultaneous(t *testing.T) {
 	if len(log.Transfers) != 4 {
 		t.Fatalf("transfers = %d", len(log.Transfers))
 	}
-	if log.Meta["strategy"] != "simultaneous" {
-		t.Errorf("meta = %v", log.Meta)
-	}
 	max, err := log.MaxDuration()
 	if err != nil || max <= 0 {
 		t.Fatalf("max duration = %v, %v", max, err)

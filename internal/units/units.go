@@ -82,9 +82,6 @@ const (
 	Tbps                 = 1e12 * BitPerSecond
 )
 
-// BitsPerSecond returns the rate as a plain float64.
-func (r BitRate) BitsPerSecond() float64 { return float64(r) }
-
 // ByteRate converts the bit rate to the equivalent byte rate.
 func (r BitRate) ByteRate() ByteRate { return ByteRate(float64(r) / 8) }
 

@@ -365,10 +365,7 @@ func (a Axes) Size() int {
 // plane position.
 type GridCell struct {
 	// Index is the cell's row position in GridResult.Rows.
-	Index int
-	// NetIndex identifies the network point (position in the network
-	// product); cells sharing a NetIndex differ only in the Table 2 plane.
-	NetIndex      int
+	Index         int
 	TransferSize  units.ByteSize
 	RTT           time.Duration
 	Buffer        units.ByteSize // 0 = tcpsim default (half BDP)
@@ -400,7 +397,6 @@ func (a Axes) Cells() []GridCell {
 	n := a.normalized()
 	caps, rtts, bufs := n.linkAxes()
 	cells := make([]GridCell, 0, n.Size())
-	netIdx := 0
 	for _, size := range n.TransferSizes {
 		for _, ecap := range caps {
 			for _, rtt := range rtts {
@@ -411,7 +407,7 @@ func (a Axes) Cells() []GridCell {
 					}
 					for _, cc := range n.CCs {
 						for _, cross := range n.CrossFractions {
-							pt.CC, pt.NetIndex = cc, netIdx
+							pt.CC = cc
 							if !n.multiHop() {
 								pt.CrossFraction = cross
 							}
@@ -422,7 +418,6 @@ func (a Axes) Cells() []GridCell {
 									cells = append(cells, c)
 								}
 							}
-							netIdx++
 						}
 					}
 				}
@@ -484,8 +479,9 @@ func (a Axes) netPointSeedOffset(c GridCell) int64 {
 	}
 	// Spread offsets at least netSeedStride apart so they cannot collide
 	// with the Table 2 plane's conc*100+P term; +1 keeps every non-base
-	// point away from the base point's 0. Unlike the old NetIndex scheme,
-	// hashed offsets can in principle collide across points — the 2⁴²
+	// point away from the base point's 0. Unlike seeds numbered by a
+	// point's position in the grid, hashed offsets can in principle
+	// collide across points — the 2⁴²
 	// range keeps that below ~10⁻⁵ even for a 10⁴-point grid (a
 	// collision would correlate two cells' loss randomization, never
 	// corrupt results or the cache), and any grid-aware resolution would

@@ -89,11 +89,23 @@ func gridGoldenDump(t *testing.T) string {
 		fmt.Fprintf(&b, "fingerprint %s\n", g.axes.Fingerprint())
 		fmt.Fprintf(&b, "netpoints %d size %d\n", g.axes.NetPoints(), g.axes.Size())
 		fmt.Fprintf(&b, "normalized %s\n", normalizedValues(n))
+		plane := len(n.Concurrencies) * len(n.ParallelFlows)
 		for _, c := range g.axes.Cells() {
-			fmt.Fprintf(&b, "cell %+v %s\n", c, cellFingerprint(n.Experiment(c)))
+			fmt.Fprintf(&b, "cell %s %s\n", cellValues(c, plane), cellFingerprint(n.Experiment(c)))
 		}
 	}
 	return b.String()
+}
+
+// cellValues renders a cell's coordinates field by field in the layout
+// %+v gave GridCell when the file was written, so a field removed from
+// GridCell moves no line. NetIndex, the position of the cell's network
+// point, is Index over the Table 2 plane's size: Cells enumerates the
+// plane innermost.
+func cellValues(c GridCell, plane int) string {
+	return fmt.Sprintf("{Index:%d NetIndex:%d TransferSize:%v RTT:%v Buffer:%v CC:%v CrossFraction:%v Concurrency:%d ParallelFlows:%d Capacity:%v EdgeCap:%v WANRTT:%v IngressBuffer:%v}",
+		c.Index, c.Index/plane, c.TransferSize, c.RTT, c.Buffer, c.CC, c.CrossFraction, c.Concurrency, c.ParallelFlows,
+		c.Capacity, c.EdgeCap, c.WANRTT, c.IngressBuffer)
 }
 
 // normalizedValues renders every field of normalized axes by name with

@@ -81,9 +81,12 @@ func TestMultiHopSizeAndCells(t *testing.T) {
 			t.Fatalf("cell %d: unexpected EdgeCap %v", i, c.EdgeCap)
 		}
 	}
-	// NetIndex groups the Table 2 plane under each hop point.
-	if cells[0].NetIndex != cells[3].NetIndex || cells[3].NetIndex == cells[4].NetIndex {
-		t.Fatalf("NetIndex grouping wrong: %d %d %d", cells[0].NetIndex, cells[3].NetIndex, cells[4].NetIndex)
+	// The Table 2 plane is innermost: its four cells share a hop point.
+	hop := func(c GridCell) [3]float64 {
+		return [3]float64{float64(c.EdgeCap), float64(c.WANRTT), float64(c.IngressBuffer)}
+	}
+	if hop(cells[0]) != hop(cells[3]) || hop(cells[3]) == hop(cells[4]) {
+		t.Fatalf("hop-point grouping wrong: %v %v %v", hop(cells[0]), hop(cells[3]), hop(cells[4]))
 	}
 }
 

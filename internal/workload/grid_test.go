@@ -43,30 +43,29 @@ func TestAxesSizeAndCells(t *testing.T) {
 			t.Fatalf("cell %d has Index %d", i, c.Index)
 		}
 	}
-	// Network axes are outermost: the first four cells share NetIndex 0
-	// (rtt=8ms, buffer=auto) and walk the Table 2 plane P-outer,
-	// conc-inner, matching sweep order.
+	// Network axes are outermost: the first four cells share the first
+	// network point (rtt=8ms, buffer=auto) and walk the Table 2 plane
+	// P-outer, conc-inner, matching sweep order.
 	want := []struct {
-		netIdx, p, conc int
-		rtt             time.Duration
-		buf             units.ByteSize
+		p, conc int
+		rtt     time.Duration
+		buf     units.ByteSize
 	}{
-		{0, 2, 2, 8 * time.Millisecond, 0},
-		{0, 2, 6, 8 * time.Millisecond, 0},
-		{0, 8, 2, 8 * time.Millisecond, 0},
-		{0, 8, 6, 8 * time.Millisecond, 0},
-		{1, 2, 2, 8 * time.Millisecond, 2 * units.MB},
+		{2, 2, 8 * time.Millisecond, 0},
+		{2, 6, 8 * time.Millisecond, 0},
+		{8, 2, 8 * time.Millisecond, 0},
+		{8, 6, 8 * time.Millisecond, 0},
+		{2, 2, 8 * time.Millisecond, 2 * units.MB},
 	}
 	for i, w := range want {
 		c := cells[i]
-		if c.NetIndex != w.netIdx || c.ParallelFlows != w.p || c.Concurrency != w.conc ||
-			c.RTT != w.rtt || c.Buffer != w.buf {
+		if c.ParallelFlows != w.p || c.Concurrency != w.conc || c.RTT != w.rtt || c.Buffer != w.buf {
 			t.Fatalf("cell %d = %+v, want %+v", i, c, w)
 		}
 	}
 	// Last cell: every axis at its final value.
 	last := cells[15]
-	if last.NetIndex != 3 || last.RTT != 32*time.Millisecond || last.Buffer != 2*units.MB ||
+	if last.RTT != 32*time.Millisecond || last.Buffer != 2*units.MB ||
 		last.ParallelFlows != 8 || last.Concurrency != 6 {
 		t.Fatalf("last cell = %+v", last)
 	}
@@ -216,8 +215,9 @@ func TestGridMatchesSweep(t *testing.T) {
 	}
 	stripped := make([]SweepRow, len(grid.Rows))
 	for i := range grid.Rows {
-		if grid.Rows[i].Cell.NetIndex != 0 {
-			t.Fatalf("row %d: NetIndex %d on a single-point grid", i, grid.Rows[i].Cell.NetIndex)
+		if c := grid.Rows[i].Cell; c.RTT != cfg.Net.BaseRTT || c.Buffer != cfg.Net.Buffer ||
+			c.CC != cfg.Net.CC || c.CrossFraction != cfg.Net.Cross.Fraction {
+			t.Fatalf("row %d: %+v is not the base network point of a single-point grid", i, c)
 		}
 		stripped[i] = grid.Rows[i].SweepRow
 	}
@@ -372,10 +372,14 @@ func TestGridCellsVary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worstByNet := make(map[int]time.Duration)
+	type netPoint struct {
+		rtt time.Duration
+		buf units.ByteSize
+	}
+	worstByNet := make(map[netPoint]time.Duration)
 	for _, row := range g.Rows {
 		if row.Cell.Concurrency == 6 && row.Cell.ParallelFlows == 8 {
-			worstByNet[row.Cell.NetIndex] = row.Worst
+			worstByNet[netPoint{row.Cell.RTT, row.Cell.Buffer}] = row.Worst
 		}
 	}
 	distinct := make(map[time.Duration]bool)

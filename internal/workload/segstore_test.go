@@ -132,7 +132,7 @@ func cellByCell(t *testing.T, c *GridCache, a Axes) []GridRow {
 			t.Fatal(err)
 		}
 		rows[i] = g.Rows[0]
-		rows[i].Cell.Index, rows[i].Cell.NetIndex = cell.Index, cell.NetIndex
+		rows[i].Cell.Index = cell.Index
 	}
 	return rows
 }

@@ -119,10 +119,8 @@ func (e Experiment) OfferedLoad() float64 {
 // per-client transfer time log entry).
 type ClientResult struct {
 	ClientID int
-	// Spawn is when the orchestrator launched the client (s).
-	Spawn float64
-	// Start is when its transfer actually began (equals Spawn except in
-	// scheduled mode, where the reservation queue may delay it).
+	// Start is when its transfer began (s): the client's spawn time,
+	// except in scheduled mode, where the reservation queue may delay it.
 	Start float64
 	// End is when the client's last flow finished (s).
 	End float64
@@ -152,9 +150,6 @@ type Result struct {
 	Theoretical time.Duration
 	// SSS is the Streaming Speed Score WorstFCT/Theoretical.
 	SSS float64
-	// DroppedBytes counts payload dropped at the bottleneck
-	// (0 in scheduled mode).
-	DroppedBytes float64
 }
 
 // ErrNoClients is returned when an experiment produced no transfers.
@@ -278,18 +273,16 @@ func runSimultaneous(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result,
 		a.flows++
 	}
 	res := &sc.res
-	*res = Result{Experiment: e, DroppedBytes: simRes.DroppedBytes, Clients: sc.clients[:0]}
+	*res = Result{Experiment: e, Clients: sc.clients[:0]}
 	for c := 0; c < client; c++ {
 		a := &byClient[c]
 		if a.flows == 0 {
 			continue
 		}
 		// Clients spawn Concurrency per second in ID order.
-		spawn := float64(c / e.Concurrency)
 		res.Clients = append(res.Clients, ClientResult{
 			ClientID:    c,
-			Spawn:       spawn,
-			Start:       spawn,
+			Start:       float64(c / e.Concurrency),
 			End:         a.end,
 			Bytes:       a.bytes,
 			Flows:       a.flows,
@@ -334,7 +327,6 @@ func runScheduled(e Experiment, eng *tcpsim.Engine, sc *runScratch) (*Result, er
 			linkFree = end
 			res.Clients = append(res.Clients, ClientResult{
 				ClientID: client,
-				Spawn:    spawn,
 				Start:    start,
 				End:      end,
 				Bytes:    e.TransferSize.Bytes(),

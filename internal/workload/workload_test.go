@@ -85,8 +85,9 @@ func TestRunSimultaneousBasics(t *testing.T) {
 		if math.Abs(c.Bytes-e.TransferSize.Bytes()) > 1 {
 			t.Errorf("client %d moved %v bytes", c.ClientID, c.Bytes)
 		}
-		if c.Start != c.Spawn {
-			t.Errorf("simultaneous client %d delayed: spawn %v start %v", c.ClientID, c.Spawn, c.Start)
+		// Clients spawn Concurrency per second in ID order.
+		if spawn := float64(c.ClientID / e.Concurrency); c.Start != spawn {
+			t.Errorf("simultaneous client %d delayed: spawn %v start %v", c.ClientID, spawn, c.Start)
 		}
 		if c.TransferTime() <= 0 {
 			t.Errorf("client %d non-positive FCT", c.ClientID)
@@ -164,7 +165,9 @@ func TestScheduledQueueDrift(t *testing.T) {
 	}
 	drifted := 0
 	for _, c := range res.Clients {
-		if c.Start > c.Spawn+1e-9 {
+		// Client sec*Concurrency+k is scheduled at sec + k/Concurrency.
+		spawn := float64(c.ClientID/e.Concurrency) + float64(c.ClientID%e.Concurrency)/float64(e.Concurrency)
+		if c.Start > spawn+1e-9 {
 			drifted++
 		}
 	}

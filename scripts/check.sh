@@ -33,9 +33,10 @@ go build ./...
 
 echo "== dead exports and cmd/decided line budget =="
 # Fails on an exported identifier no non-test code (module, examples or
-# perfbench) references unless scripts/deadexports/allow.txt lists it,
-# on a stale allowlist entry, and when cmd/decided's closure outgrows
-# its pinned budget. Standard library only; needs no network.
+# perfbench) references, and on an exported struct field no such code
+# sets or none reads, unless scripts/deadexports/allow.txt lists it; on
+# a stale allowlist entry; and when cmd/decided's closure outgrows its
+# pinned budget. Standard library only; needs no network.
 go run ./scripts/deadexports
 
 echo "== go test =="

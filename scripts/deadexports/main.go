@@ -1,7 +1,8 @@
 // Command deadexports fails when an exported identifier of the repro
-// module has no reference from non-test code, unless allow.txt lists it
-// with a reason, and when cmd/decided links more non-test lines than
-// its pinned budget.
+// module has no reference from non-test code, or an exported field of
+// an exported struct is never set or never read by it, unless allow.txt
+// lists it with a reason, and when cmd/decided links more non-test
+// lines than its pinned budget.
 //
 // It type-checks every non-test package of the module (examples
 // included) and of each module nested in it (perfbench), which it reads
@@ -27,6 +28,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -37,7 +39,7 @@ const (
 	// most budgetLines non-test lines (this platform's files, as go list
 	// selects them).
 	budgetRoot  = "cmd/decided"
-	budgetLines = 9701
+	budgetLines = 9617
 )
 
 func main() {
@@ -161,7 +163,11 @@ func (p *program) Import(importPath string) (*types.Package, error) {
 		return p.std.Import(importPath)
 	}
 	if q.types == nil {
-		q.info = &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		q.info = &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+		}
 		conf := types.Config{Importer: p}
 		var err error
 		if q.types, err = conf.Check(importPath, p.fset, q.files, q.info); err != nil {
@@ -171,11 +177,17 @@ func (p *program) Import(importPath string) (*types.Package, error) {
 	return q.types, nil
 }
 
-// dead returns the root module's exported package-level identifiers and
-// exported methods of exported types that no non-test code references,
-// sorted, as "dir.Name" or "dir.Type.Method".
-func (p *program) dead() []string {
+// finding is one report: an identifier and what no non-test code does
+// with it.
+type finding struct{ id, lack string }
+
+// dead returns the root module's exported package-level identifiers,
+// exported methods of exported types and exported fields of exported
+// structs that no non-test code uses, sorted by id ("dir.Name",
+// "dir.Type.Method" or "dir.Type.Field").
+func (p *program) dead() []finding {
 	used := map[types.Object]bool{}
+	set, read := map[*types.Var]bool{}, map[*types.Var]bool{}
 	for _, q := range p.pkgs {
 		for _, obj := range q.info.Uses {
 			switch o := obj.(type) {
@@ -186,8 +198,9 @@ func (p *program) dead() []string {
 			}
 			used[obj] = true
 		}
+		q.fieldUses(set, read)
 	}
-	var dead []string
+	var dead []finding
 	for _, q := range p.pkgs {
 		if !q.own {
 			continue
@@ -199,7 +212,7 @@ func (p *program) dead() []string {
 				continue
 			}
 			if !used[obj] {
-				dead = append(dead, q.rel+"."+name)
+				dead = append(dead, finding{q.rel + "." + name, "references it"})
 			}
 			named, ok := obj.Type().(*types.Named)
 			if _, isType := obj.(*types.TypeName); !isType || !ok {
@@ -208,13 +221,120 @@ func (p *program) dead() []string {
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() && !used[m] && !stringerOrError(m) {
-					dead = append(dead, q.rel+"."+name+"."+m.Name())
+					dead = append(dead, finding{q.rel + "." + name + "." + m.Name(), "references it"})
+				}
+			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() || reflect.StructTag(st.Tag(i)).Get("json") != "" {
+					continue
+				}
+				id := q.rel + "." + name + "." + f.Name()
+				switch {
+				case !set[f] && !read[f]:
+					dead = append(dead, finding{id, "sets or reads it"})
+				case !set[f]:
+					dead = append(dead, finding{id, "sets it"})
+				case !read[f]:
+					dead = append(dead, finding{id, "reads it"})
 				}
 			}
 		}
 	}
-	sort.Strings(dead)
+	sort.Slice(dead, func(i, j int) bool { return dead[i].id < dead[j].id })
 	return dead
+}
+
+// fieldUses marks each struct field q's code sets or reads. A field is
+// set on the left of an assignment or ++/--, as a key or position in a
+// composite literal, and when its address is taken; x.A.B = v sets A
+// too when A is a struct value. Taking an address, explicitly or by
+// calling a pointer method on an addressable field, also reads.
+// Every other selector reads.
+func (q *pkg) fieldUses(set, read map[*types.Var]bool) {
+	const (
+		write = 1
+		addr  = 2
+	)
+	mode := map[*ast.SelectorExpr]int{}
+	// mark walks down the operand of a write or address-of through the
+	// field selectors whose containing value is itself written.
+	mark := func(e ast.Expr, m int) {
+		for {
+			sel, _ := e.(*ast.SelectorExpr)
+			s := q.info.Selections[sel]
+			if s == nil || s.Kind() != types.FieldVal {
+				return
+			}
+			mode[sel] = m
+			if s.Indirect() {
+				return
+			}
+			e = sel.X
+		}
+	}
+	for _, f := range q.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(lhs, write)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X, write)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X, addr)
+				}
+			case *ast.SelectorExpr:
+				if s := q.info.Selections[n]; s != nil && s.Kind() == types.MethodVal && !isPointer(q.info.Types[n.X].Type) {
+					if isPointer(s.Obj().Type().(*types.Signature).Recv().Type()) {
+						mark(n.X, addr)
+					}
+				}
+			case *ast.CompositeLit:
+				t := q.info.Types[n].Type
+				if ptr, ok := t.(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						set[q.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+					} else {
+						set[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	for e, s := range q.info.Selections {
+		if s.Kind() != types.FieldVal {
+			continue
+		}
+		f := s.Obj().(*types.Var).Origin()
+		switch mode[e] {
+		case write:
+			set[f] = true
+		case addr:
+			set[f], read[f] = true, true
+		default:
+			read[f] = true
+		}
+	}
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.(*types.Pointer)
+	return ok
 }
 
 // stringerOrError reports whether m is a String or Error method that
@@ -226,13 +346,13 @@ func stringerOrError(m *types.Func) bool {
 		sig.Results().Len() == 1 && types.Identical(sig.Results().At(0).Type(), types.Typ[types.String])
 }
 
-// checkAllow compares the dead exports with an allowlist of
-// "<dir>.<Name> <reason>" lines, where "<dir>.*" covers a whole package.
-// It returns one problem per unlisted dead export, per entry without a
-// reason and per stale entry that matches nothing dead.
-func checkAllow(dead []string, allow io.Reader) []string {
+// checkAllow compares the findings with an allowlist of
+// "<id> <reason>" lines, where "<dir>.*" covers a whole package, fields
+// included. It returns one problem per unlisted finding, per entry
+// without a reason and per stale entry that matches no finding.
+func checkAllow(dead []finding, allow io.Reader) []string {
 	var problems []string
-	entries := map[string]bool{} // entry -> matched a dead export
+	entries := map[string]bool{} // entry -> matched a finding
 	sc := bufio.NewScanner(allow)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -248,20 +368,20 @@ func checkAllow(dead []string, allow io.Reader) []string {
 	if err := sc.Err(); err != nil {
 		return append(problems, "reading allowlist: "+err.Error())
 	}
-	for _, id := range dead {
-		pkgWide := id[:strings.Index(id, ".")] + ".*"
+	for _, d := range dead {
+		pkgWide := d.id[:strings.Index(d.id, ".")] + ".*"
 		if _, ok := entries[pkgWide]; ok {
 			entries[pkgWide] = true
-		} else if _, ok := entries[id]; ok {
-			entries[id] = true
+		} else if _, ok := entries[d.id]; ok {
+			entries[d.id] = true
 		} else {
-			problems = append(problems, "dead export "+id+": no non-test code references it; delete it or add it to "+allowFile+" with a reason")
+			problems = append(problems, "dead export "+d.id+": no non-test code "+d.lack+"; delete it or add it to "+allowFile+" with a reason")
 		}
 	}
 	var stale []string
 	for id, matched := range entries {
 		if !matched {
-			stale = append(stale, "stale allowlist entry "+id+": it is referenced or gone; remove the entry")
+			stale = append(stale, "stale allowlist entry "+id+": it is used or gone; remove the entry")
 		}
 	}
 	sort.Strings(stale)
