@@ -377,12 +377,12 @@ func BenchmarkAblationBuffer(b *testing.B) {
 }
 
 // BenchmarkAblationCrossTraffic quantifies the background-load extension:
-// worst FCT with 40% bursty cross-traffic over an idle link at 64%
+// worst FCT with 40% constant cross-traffic over an idle link at 64%
 // foreground load.
 func BenchmarkAblationCrossTraffic(b *testing.B) {
-	run := func(cross tcpsim.CrossTraffic) float64 {
+	run := func(cross float64) float64 {
 		cfg := tcpsim.DefaultConfig()
-		cfg.Cross = cross
+		cfg.CrossFraction = cross
 		var specs []tcpsim.FlowSpec
 		id := 0
 		for sec := 0; sec < 5; sec++ {
@@ -405,8 +405,8 @@ func BenchmarkAblationCrossTraffic(b *testing.B) {
 	}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		idle := run(tcpsim.CrossTraffic{})
-		busy := run(tcpsim.CrossTraffic{Fraction: 0.4, Period: time.Second, Duty: 0.5})
+		idle := run(0)
+		busy := run(0.4)
 		if idle > 0 {
 			ratio = busy / idle
 		}

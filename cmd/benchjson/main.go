@@ -326,7 +326,7 @@ func run(args []string, out io.Writer) error {
 	// allocs_per_op is recorded and, on a reused engine, 0.
 	cellCfg := tcpsim.DefaultConfig()
 	cellCfg.CC = tcpsim.Cubic
-	cellCfg.Cross.Fraction = 0.1
+	cellCfg.CrossFraction = 0.1
 	cell := decideCell()
 	cellRes, err := eng.Run(cellCfg, cell)
 	if err != nil {

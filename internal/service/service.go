@@ -173,8 +173,8 @@ func (s *Server) measure(a workload.Axes) (*workload.GridResult, workload.CacheS
 // measureStatus is the status of a failed measure. Validation has
 // already refused every cell the model cannot run, so a failure is a
 // server fault (500), except a cell that does not drain within the
-// simulator's MaxTime horizon: that is a property of the request's input
-// (422).
+// simulator's 3,600-s horizon: that is a property of the request's
+// input (422).
 func measureStatus(err error) int {
 	if errors.Is(err, tcpsim.ErrHorizon) {
 		return http.StatusUnprocessableEntity

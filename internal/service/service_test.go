@@ -358,9 +358,9 @@ func badCells() []struct{ path, body, want string } {
 }
 
 // TestHorizonIsUnprocessable: a valid cell whose transfers cannot drain
-// within the simulator's MaxTime horizon (2GB per client over 10 Mbps)
-// answers 422 naming the horizon: a property of the input, not a server
-// fault.
+// within the simulator's 3,600-s horizon (2GB per client over 10 Mbps)
+// answers 422 naming the horizon (ErrHorizon's text still says
+// "MaxTime horizon"): a property of the input, not a server fault.
 func TestHorizonIsUnprocessable(t *testing.T) {
 	ts := newTestServer(t, Config{CacheDir: t.TempDir()})
 	body := `{"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF"},` +

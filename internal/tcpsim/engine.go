@@ -71,7 +71,6 @@ type Engine struct {
 	// Result storage, reused across runs.
 	finished []FlowResult
 	counters stats.LinkCounters
-	qx, qy   []float64 // QueueDepth backing, reused when RecordQueue
 	res      Result
 
 	soloSpecs []FlowSpec // scratch for SoloClientFCT
@@ -201,17 +200,15 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 
 	e.rng.Reseed(cfg.Seed)
 	capacity := cfg.Capacity.ByteRate().BytesPerSecond() // bytes/s
-	crossPhase := 0.0
-	if cfg.Cross.enabled() && cfg.Cross.PhaseJitter && cfg.Cross.Period > 0 {
-		crossPhase = e.rng.Float64() * cfg.Cross.Period.Seconds()
-	}
+	// Background cross-traffic shrinks the capacity available to the
+	// foreground flows in every round.
+	roundCap := capacity * (1 - cfg.CrossFraction)
 	mss := cfg.MSS.Bytes()
 	buffer := cfg.bufferBytes()
 	baseRTT := cfg.BaseRTT.Seconds()
 	rto := cfg.RTO.Seconds()
 	maxWin := cfg.BDP() + buffer // no point growing cwnd beyond pipe+queue
 	initCwnd := float64(cfg.InitCwndSegments) * mss
-	maxTime := cfg.maxTime()
 	cubic := cfg.CC == Cubic
 
 	// Lay the flows out in stable arrival order (the pending queue).
@@ -234,14 +231,9 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		e.size[k] = s.Size.Bytes()
 	}
 
-	// Reset reused result storage, keeping capacity. QueueDepth buffers
-	// attach only when recording, so a non-recording run leaves the
-	// zero-value Series exactly like the reference engine.
+	// Reset reused result storage, keeping capacity.
 	e.counters.Reset()
 	e.res = Result{Counters: &e.counters}
-	if cfg.RecordQueue {
-		e.res.QueueDepth = stats.Series{X: e.qx[:0], Y: e.qy[:0]}
-	}
 	e.keepActive(0)
 	e.finished = e.finished[:0]
 
@@ -255,7 +247,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 
 	for len(e.remaining) > 0 || nextPending < n {
 		na := len(e.remaining)
-		if t > maxTime {
+		if t > horizon {
 			return nil, fmt.Errorf("%w (t=%.1fs, %d flows still active)", ErrHorizon, t, na)
 		}
 		if na == 0 {
@@ -272,10 +264,6 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 			nextPending = e.activate(t, nextPending, n, initCwnd, maxWin)
 			continue
 		}
-
-		// Background cross-traffic shrinks the capacity available to the
-		// foreground flows this round.
-		roundCap := capacity * (1 - cfg.Cross.consumedAt(t, crossPhase))
 
 		// Round duration: base RTT plus the queueing delay data currently
 		// ahead of this round's packets experiences.
@@ -426,9 +414,6 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		// Counters.
 		servedBytes += served
 		e.res.DroppedBytes += dropped
-		if cfg.RecordQueue {
-			e.res.QueueDepth.AddPoint(t, newQueue)
-		}
 
 		// Advance time and compact the active state in place, every
 		// field together, emitting each finished flow's result in active
@@ -470,10 +455,6 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		return cmp.Compare(x.ID, y.ID)
 	})
 	e.res.Flows = e.finished
-	if cfg.RecordQueue {
-		// Recover grown capacity for the next recording run.
-		e.qx, e.qy = e.res.QueueDepth.X, e.res.QueueDepth.Y
-	}
 	return &e.res, nil
 }
 

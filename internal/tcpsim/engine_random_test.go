@@ -13,10 +13,9 @@ import (
 
 // randomCase draws one engine workload from rng. The space covers what
 // the fixed golden workloads sample only once each: Reno and CUBIC,
-// buffers from one MSS to several BDPs (and the BDP/2 default), no,
-// constant and square-wave cross traffic with and without phase jitter,
-// 1–64 flows with zero-size flows, tied arrivals and idle gaps, and
-// queue recording on and off.
+// buffers from one MSS to several BDPs (and the BDP/2 default), no and
+// constant cross traffic, and 1–64 flows with zero-size flows, tied
+// arrivals and idle gaps.
 func randomCase(rng *rand.Rand) (Config, []FlowSpec) {
 	cfg := DefaultConfig()
 	cfg.Seed = int64(rng.Intn(1 << 30))
@@ -33,19 +32,9 @@ func randomCase(rng *rand.Rand) (Config, []FlowSpec) {
 	default:
 		cfg.Buffer = units.ByteSize(cfg.BDP() * (0.02 + 4*rng.Float64()))
 	}
-	switch rng.Intn(4) {
-	case 0: // no cross traffic
-	case 1:
-		cfg.Cross = CrossTraffic{Fraction: 0.9 * rng.Float64()}
-	default:
-		cfg.Cross = CrossTraffic{
-			Fraction:    0.9 * rng.Float64(),
-			Period:      time.Duration(50+rng.Intn(950)) * time.Millisecond,
-			Duty:        0.1 + 0.9*rng.Float64(),
-			PhaseJitter: rng.Intn(2) == 1,
-		}
+	if rng.Intn(2) == 1 {
+		cfg.CrossFraction = 0.9 * rng.Float64()
 	}
-	cfg.RecordQueue = rng.Intn(2) == 1
 
 	n := 1 + rng.Intn(64)
 	specs := make([]FlowSpec, n)
@@ -104,18 +93,6 @@ func sameBits(got, want *Result) error {
 	if err := bits("dropped bytes", got.DroppedBytes, want.DroppedBytes); err != nil {
 		return err
 	}
-	gq, wq := got.QueueDepth, want.QueueDepth
-	if gq.Name != wq.Name || len(gq.X) != len(wq.X) || len(gq.Y) != len(wq.Y) {
-		return fmt.Errorf("queue depth: got %d points, want %d", len(gq.X), len(wq.X))
-	}
-	for i := range wq.X {
-		if err := bits(fmt.Sprintf("queue x[%d]", i), gq.X[i], wq.X[i]); err != nil {
-			return err
-		}
-		if err := bits(fmt.Sprintf("queue y[%d]", i), gq.Y[i], wq.Y[i]); err != nil {
-			return err
-		}
-	}
 	if !reflect.DeepEqual(got.Counters, want.Counters) {
 		return fmt.Errorf("link counters differ")
 	}
@@ -145,7 +122,7 @@ func TestEngineMatchesReferenceRandom(t *testing.T) {
 	const cases = 600
 	rng := rand.New(rand.NewSource(20261017))
 	e := NewEngine()
-	var cubic, jitter, recorded, zeroSize, oneMSS int
+	var cubic, cross, zeroSize, oneMSS int
 	for i := 0; i < cases; i++ {
 		cfg, specs := randomCase(rng)
 		if err := matchReference(e, cfg, specs); err != nil {
@@ -154,11 +131,8 @@ func TestEngineMatchesReferenceRandom(t *testing.T) {
 		if cfg.CC == Cubic {
 			cubic++
 		}
-		if cfg.Cross.PhaseJitter {
-			jitter++
-		}
-		if cfg.RecordQueue {
-			recorded++
+		if cfg.CrossFraction > 0 {
+			cross++
 		}
 		if cfg.Buffer == cfg.MSS {
 			oneMSS++
@@ -172,7 +146,7 @@ func TestEngineMatchesReferenceRandom(t *testing.T) {
 	}
 	// The draw must actually reach every class it claims to cover.
 	for name, n := range map[string]int{
-		"cubic": cubic, "phase jitter": jitter, "record queue": recorded,
+		"cubic": cubic, "cross traffic": cross,
 		"zero-size flow": zeroSize, "one-MSS buffer": oneMSS,
 	} {
 		if n < cases/20 {

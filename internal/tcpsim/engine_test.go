@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -21,8 +20,8 @@ type goldenWorkload struct {
 // goldenWorkloads covers every code path the round loop has: slow start,
 // congestion avoidance (Reno and CUBIC), proportional loss with
 // randomized severity, RTO stalls, idle gaps between arrivals, zero-size
-// flows, unsorted and tied arrivals, cross-traffic with phase jitter,
-// and queue-depth recording. It ends with the cell shape the decided
+// flows, unsorted and tied arrivals, and constant cross-traffic. It
+// ends with the cell shape the decided
 // benchmark seeds, whose long congestion-avoidance runs the random
 // oracle's small flows barely sample.
 func goldenWorkloads() []goldenWorkload {
@@ -52,10 +51,7 @@ func goldenWorkloads() []goldenWorkload {
 	cubicCfg.CC = Cubic
 
 	crossCfg := DefaultConfig()
-	crossCfg.Cross = CrossTraffic{Fraction: 0.4, Period: time.Second, Duty: 0.5, PhaseJitter: true}
-
-	queueCfg := DefaultConfig()
-	queueCfg.RecordQueue = true
+	crossCfg.CrossFraction = 0.4
 
 	shallowCfg := DefaultConfig()
 	shallowCfg.Buffer = units.ByteSize(0.25 * shallowCfg.BDP())
@@ -64,8 +60,7 @@ func goldenWorkloads() []goldenWorkload {
 	cases := []goldenWorkload{
 		{"saturating burst reno", DefaultConfig(), burst()},
 		{"saturating burst cubic", cubicCfg, burst()},
-		{"cross traffic jitter", crossCfg, burst()},
-		{"record queue", queueCfg, burst()},
+		{"cross traffic 0.4", crossCfg, burst()},
 		{"shallow buffer", shallowCfg, burst()},
 		{"random arrivals dup ids", DefaultConfig(), random},
 		{"idle gaps", DefaultConfig(), []FlowSpec{
@@ -99,7 +94,7 @@ func goldenWorkloads() []goldenWorkload {
 					}
 					cfg := DefaultConfig()
 					cfg.CC = cc
-					cfg.Cross.Fraction = cross
+					cfg.CrossFraction = cross
 					cfg.Buffer = buf
 					cfg.Seed = int64(len(cases))
 					cases = append(cases, goldenWorkload{
@@ -219,7 +214,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 
 	// CUBIC and cross-traffic paths must be allocation-free too.
 	cfg.CC = Cubic
-	cfg.Cross = CrossTraffic{Fraction: 0.3, Period: time.Second, Duty: 0.5}
+	cfg.CrossFraction = 0.3
 	if _, err := e.Run(cfg, specs); err != nil {
 		t.Fatal(err)
 	}

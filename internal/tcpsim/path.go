@@ -181,6 +181,6 @@ func (p Path) Effective(base Config) Config {
 	base.Capacity = b.Capacity
 	base.BaseRTT = rtt
 	base.Buffer = b.Buffer
-	base.Cross.Fraction = b.CrossFraction
+	base.CrossFraction = b.CrossFraction
 	return base
 }

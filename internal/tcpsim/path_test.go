@@ -132,7 +132,7 @@ func TestSingleHopEffectiveIsIdentity(t *testing.T) {
 	want.Capacity = h.Capacity
 	want.BaseRTT = h.RTT
 	want.Buffer = h.Buffer
-	want.Cross.Fraction = h.CrossFraction
+	want.CrossFraction = h.CrossFraction
 	if got != want {
 		t.Fatalf("1-hop Effective = %+v, want %+v", got, want)
 	}
@@ -150,7 +150,7 @@ func TestEffectiveComposesBottleneck(t *testing.T) {
 		{Role: HopIngress, Capacity: 40e9, RTT: time.Millisecond, Buffer: 4 << 20},
 	}
 	got := p.Effective(base)
-	if got.Capacity != 100e9 || got.Cross.Fraction != 0.93 || got.Buffer != 8<<20 {
+	if got.Capacity != 100e9 || got.CrossFraction != 0.93 || got.Buffer != 8<<20 {
 		t.Fatalf("bottleneck hop not WAN: %+v", got)
 	}
 	if got.BaseRTT != 33*time.Millisecond {

@@ -58,10 +58,6 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 
 	rng := sim.NewRNG(cfg.Seed)
 	capacity := cfg.Capacity.ByteRate().BytesPerSecond()
-	crossPhase := 0.0
-	if cfg.Cross.enabled() && cfg.Cross.PhaseJitter && cfg.Cross.Period > 0 {
-		crossPhase = rng.Float64() * cfg.Cross.Period.Seconds()
-	}
 	mss := cfg.MSS.Bytes()
 	buffer := cfg.bufferBytes()
 	baseRTT := cfg.BaseRTT.Seconds()
@@ -115,7 +111,7 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 	activate(t)
 
 	for len(active) > 0 || nextPending < len(pending) {
-		if t > cfg.maxTime() {
+		if t > horizon {
 			return nil, fmt.Errorf("%w (t=%.1fs, %d flows still active)", ErrHorizon, t, len(active))
 		}
 		if len(active) == 0 {
@@ -131,7 +127,7 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 			continue
 		}
 
-		roundCap := capacity * (1 - cfg.Cross.consumedAt(t, crossPhase))
+		roundCap := capacity * (1 - cfg.CrossFraction)
 		d := baseRTT + queue/roundCap
 
 		offered := make([]float64, len(active))
@@ -247,9 +243,6 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 
 		servedBytes += served
 		res.DroppedBytes += dropped
-		if cfg.RecordQueue {
-			res.QueueDepth.AddPoint(t, newQueue)
-		}
 
 		t += d
 		if err := res.Counters.Record(t, servedBytes); err != nil {

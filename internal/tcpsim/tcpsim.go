@@ -50,14 +50,10 @@ type Config struct {
 	RTO time.Duration
 	// Seed drives the per-flow loss-severity randomization.
 	Seed int64
-	// MaxTime aborts simulations that fail to drain (safety horizon,
-	// seconds). Zero selects 3600 s.
-	MaxTime float64
-	// Cross configures background cross-traffic sharing the bottleneck
-	// (zero value: none).
-	Cross CrossTraffic
-	// RecordQueue enables per-round queue-depth recording in the result.
-	RecordQueue bool
+	// CrossFraction is the share of Capacity that constant background
+	// cross-traffic consumes (0..0.95) — the "variability in network
+	// performance" the paper defers to future work. Zero means none.
+	CrossFraction float64
 	// CC selects the congestion-control variant (default Reno).
 	CC CongestionControl
 }
@@ -142,7 +138,10 @@ func (c Config) Validate() error {
 	if c.CC != Reno && c.CC != Cubic {
 		return fmt.Errorf("tcpsim: unknown congestion control %d", int(c.CC))
 	}
-	return c.Cross.Validate()
+	if !(c.CrossFraction >= 0 && c.CrossFraction <= 0.95) { // NaN too
+		return fmt.Errorf("tcpsim: cross-traffic fraction %v out of [0, 0.95]", c.CrossFraction)
+	}
+	return nil
 }
 
 // BDP returns the bandwidth-delay product in bytes.
@@ -156,14 +155,6 @@ func (c Config) bufferBytes() float64 {
 		return c.Buffer.Bytes()
 	}
 	return c.BDP() / 2
-}
-
-// maxTime returns the effective safety horizon.
-func (c Config) maxTime() float64 {
-	if c.MaxTime > 0 {
-		return c.MaxTime
-	}
-	return 3600
 }
 
 // FlowSpec describes one TCP flow to simulate.
@@ -195,9 +186,6 @@ type Result struct {
 	Counters *stats.LinkCounters // cumulative served bytes per round
 	// DroppedBytes is the total payload dropped at the bottleneck.
 	DroppedBytes float64
-	// QueueDepth traces (time, backlog bytes) per round when
-	// Config.RecordQueue is set.
-	QueueDepth stats.Series
 }
 
 // MeanUtilization returns link utilization over the full run.
@@ -205,9 +193,17 @@ func (r *Result) MeanUtilization(cfg Config) (float64, error) {
 	return r.Counters.MeanUtilization(cfg.Capacity.ByteRate().BytesPerSecond())
 }
 
+// horizon is the simulated time, in seconds, after which a run that has
+// not drained fails with ErrHorizon.
+const horizon = 3600
+
 // Errors.
 var (
-	ErrNoFlows     = errors.New("tcpsim: no flows to simulate")
+	ErrNoFlows = errors.New("tcpsim: no flows to simulate")
+	// ErrHorizon reports a run still active after the 3,600-s horizon.
+	// Its text still names MaxTime, the config field that once set the
+	// horizon, so persisted outputs and decided's 422 bodies keep their
+	// bytes.
 	ErrHorizon     = errors.New("tcpsim: simulation exceeded MaxTime horizon")
 	ErrBadFlowSpec = errors.New("tcpsim: invalid flow spec")
 )

@@ -297,9 +297,11 @@ func TestIdleGapBetweenArrivals(t *testing.T) {
 
 func TestHorizonGuard(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxTime = 0.5
-	// 10 GB cannot finish in 0.5 s on a 25 Gbps link.
-	_, err := Run(cfg, []FlowSpec{{ID: 1, Arrival: 0, Size: 10 * units.GB}})
+	cfg.Capacity = units.Mbps
+	cfg.BaseRTT = time.Second
+	// 1 GB cannot finish within the 3,600-s horizon at 1 Mbps (at most
+	// 450 MB can); one-second rounds keep the run near 3,600 rounds.
+	_, err := Run(cfg, []FlowSpec{{ID: 1, Arrival: 0, Size: units.GB}})
 	if !errors.Is(err, ErrHorizon) {
 		t.Fatalf("err = %v, want horizon", err)
 	}

@@ -31,20 +31,7 @@ func TestFingerprintDistinguishesConfigs(t *testing.T) {
 		{"init cwnd", func(c *Axes) { c.Net.InitCwndSegments = 4 }},
 		{"rto", func(c *Axes) { c.Net.RTO = 400 * time.Millisecond }},
 		{"cc", func(c *Axes) { c.Net.CC = tcpsim.Cubic }},
-		{"record queue", func(c *Axes) { c.Net.RecordQueue = true }},
-		{"cross fraction", func(c *Axes) { c.Net.Cross.Fraction = 0.3 }},
-		{"cross period", func(c *Axes) {
-			c.Net.Cross.Fraction = 0.3
-			c.Net.Cross.Period = time.Second
-			c.Net.Cross.Duty = 0.5
-		}},
-		{"cross jitter", func(c *Axes) {
-			c.Net.Cross.Fraction = 0.3
-			c.Net.Cross.Period = time.Second
-			c.Net.Cross.Duty = 0.5
-			c.Net.Cross.PhaseJitter = true
-		}},
-		{"max time", func(c *Axes) { c.Net.MaxTime = 100 }},
+		{"cross fraction", func(c *Axes) { c.Net.CrossFraction = 0.3 }},
 	}
 	fingerprint := func(c Axes) string { return c.Fingerprint() }
 	seen := map[string]string{fingerprint(base): "base"}
@@ -77,8 +64,7 @@ func TestFingerprintCoversAllFields(t *testing.T) {
 	}{
 		{"Axes", reflect.TypeOf(Axes{}), 14},
 		{"Experiment", reflect.TypeOf(Experiment{}), 6},
-		{"tcpsim.Config", reflect.TypeOf(tcpsim.Config{}), 11},
-		{"tcpsim.CrossTraffic", reflect.TypeOf(tcpsim.CrossTraffic{}), 4},
+		{"tcpsim.Config", reflect.TypeOf(tcpsim.Config{}), 9},
 	} {
 		if got := tc.typ.NumField(); got != tc.want {
 			t.Errorf("%s has %d fields, the fingerprints know %d — update Axes.Fingerprint / cellFingerprint",
@@ -105,7 +91,7 @@ func TestCellFingerprintDistinguishesExperiments(t *testing.T) {
 		"rtt":         func(e *Experiment) { e.Net.BaseRTT = 32 * time.Millisecond },
 		"buffer":      func(e *Experiment) { e.Net.Buffer = units.MB },
 		"cc":          func(e *Experiment) { e.Net.CC = tcpsim.Cubic },
-		"cross":       func(e *Experiment) { e.Net.Cross.Fraction = 0.3 },
+		"cross":       func(e *Experiment) { e.Net.CrossFraction = 0.3 },
 		"capacity":    func(e *Experiment) { e.Net.Capacity = 10 * units.Gbps },
 	}
 	seen := map[string]string{cellFingerprint(base): "base"}
@@ -228,7 +214,7 @@ func TestSweepCacheSingleFlight(t *testing.T) {
 func TestSweepCachePropagatesErrors(t *testing.T) {
 	t.Cleanup(PurgeGridCache)
 	cfg := fastSweep()
-	cfg.Net.MaxTime = 0.01 // every cell exceeds the horizon
+	undrainable(&cfg.Net) // every cell exceeds the horizon
 	if _, err := RunGridCached(cfg, 2); err == nil {
 		t.Fatal("horizon error swallowed by cache")
 	}

@@ -94,20 +94,14 @@ func cellFingerprint(e Experiment) string {
 	b = strconv.AppendInt(b, int64(n.RTO), 10)
 	b = append(b, ";seed="...)
 	b = strconv.AppendInt(b, n.Seed, 10)
-	b = append(b, ";maxt="...)
-	b = strconv.AppendFloat(b, n.MaxTime, 'g', -1, 64)
-	b = append(b, ";rq="...)
-	b = strconv.AppendBool(b, n.RecordQueue)
-	b = append(b, ";cc="...)
+	// maxt, rq, xper, xduty and xjit are fixed tokens: the simulator's
+	// horizon, queue recorder and on/off cross-traffic wave are gone,
+	// but archived keys pin the terms at their old production values.
+	b = append(b, ";maxt=0;rq=false;cc="...)
 	b = strconv.AppendInt(b, int64(n.CC), 10)
 	b = append(b, ";xfrac="...)
-	b = strconv.AppendFloat(b, n.Cross.Fraction, 'g', -1, 64)
-	b = append(b, ";xper="...)
-	b = strconv.AppendInt(b, int64(n.Cross.Period), 10)
-	b = append(b, ";xduty="...)
-	b = strconv.AppendFloat(b, n.Cross.Duty, 'g', -1, 64)
-	b = append(b, ";xjit="...)
-	b = strconv.AppendBool(b, n.Cross.PhaseJitter)
+	b = strconv.AppendFloat(b, n.CrossFraction, 'g', -1, 64)
+	b = append(b, ";xper=0;xduty=0;xjit=false"...)
 	return string(b)
 }
 

@@ -24,7 +24,9 @@ import (
 )
 
 // referenceCellFingerprint is the fmt-based rendering cellFingerprint
-// replaced, kept verbatim.
+// replaced, kept verbatim except that the terms of deleted tcpsim
+// fields (maxt, rq, xper, xduty, xjit) render their old production
+// values as fixed text.
 func referenceCellFingerprint(e Experiment) string {
 	var b strings.Builder
 	b.Grow(256)
@@ -33,11 +35,10 @@ func referenceCellFingerprint(e Experiment) string {
 		int64(e.Duration), e.Concurrency, e.ParallelFlows,
 		f(float64(e.TransferSize)), int(e.Strategy))
 	n := e.Net
-	fmt.Fprintf(&b, ";cap=%s;rtt=%d;mss=%s;buf=%s;icw=%d;rto=%d;seed=%d;maxt=%s;rq=%t;cc=%d",
+	fmt.Fprintf(&b, ";cap=%s;rtt=%d;mss=%s;buf=%s;icw=%d;rto=%d;seed=%d;maxt=0;rq=false;cc=%d",
 		f(float64(n.Capacity)), int64(n.BaseRTT), f(float64(n.MSS)), f(float64(n.Buffer)),
-		n.InitCwndSegments, int64(n.RTO), n.Seed, f(n.MaxTime), n.RecordQueue, int(n.CC))
-	fmt.Fprintf(&b, ";xfrac=%s;xper=%d;xduty=%s;xjit=%t",
-		f(n.Cross.Fraction), int64(n.Cross.Period), f(n.Cross.Duty), n.Cross.PhaseJitter)
+		n.InitCwndSegments, int64(n.RTO), n.Seed, int(n.CC))
+	fmt.Fprintf(&b, ";xfrac=%s;xper=0;xduty=0;xjit=false", f(n.CrossFraction))
 	return b.String()
 }
 
@@ -45,7 +46,7 @@ func referenceCellFingerprint(e Experiment) string {
 // netPointSeedOffset replaced, kept verbatim.
 func referenceNetPointSeedOffset(a Axes, c GridCell) int64 {
 	if c.RTT == a.Net.BaseRTT && c.Buffer == a.Net.Buffer &&
-		c.CC == a.Net.CC && c.CrossFraction == a.Net.Cross.Fraction {
+		c.CC == a.Net.CC && c.CrossFraction == a.Net.CrossFraction {
 		return 0
 	}
 	h := fnv.New64a()
@@ -75,13 +76,8 @@ func randomExperiment(rng *rand.Rand) Experiment {
 	n.InitCwndSegments = rng.Intn(200) - 10
 	n.RTO = time.Duration(rng.Int63n(int64(time.Second)))
 	n.Seed = rng.Int63() - rng.Int63()
-	n.MaxTime = rng.NormFloat64() * 1e4
-	n.RecordQueue = rng.Intn(2) == 0
 	n.CC = tcpsim.CongestionControl(rng.Intn(4))
-	n.Cross.Fraction = rng.Float64() * 0.95
-	n.Cross.Period = time.Duration(rng.Int63n(int64(time.Minute)))
-	n.Cross.Duty = rng.Float64()
-	n.Cross.PhaseJitter = rng.Intn(2) == 0
+	n.CrossFraction = rng.Float64() * 0.95
 	return e
 }
 
@@ -127,7 +123,7 @@ func TestNetPointSeedOffsetMatchesReference(t *testing.T) {
 		}
 		// The base network point must keep offset 0 (the anchor that
 		// holds the Table 2 grid bit-identical to the reference sweep).
-		base := GridCell{RTT: a.Net.BaseRTT, Buffer: a.Net.Buffer, CC: a.Net.CC, CrossFraction: a.Net.Cross.Fraction}
+		base := GridCell{RTT: a.Net.BaseRTT, Buffer: a.Net.Buffer, CC: a.Net.CC, CrossFraction: a.Net.CrossFraction}
 		if off := a.netPointSeedOffset(base); off != 0 {
 			t.Fatalf("axes %d: base point offset %d, want 0", ai, off)
 		}

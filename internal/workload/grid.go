@@ -48,18 +48,17 @@ type Axes struct {
 	Buffers []units.ByteSize
 	// CCs sweeps the congestion-control algorithm.
 	CCs []tcpsim.CongestionControl
-	// CrossFractions sweeps background cross-traffic load — the model's
-	// loss-pressure axis: higher fractions shrink the residual capacity
-	// and deepen buffer-overflow loss. The wave shape (period, duty,
-	// jitter) comes from Net.Cross.
+	// CrossFractions sweeps constant background cross-traffic load — the
+	// model's loss-pressure axis: higher fractions shrink the residual
+	// capacity and deepen buffer-overflow loss.
 	CrossFractions []float64
 	// Strategy selects the spawning mode for every cell.
 	Strategy Strategy
 	// Net is the base network configuration; axis values override
-	// BaseRTT, Buffer, CC, and Cross.Fraction per cell. When Path is
+	// BaseRTT, Buffer, CC, and CrossFraction per cell. When Path is
 	// set, Net supplies only the endpoint parameters (MSS, initial
-	// window, RTO, seed, cross-traffic wave shape, ...) — the link
-	// parameters come from the path composition.
+	// window, RTO, seed, ...) — the link parameters come from the path
+	// composition.
 	Net tcpsim.Config
 	// Path, when non-empty, describes the edge→WAN→facility hop chain
 	// instead of Net's single bottleneck link. A 1-hop Path is folded
@@ -136,7 +135,7 @@ var (
 		misplaced: "workload: multi-hop grids sweep IngressBuffers, not the flat Buffers axis",
 	}
 	crossAxis = linkAxis[float64]{
-		fill:      func(link tcpsim.Config, _ tcpsim.Hop) float64 { return link.Cross.Fraction },
+		fill:      func(link tcpsim.Config, _ tcpsim.Hop) float64 { return link.CrossFraction },
 		misplaced: "workload: multi-hop grids fix cross-traffic per hop; the flat CrossFractions axis does not apply",
 	}
 	edgeCapAxis = linkAxis[units.BitRate]{
@@ -286,7 +285,7 @@ func (a *Axes) validateCells() error {
 	} else {
 		c0.RTT = firstOr(a.RTTs, a.Net.BaseRTT)
 		c0.Buffer = firstOr(a.Buffers, a.Net.Buffer)
-		c0.CrossFraction = firstOr(a.CrossFractions, a.Net.Cross.Fraction)
+		c0.CrossFraction = firstOr(a.CrossFractions, a.Net.CrossFraction)
 		err = cmp.Or(check(c0),
 			checkAlong(check, c0, a.RTTs, func(c *GridCell, v time.Duration) { c.RTT = v }),
 			checkAlong(check, c0, a.Buffers, func(c *GridCell, v units.ByteSize) { c.Buffer = v }),
@@ -329,7 +328,7 @@ func firstOr[T any](vals []T, fill T) T {
 // bottleneck, plus the hop knobs that made it.
 func (a Axes) atHops(c GridCell, ecap units.BitRate, wanRTT time.Duration, ingressBuf units.ByteSize) GridCell {
 	eff := a.Path.WithAxes(ecap, wanRTT, ingressBuf).Effective(a.Net)
-	c.RTT, c.Buffer, c.CrossFraction, c.Capacity = eff.BaseRTT, eff.Buffer, eff.Cross.Fraction, eff.Capacity
+	c.RTT, c.Buffer, c.CrossFraction, c.Capacity = eff.BaseRTT, eff.Buffer, eff.CrossFraction, eff.Capacity
 	c.EdgeCap, c.WANRTT, c.IngressBuffer = ecap, wanRTT, ingressBuf
 	return c
 }
@@ -449,7 +448,7 @@ const netSeedStride = 1_000_003
 //     like re-running one testbed configuration with more data.
 func (a Axes) netPointSeedOffset(c GridCell) int64 {
 	if c.RTT == a.Net.BaseRTT && c.Buffer == a.Net.Buffer &&
-		c.CC == a.Net.CC && c.CrossFraction == a.Net.Cross.Fraction {
+		c.CC == a.Net.CC && c.CrossFraction == a.Net.CrossFraction {
 		return 0
 	}
 	// Inline FNV-64a over the point's canonical rendering — computed once
@@ -505,7 +504,7 @@ func (a *Axes) unseeded(c GridCell) Experiment {
 	net.BaseRTT = c.RTT
 	net.Buffer = c.Buffer
 	net.CC = c.CC
-	net.Cross.Fraction = c.CrossFraction
+	net.CrossFraction = c.CrossFraction
 	if c.Capacity > 0 {
 		// Multi-hop cells carry their composed bottleneck capacity; flat
 		// cells leave it 0, keeping their experiments bit-identical to
@@ -560,14 +559,15 @@ func (a Axes) Fingerprint() string {
 		b = appendList(b, ";ibufs=", n.IngressBuffers, appendFloat)
 	}
 	net := n.Net
-	// keep=false is a fixed token: rows no longer carry client results,
-	// but archived fingerprints pin the term.
+	// keep, maxt, rq, xper, xduty and xjit are fixed tokens: rows no
+	// longer carry client results, and the simulator's horizon, queue
+	// recorder and on/off cross-traffic wave are gone, but archived
+	// fingerprints pin the terms at their old production values.
 	b = fmt.Appendf(b, ";strat=%d;keep=false", int(n.Strategy))
-	b = fmt.Appendf(b, ";cap=%s;mss=%s;icw=%d;rto=%d;seed=%d;maxt=%s;rq=%t",
+	b = fmt.Appendf(b, ";cap=%s;mss=%s;icw=%d;rto=%d;seed=%d;maxt=0;rq=false",
 		f(float64(net.Capacity)), f(float64(net.MSS)),
-		net.InitCwndSegments, int64(net.RTO), net.Seed, f(net.MaxTime), net.RecordQueue)
-	b = fmt.Appendf(b, ";xper=%d;xduty=%s;xjit=%t",
-		int64(net.Cross.Period), f(net.Cross.Duty), net.Cross.PhaseJitter)
+		net.InitCwndSegments, int64(net.RTO), net.Seed)
+	b = append(b, ";xper=0;xduty=0;xjit=false"...)
 	return string(b)
 }
 

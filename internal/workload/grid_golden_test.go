@@ -112,7 +112,9 @@ func cellValues(c GridCell, plane int) string {
 // its exact value — integer nanoseconds and FormatFloat(x, 'g', -1, 64)
 // floats, as Fingerprint does — so a field added to, removed from or
 // renamed in Axes or tcpsim.Config moves no line of the golden file
-// unless a value moves.
+// unless a value moves. Deleted tcpsim fields (MaxTime, RecordQueue and
+// the on/off wave's Period, Duty and PhaseJitter) render their old
+// production values as fixed text.
 func normalizedValues(n Axes) string {
 	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 	b := fmt.Appendf(nil, "Duration=%d", int64(n.Duration))
@@ -125,11 +127,11 @@ func normalizedValues(n Axes) string {
 	b = appendList(b, " CrossFractions=", n.CrossFractions, appendFloat)
 	b = fmt.Appendf(b, " Strategy=%d", int(n.Strategy))
 	net := n.Net
-	b = fmt.Appendf(b, " Net.Capacity=%s Net.BaseRTT=%d Net.MSS=%s Net.Buffer=%s Net.InitCwndSegments=%d Net.RTO=%d Net.Seed=%d Net.MaxTime=%s",
+	b = fmt.Appendf(b, " Net.Capacity=%s Net.BaseRTT=%d Net.MSS=%s Net.Buffer=%s Net.InitCwndSegments=%d Net.RTO=%d Net.Seed=%d Net.MaxTime=0",
 		f(float64(net.Capacity)), int64(net.BaseRTT), f(float64(net.MSS)), f(float64(net.Buffer)),
-		net.InitCwndSegments, int64(net.RTO), net.Seed, f(net.MaxTime))
-	b = fmt.Appendf(b, " Net.Cross.Fraction=%s Net.Cross.Period=%d Net.Cross.Duty=%s Net.Cross.PhaseJitter=%t Net.RecordQueue=%t Net.CC=%d",
-		f(net.Cross.Fraction), int64(net.Cross.Period), f(net.Cross.Duty), net.Cross.PhaseJitter, net.RecordQueue, int(net.CC))
+		net.InitCwndSegments, int64(net.RTO), net.Seed)
+	b = fmt.Appendf(b, " Net.Cross.Fraction=%s Net.Cross.Period=0 Net.Cross.Duty=0 Net.Cross.PhaseJitter=false Net.RecordQueue=false Net.CC=%d",
+		f(net.CrossFraction), int(net.CC))
 	for i, h := range n.Path {
 		b = fmt.Appendf(b, " Path[%d].Role=%s Path[%d].Capacity=%s Path[%d].RTT=%d Path[%d].Buffer=%s Path[%d].CrossFraction=%s",
 			i, h.Role, i, f(float64(h.Capacity)), i, int64(h.RTT), i, f(float64(h.Buffer)), i, f(h.CrossFraction))
@@ -359,7 +361,7 @@ func TestValidateMessages(t *testing.T) {
 			eff := a.Path.Effective(a.Net)
 			a.RTTs = []time.Duration{eff.BaseRTT}
 			a.Buffers = []units.ByteSize{eff.Buffer}
-			a.CrossFractions = []float64{eff.Cross.Fraction}
+			a.CrossFractions = []float64{eff.CrossFraction}
 			return a
 		},
 		"zero placeholder for an absent hop": func(a Axes) Axes {

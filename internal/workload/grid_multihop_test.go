@@ -173,7 +173,7 @@ func TestMultiHopFingerprint(t *testing.T) {
 	}
 	one := fastAxes()
 	one.Path = tcpsim.Path{{Role: tcpsim.HopWAN, Capacity: one.Net.Capacity, RTT: one.Net.BaseRTT,
-		Buffer: one.Net.Buffer, CrossFraction: one.Net.Cross.Fraction}}
+		Buffer: one.Net.Buffer, CrossFraction: one.Net.CrossFraction}}
 	if strings.Contains(one.Fingerprint(), "hops=") {
 		t.Fatal("1-hop fingerprint grew a hops term (fold failed)")
 	}
@@ -248,7 +248,7 @@ func TestMultiHopSharesCellsWithFlat(t *testing.T) {
 		RTTs:          []time.Duration{23 * time.Millisecond},
 	}
 	if flat.Net.Capacity != 10e9 || flat.Net.BaseRTT != 33*time.Millisecond ||
-		flat.Net.Buffer != 1*units.MB || flat.Net.Cross.Fraction != 0 {
+		flat.Net.Buffer != 1*units.MB || flat.Net.CrossFraction != 0 {
 		t.Fatalf("unexpected composed base Net: %+v", flat.Net)
 	}
 

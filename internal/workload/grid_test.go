@@ -89,7 +89,7 @@ func TestAxesNormalizationFillsNetworkAxes(t *testing.T) {
 	if len(n.CCs) != 1 || n.CCs[0] != a.Net.CC {
 		t.Errorf("CCs = %v", n.CCs)
 	}
-	if len(n.CrossFractions) != 1 || n.CrossFractions[0] != a.Net.Cross.Fraction {
+	if len(n.CrossFractions) != 1 || n.CrossFractions[0] != a.Net.CrossFraction {
 		t.Errorf("CrossFractions = %v", n.CrossFractions)
 	}
 	if a.Size() != 1 {
@@ -216,7 +216,7 @@ func TestGridMatchesSweep(t *testing.T) {
 	stripped := make([]SweepRow, len(grid.Rows))
 	for i := range grid.Rows {
 		if c := grid.Rows[i].Cell; c.RTT != cfg.Net.BaseRTT || c.Buffer != cfg.Net.Buffer ||
-			c.CC != cfg.Net.CC || c.CrossFraction != cfg.Net.Cross.Fraction {
+			c.CC != cfg.Net.CC || c.CrossFraction != cfg.Net.CrossFraction {
 			t.Fatalf("row %d: %+v is not the base network point of a single-point grid", i, c)
 		}
 		stripped[i] = grid.Rows[i].SweepRow
@@ -303,7 +303,7 @@ func TestGridSeedsVaryAcrossNetPoints(t *testing.T) {
 		}
 		seeds[e.Net.Seed] = c
 		if e.Net.BaseRTT != c.RTT || e.Net.Buffer != c.Buffer || e.Net.CC != c.CC ||
-			e.Net.Cross.Fraction != c.CrossFraction {
+			e.Net.CrossFraction != c.CrossFraction {
 			t.Fatalf("experiment net %+v does not match cell %+v", e.Net, c)
 		}
 	}

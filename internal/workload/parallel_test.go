@@ -54,7 +54,7 @@ func TestParallelEmptyAxes(t *testing.T) {
 
 func TestParallelPropagatesCellErrors(t *testing.T) {
 	cfg := fastSweep()
-	cfg.Net.MaxTime = 0.01 // every cell exceeds the horizon
+	undrainable(&cfg.Net) // every cell exceeds the horizon
 	if _, err := RunGridParallel(cfg, 4); err == nil {
 		t.Fatal("horizon error swallowed")
 	}

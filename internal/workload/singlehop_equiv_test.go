@@ -29,12 +29,12 @@ func singleHopOf(a Axes, role tcpsim.HopRole) Axes {
 		Capacity:      a.Net.Capacity,
 		RTT:           a.Net.BaseRTT,
 		Buffer:        a.Net.Buffer,
-		CrossFraction: a.Net.Cross.Fraction,
+		CrossFraction: a.Net.CrossFraction,
 	}}
 	a.Net.Capacity = -1
 	a.Net.BaseRTT = -1
 	a.Net.Buffer = -1
-	a.Net.Cross.Fraction = -1
+	a.Net.CrossFraction = -1
 	return a
 }
 
@@ -102,14 +102,14 @@ func TestSingleHopEquivalenceRandomized(t *testing.T) {
 			flat.Net.Capacity = units.BitRate(1 + rng.Float64()*1e11)
 			flat.Net.BaseRTT = time.Duration(1 + rng.Int63n(int64(time.Second)))
 			flat.Net.Buffer = units.ByteSize(rng.Float64() * 1e9)
-			flat.Net.Cross.Fraction = rng.Float64() * 0.95
+			flat.Net.CrossFraction = rng.Float64() * 0.95
 			// Sometimes sweep the link axes too: the fold only fixes the
 			// base point, the axis overrides must keep applying on top.
 			if rng.Intn(2) == 0 {
 				flat.RTTs = []time.Duration{flat.Net.BaseRTT, time.Duration(1 + rng.Int63n(int64(time.Second)))}
 			}
 			if rng.Intn(2) == 0 {
-				flat.CrossFractions = []float64{flat.Net.Cross.Fraction, rng.Float64() * 0.95}
+				flat.CrossFractions = []float64{flat.Net.CrossFraction, rng.Float64() * 0.95}
 			}
 			role := tcpsim.HopRole(rng.Intn(3))
 			assertAxesEquivalent(t, "randomized", flat, singleHopOf(flat, role))

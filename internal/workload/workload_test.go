@@ -247,9 +247,17 @@ func TestFlowIDEncoding(t *testing.T) {
 	}
 }
 
+// undrainable slows net to 1 Mbps with a 1-s base RTT: at most 450 MB
+// crosses it within tcpsim's 3,600-s horizon, so every test cell of
+// 0.5-GB transfers fails with ErrHorizon after about 3,600 rounds.
+func undrainable(net *tcpsim.Config) {
+	net.Capacity = units.Mbps
+	net.BaseRTT = time.Second
+}
+
 func TestNetHorizonErrorPropagates(t *testing.T) {
 	e := fastExperiment()
-	e.Net.MaxTime = 0.01
+	undrainable(&e.Net)
 	_, err := Run(e)
 	if !errors.Is(err, tcpsim.ErrHorizon) {
 		t.Fatalf("err = %v, want horizon", err)

@@ -2,7 +2,9 @@
 # check.sh — the repo's CI gate. Runs formatting, vet, build, the
 # dead-export and link-budget gate, the full test suite (root package,
 # ./internal/..., and ./cmd/... — `./...` is module-rooted and covers
-# them all), and a short benchmark smoke that
+# them all; the root package's TestBehaviourCorpus replays
+# testdata/behaviour), vet and tests of the nested perfbench module, and
+# a short benchmark smoke that
 # includes the bench-regression comparison against the tracked
 # BENCH_sweep.json (run `go run ./cmd/benchjson` without -quick for the
 # paper-scale numbers recorded in PERFORMANCE.md).
@@ -47,6 +49,13 @@ if [ "${SHORT:-}" = "1" ]; then
 else
     go test ./...
 fi
+
+echo "== perfbench (nested module): vet + test =="
+# perfbench is its own module (`./...` above stops at its go.mod) and
+# builds against this one, so a renamed or deleted export it uses must
+# fail here, not first in a benchmark run. Read-only: nothing under
+# perfbench/ is written.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== bench smoke (-short gated) =="
 # SHORT=1 skips the smoke in constrained environments (CI PR runs):

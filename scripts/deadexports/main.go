@@ -39,7 +39,7 @@ const (
 	// most budgetLines non-test lines (this platform's files, as go list
 	// selects them).
 	budgetRoot  = "cmd/decided"
-	budgetLines = 9617
+	budgetLines = 9524
 )
 
 func main() {
