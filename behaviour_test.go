@@ -25,8 +25,7 @@ import (
 // decided answers, byte for byte, so "the same outputs as before" is a
 // test rather than a hand check. Each file in testdata/behaviour is one
 // case in a txtar-like layout: free text, then sections opened by a
-// "-- name --" line. A section whose text does not end in a newline is
-// written as "-- name (no final newline) --" with one newline added.
+// "-- name --" line.
 //
 // A CLI case holds the inputs
 //
@@ -53,9 +52,6 @@ import (
 
 const behaviourDir = "testdata/behaviour"
 
-// noFinalNewline marks a section whose text does not end in a newline.
-const noFinalNewline = " (no final newline)"
-
 // maskIndexLoad hides the cache-stats line's index-load wall time, the
 // only text in these outputs that varies between identical runs.
 var maskIndexLoad = regexp.MustCompile(`index-load=[0-9.]+[a-zµ]*s`)
@@ -74,10 +70,7 @@ func TestBehaviourCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			head, secs, err := parseCase(string(data))
-			if err != nil {
-				t.Fatal(err)
-			}
+			head, secs := parseCase(string(data))
 			var got []section
 			if argv := find(secs, "argv"); argv != nil {
 				got = runCLICase(t, bins, secs)
@@ -229,7 +222,7 @@ func find(secs []section, name string) *section {
 }
 
 // parseCase splits a case file into its free-text head and sections.
-func parseCase(data string) (head string, secs []section, err error) {
+func parseCase(data string) (head string, secs []section) {
 	lines := strings.SplitAfter(data, "\n")
 	cur := -1
 	for _, line := range lines {
@@ -244,16 +237,7 @@ func parseCase(data string) (head string, secs []section, err error) {
 			secs[cur].text += line
 		}
 	}
-	for i := range secs {
-		if name, ok := strings.CutSuffix(secs[i].name, noFinalNewline); ok {
-			text, ok := strings.CutSuffix(secs[i].text, "\n")
-			if !ok {
-				return "", nil, fmt.Errorf("section %q is marked %q but is empty", name, noFinalNewline)
-			}
-			secs[i] = section{name, text}
-		}
-	}
-	return head, secs, nil
+	return head, secs
 }
 
 func marker(line string) (string, bool) {
@@ -264,25 +248,14 @@ func marker(line string) (string, bool) {
 	return line[3 : len(line)-3], true
 }
 
-// renderCase is parseCase's inverse. Text holding a line that reads as
-// a section marker renders with that line flagged, so it cannot match
-// any file.
+// renderCase is parseCase's inverse for sections whose text ends in a
+// newline. Cases are compared as rendered text, so output that lacks
+// one still renders deterministically and cannot match by accident.
 func renderCase(head string, secs []section) string {
 	var b strings.Builder
 	b.WriteString(head)
 	for _, s := range secs {
-		name, text := s.name, s.text
-		if text != "" && !strings.HasSuffix(text, "\n") {
-			name += noFinalNewline
-			text += "\n"
-		}
-		fmt.Fprintf(&b, "-- %s --\n", name)
-		for _, line := range strings.SplitAfter(text, "\n") {
-			if _, ok := marker(line); ok {
-				b.WriteString("!! marker-like line: ")
-			}
-			b.WriteString(line)
-		}
+		fmt.Fprintf(&b, "-- %s --\n%s", s.name, s.text)
 	}
 	return b.String()
 }
