@@ -63,7 +63,6 @@ import (
 	"repro/internal/plot"
 	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -145,52 +144,31 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	size, err := units.ParseByteSize(*sizeStr)
+	// The flags spell one -config row, lowered by the same code. In grid
+	// mode the measured cells supply the transfer side (-bw is the
+	// grid's link and -rate is unused), so the row carries the
+	// placeholder pair a cell-mode decided request gets.
+	w := scenario.Workload{
+		Name:                "flags",
+		UnitSize:            *sizeStr,
+		ComplexityFLOPPerGB: *complexity,
+		Local:               *localStr,
+		Remote:              *remoteStr,
+		Bandwidth:           *bwStr,
+		TransferRate:        *rateStr,
+		Theta:               theta,
+		GenerationRate:      *genStr,
+		Tier:                *tier,
+	}
+	if *grid {
+		w.Bandwidth, w.TransferRate = "25Gbps", "1GB/s"
+	}
+	p, opts, err := w.Model()
 	if err != nil {
 		return err
 	}
-	local, err := units.ParseFLOPS(*localStr)
-	if err != nil {
-		return err
-	}
-	remote, err := units.ParseFLOPS(*remoteStr)
-	if err != nil {
-		return err
-	}
-	bw, err := units.ParseBitRate(*bwStr)
-	if err != nil {
-		return err
-	}
-	rate, err := units.ParseByteRate(*rateStr)
-	if err != nil {
-		return err
-	}
-
-	p := core.Params{
-		UnitSize:              size,
-		ComplexityFLOPPerByte: core.ComplexityFLOPPerGB(*complexity),
-		LocalRate:             local,
-		RemoteRate:            remote,
-		Bandwidth:             bw,
-		TransferRate:          rate,
-		Theta:                 *theta,
-	}
-
-	var opts core.DecideOpts
-	if *genStr != "" {
-		gen, err := units.ParseByteRate(*genStr)
-		if err != nil {
-			return err
-		}
-		opts.GenerationRate = gen
-	}
-	if *tier != 0 {
-		t := core.Tier(*tier)
-		if t.Budget() == 0 {
-			return fmt.Errorf("unknown tier %d (want 1, 2, or 3)", *tier)
-		}
-		opts.Deadline = t.Budget()
-		fmt.Fprintf(out, "deadline: %s\n", t)
+	if w.Tier != 0 {
+		fmt.Fprintf(out, "deadline: %s\n", core.Tier(w.Tier))
 	}
 
 	if *grid {
@@ -260,7 +238,7 @@ func run(args []string, out io.Writer) error {
 		if len(a.Path) > 1 {
 			fmt.Fprintf(out, "grid: %s (%d-hop path, bottleneck composed per cell)\n", scenario.GridHeader(a), len(a.Path))
 			fmt.Fprintf(out, "model: C=%.3g FLOP/GB, local %v, remote %v, theta %.2f; R_transfer measured per cell\n\n",
-				*complexity, local, remote, *theta)
+				*complexity, p.LocalRate, p.RemoteRate, p.Theta)
 			pds, err := scenario.DecidePlacementGrid(g, p,
 				core.PlacementOpts{DecideOpts: opts, PrefilterFactor: *prefilter})
 			if err != nil {
@@ -271,7 +249,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "grid: %s (%v bottleneck)\n", scenario.GridHeader(a), a.Net.Capacity)
 		fmt.Fprintf(out, "model: C=%.3g FLOP/GB, local %v, remote %v, theta %.2f; R_transfer measured per cell\n\n",
-			*complexity, local, remote, *theta)
+			*complexity, p.LocalRate, p.RemoteRate, p.Theta)
 		// DecideGrid overrides the transfer-side fields (unit size,
 		// bandwidth, transfer rate) per cell; p's compute side carries
 		// through unchanged.

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/plot"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -224,9 +223,4 @@ func RegimeTable(curve *core.SSSCurve) (Artifact, error) {
 		Text:  t.String(),
 		CSV:   csv.String(),
 	}, nil
-}
-
-// pooledSample is a helper used by tests to reach into the sweep data.
-func pooledSample(sweep *workload.GridResult) *stats.Sample {
-	return sweep.AllTransferTimes()
 }

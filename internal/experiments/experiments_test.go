@@ -114,7 +114,7 @@ func TestFig3LongTail(t *testing.T) {
 	if !strings.Contains(a.Text, "tail index") || !strings.Contains(a.Text, "P(X<=x)") {
 		t.Errorf("fig3 text incomplete:\n%s", a.Text)
 	}
-	sample := pooledSample(res.Sweep)
+	sample := res.Sweep.AllTransferTimes()
 	tail, err := sample.TailIndex()
 	if err != nil {
 		t.Fatal(err)

@@ -112,7 +112,7 @@ var (
 	flatAxes = []gridAxis{
 		sizeAxis,
 		{"rtt", "RTT", func(c workload.GridCell) string { return c.RTT.String() }},
-		{"buffer", "Buffer", func(c workload.GridCell) string { return BufferLabel(c.Buffer) }},
+		{"buffer", "Buffer", func(c workload.GridCell) string { return workload.BufferLabel(c.Buffer) }},
 		ccAxis,
 		{"cross", "Cross", func(c workload.GridCell) string { return fmt.Sprintf("%g", c.CrossFraction) }},
 		flowsAxis, concAxis,
@@ -121,7 +121,7 @@ var (
 		sizeAxis,
 		{"ecap", "ECap", func(c workload.GridCell) string { return baseLabel(c.EdgeCap == 0, c.EdgeCap) }},
 		{"wrtt", "WANRTT", func(c workload.GridCell) string { return baseLabel(c.WANRTT == 0, c.WANRTT) }},
-		{"ibuf", "IBuf", func(c workload.GridCell) string { return BufferLabel(c.IngressBuffer) }},
+		{"ibuf", "IBuf", func(c workload.GridCell) string { return workload.BufferLabel(c.IngressBuffer) }},
 		ccAxis, flowsAxis, concAxis,
 	}
 )
@@ -204,16 +204,6 @@ func CoordRow(c workload.GridCell, rest ...string) []string {
 		return coordRow(hopColumns, c, rest...)
 	}
 	return coordRow(flatColumns, c, rest...)
-}
-
-// BufferLabel names a buffer-axis value; 0 is tcpsim's half-BDP
-// default. Shared by every grid renderer so "auto" means the same thing
-// everywhere.
-func BufferLabel(b units.ByteSize) string {
-	if b == 0 {
-		return "auto"
-	}
-	return b.String()
 }
 
 // otherCoords keys every coordinate except the named axis.

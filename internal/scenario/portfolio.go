@@ -135,15 +135,10 @@ func DecidePortfolio(pf *Portfolio, g *workload.GridResult) (*PortfolioGrid, err
 	bases := make([]core.Params, len(pf.Workloads))
 	options := make([]core.DecideOpts, len(pf.Workloads))
 	for i, w := range pf.Workloads {
-		p, err := w.Params()
-		if err != nil {
+		var err error
+		if bases[i], options[i], err = w.Model(); err != nil {
 			return nil, err
 		}
-		o, err := w.opts()
-		if err != nil {
-			return nil, err
-		}
-		bases[i], options[i] = p, o
 	}
 	out := &PortfolioGrid{Portfolio: pf, Axes: g.Axes, Cells: make([]PortfolioCell, 0, len(g.Rows))}
 	for _, row := range g.Rows {
@@ -318,7 +313,7 @@ func (pg *PortfolioGrid) Report() *PortfolioReport {
 			Index:          cell.Index,
 			Size:           cell.TransferSize.String(),
 			RTT:            cell.RTT.String(),
-			Buffer:         BufferLabel(cell.Buffer),
+			Buffer:         workload.BufferLabel(cell.Buffer),
 			CC:             cell.CC.String(),
 			Cross:          cell.CrossFraction,
 			Concurrency:    cell.Concurrency,

@@ -19,8 +19,11 @@ package scenario
 // field, so no client ever has hop axes silently ignored.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"time"
 
 	"repro/internal/core"
@@ -32,40 +35,81 @@ import (
 // GridSpec describes a measured grid in a JSON request the way the
 // CLIs' flags do: the scalar base-grid knobs (-gseconds, -bw, -size,
 // and since schema v2 the base concurrency/flows/strategy) plus the
-// embedded AxesSpec lists. Zero values take the CLI defaults, so an
-// empty spec IS `streamdecide -grid` — same axes, same fingerprint,
-// same cache cells. Both grid CLIs lower their flags through this
-// struct, so a request and a CLI run that describe the same grid are
-// the same code path end to end.
+// embedded AxesSpec lists. A knob a body leaves out takes the CLI
+// default, so an empty spec IS `streamdecide -grid` — same axes, same
+// fingerprint, same cache cells. A spelled value is taken as written:
+// an explicit 0 reaches Axes.Validate and is refused there rather than
+// read as "unset". The string knobs (bandwidth, size, strategy) read
+// empty as absent, because an empty string is a value of none of them.
+// Both grid CLIs lower their flags through this struct, so a request
+// and a CLI run that describe the same grid are the same code path end
+// to end.
 type GridSpec struct {
 	// DurationS is the congestion experiment duration in seconds
-	// (-gseconds; default 3).
-	DurationS int `json:"duration_s,omitempty"`
+	// (-gseconds; default 3). A body that omits it decodes as 3 (see
+	// UnmarshalJSON); a Go literal states it.
+	DurationS int `json:"duration_s"`
 	// Bandwidth is the bottleneck link (-bw; default "25Gbps").
 	Bandwidth string `json:"bandwidth,omitempty"`
 	// Size is the default transfer-size axis (-size; default "2GB"),
 	// replaced entirely when Sizes is set.
 	Size string `json:"size,omitempty"`
 	// Concurrency is the base concurrency axis when Concs is unset
-	// (default 4; schema v2).
-	Concurrency int `json:"concurrency,omitempty"`
+	// (nil = default 4; schema v2).
+	Concurrency *int `json:"concurrency,omitempty"`
 	// PFlows is the base parallel-flow axis when Flows is unset
-	// (default 8; schema v2).
-	PFlows int `json:"parallel_flows,omitempty"`
+	// (nil = default 8; schema v2).
+	PFlows *int `json:"parallel_flows,omitempty"`
 	// Strategy is the spawn strategy: "simultaneous" (default) or
 	// "scheduled" (schema v2).
 	Strategy string `json:"strategy,omitempty"`
 	AxesSpec        // concs/pflows/sizes/rtts/buffers/ccs/crosses + hop axes
 }
 
+// defaultDurationS is the duration a body that omits duration_s gets,
+// -gseconds's default.
+const defaultDurationS = 3
+
+// UnmarshalJSON decodes a spec over the default duration, so a body
+// that leaves duration_s out gets 3 s and one that spells 0 keeps its
+// 0. Unknown keys stay errors, as everywhere in a request body.
+func (s *GridSpec) UnmarshalJSON(data []byte) error {
+	type plain GridSpec // the same fields without this method
+	p := plain{DurationS: defaultDurationS}
+	if err := decodeStrict(data, &p, s); err != nil {
+		return err
+	}
+	*s = GridSpec(p)
+	return nil
+}
+
+// decodeStrict decodes data into p, the method-free copy a decode hook
+// of v decodes into, refusing unknown keys as the service's decoder
+// does. A type error names v's type, not the copy's.
+func decodeStrict(data []byte, p, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(p)
+	if te, ok := err.(*json.UnmarshalTypeError); ok {
+		copyT, realT := reflect.TypeOf(p).Elem(), reflect.TypeOf(v).Elem()
+		if te.Struct == copyT.Name() {
+			te.Struct = realT.Name()
+		}
+		if te.Type == copyT {
+			te.Type = realT
+		}
+	}
+	return err
+}
+
 // V2Fields returns the JSON names of the set fields that require
 // schema v2: the hop vocabulary plus the base-grid knobs added with it.
 func (s GridSpec) V2Fields() []string {
 	out := s.AxesSpec.V2Fields()
-	if s.Concurrency != 0 {
+	if s.Concurrency != nil {
 		out = append(out, "concurrency")
 	}
-	if s.PFlows != 0 {
+	if s.PFlows != nil {
 		out = append(out, "parallel_flows")
 	}
 	if s.Strategy != "" {
@@ -78,14 +122,10 @@ func (s GridSpec) V2Fields() []string {
 // exactly — defaults included — so a request and a CLI run that
 // describe the same grid hit the same cache cells.
 func (s GridSpec) Axes() (workload.Axes, error) {
-	seconds := s.DurationS
-	if seconds == 0 {
-		seconds = 3
-	}
 	// Checked before the multiply below, which wraps past the largest
 	// time.Duration.
-	if maxS := int(math.MaxInt64 / int64(time.Second)); seconds < 0 || seconds > maxS {
-		return workload.Axes{}, fmt.Errorf("scenario: duration_s %d: must be in [1, %d]", seconds, maxS)
+	if maxS := int(math.MaxInt64 / int64(time.Second)); s.DurationS < 1 || s.DurationS > maxS {
+		return workload.Axes{}, fmt.Errorf("scenario: duration_s %d: must be in [1, %d]", s.DurationS, maxS)
 	}
 	bwStr := s.Bandwidth
 	if bwStr == "" {
@@ -103,13 +143,12 @@ func (s GridSpec) Axes() (workload.Axes, error) {
 	if err != nil {
 		return workload.Axes{}, fmt.Errorf("scenario: size: %w", err)
 	}
-	conc := s.Concurrency
-	if conc == 0 {
-		conc = 4
+	conc, flows := 4, 8
+	if s.Concurrency != nil {
+		conc = *s.Concurrency
 	}
-	flows := s.PFlows
-	if flows == 0 {
-		flows = 8
+	if s.PFlows != nil {
+		flows = *s.PFlows
 	}
 	strat := workload.SpawnSimultaneous
 	switch s.Strategy {
@@ -122,7 +161,7 @@ func (s GridSpec) Axes() (workload.Axes, error) {
 	net := tcpsim.DefaultConfig()
 	net.Capacity = bw
 	base := workload.Axes{
-		Duration:      time.Duration(seconds) * time.Second,
+		Duration:      time.Duration(s.DurationS) * time.Second,
 		Concurrencies: []int{conc},
 		ParallelFlows: []int{flows},
 		TransferSizes: []units.ByteSize{size},
@@ -217,22 +256,13 @@ func (r DecideRequest) Lower() (Workload, *workload.Axes, error) {
 	if w.TransferRate == "" {
 		w.TransferRate = "1GB/s"
 	}
-	// Validate the workload NOW, before the caller spends a simulation
-	// on a request whose decision step was always going to fail.
-	if err := validateWorkload(w); err != nil {
+	// Validate the workload NOW, through the lowering the decision step
+	// uses, before the caller spends a simulation on a request whose
+	// decision step was always going to fail.
+	if _, _, err := w.Model(); err != nil {
 		return w, nil, err
 	}
 	return w, &a, nil
-}
-
-// validateWorkload runs a workload through the same parsers the
-// decision step uses, so malformed requests fail before any engine run.
-func validateWorkload(w Workload) error {
-	if _, err := w.Params(); err != nil {
-		return err
-	}
-	_, err := w.opts()
-	return err
 }
 
 // MeasuredCell carries the simulated transfer measurements backing a
@@ -319,11 +349,7 @@ func newDecideResponse(name string, d core.Decision) *DecideResponse {
 // DecideModel answers a model-only request: the workload's own numbers
 // through core.Decide, exactly the -config path.
 func DecideModel(w Workload) (*DecideResponse, error) {
-	p, err := w.Params()
-	if err != nil {
-		return nil, err
-	}
-	o, err := w.opts()
+	p, o, err := w.Model()
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +400,7 @@ func DecideAtCell(w Workload, g *workload.GridResult, prefilter float64) (*Decid
 		RateBps:     float64(c.Rate),
 	}
 	if len(g.Axes.Path) > 1 {
-		opts, err := w.opts()
+		_, opts, err := w.Model()
 		if err != nil {
 			return nil, err
 		}
@@ -408,9 +434,24 @@ type PortfolioRequest struct {
 	Schema string `json:"schema,omitempty"`
 	// Name labels the portfolio like the CLI's file base name does;
 	// empty defaults to "portfolio".
-	Name      string   `json:"name,omitempty"`
-	Portfolio File     `json:"portfolio"`
-	Grid      GridSpec `json:"grid"`
+	Name      string `json:"name,omitempty"`
+	Portfolio File   `json:"portfolio"`
+	// Grid is the grid to measure. A body without it measures the
+	// default grid, as "grid":{} does (see UnmarshalJSON).
+	Grid GridSpec `json:"grid"`
+}
+
+// UnmarshalJSON decodes a request over the default grid, so a body that
+// leaves "grid" out measures what "grid":{} measures, and marshalling
+// the result writes the duration it got.
+func (r *PortfolioRequest) UnmarshalJSON(data []byte) error {
+	type plain PortfolioRequest // the same fields without this method
+	p := plain{Grid: GridSpec{DurationS: defaultDurationS}}
+	if err := decodeStrict(data, &p, r); err != nil {
+		return err
+	}
+	*r = PortfolioRequest(p)
+	return nil
 }
 
 // Lower validates the request into a named portfolio and the grid axes
@@ -425,7 +466,7 @@ func (r PortfolioRequest) Lower() (*Portfolio, workload.Axes, error) {
 		return nil, workload.Axes{}, err
 	}
 	for _, w := range pf.Workloads {
-		if err := validateWorkload(w); err != nil {
+		if _, _, err := w.Model(); err != nil {
 			return nil, workload.Axes{}, err
 		}
 	}

@@ -28,9 +28,11 @@ func cellWorkload() Workload {
 		ComplexityFLOPPerGB: 17e12,
 		Local:               "5TF",
 		Remote:              "100TF",
-		Theta:               1,
 	}
 }
+
+// ptr returns a pointer to v, for the presence-aware request fields.
+func ptr[T any](v T) *T { return &v }
 
 func TestGridSpecV2Fields(t *testing.T) {
 	if got := (GridSpec{DurationS: 1, Bandwidth: "10Gbps", Size: "1GB",
@@ -38,8 +40,8 @@ func TestGridSpecV2Fields(t *testing.T) {
 		t.Errorf("v1 spec flagged v2 fields: %v", got)
 	}
 	s := GridSpec{
-		Concurrency: 2,
-		PFlows:      4,
+		Concurrency: ptr(2),
+		PFlows:      ptr(4),
 		Strategy:    "scheduled",
 		AxesSpec:    AxesSpec{Hops: twoHopSpec, EdgeCaps: "10Gbps"},
 	}
@@ -52,8 +54,8 @@ func TestGridSpecV2Fields(t *testing.T) {
 func TestGridSpecAxesV2Knobs(t *testing.T) {
 	a, err := GridSpec{
 		DurationS:   2,
-		Concurrency: 3,
-		PFlows:      5,
+		Concurrency: ptr(3),
+		PFlows:      ptr(5),
 		Strategy:    "scheduled",
 		AxesSpec:    AxesSpec{Hops: twoHopSpec, EdgeCaps: "10Gbps,60Gbps"},
 	}.Axes()
@@ -69,7 +71,7 @@ func TestGridSpecAxesV2Knobs(t *testing.T) {
 	if len(a.Path) != 2 || len(a.EdgeCaps) != 2 {
 		t.Errorf("hop axes not lowered: path %v ecaps %v", a.Path, a.EdgeCaps)
 	}
-	if _, err := (GridSpec{Strategy: "fifo"}).Axes(); err == nil ||
+	if _, err := (GridSpec{DurationS: 3, Strategy: "fifo"}).Axes(); err == nil ||
 		!strings.Contains(err.Error(), "unknown strategy") {
 		t.Errorf("bad strategy error = %v", err)
 	}
@@ -78,12 +80,12 @@ func TestGridSpecAxesV2Knobs(t *testing.T) {
 func TestDecideRequestSchemaGate(t *testing.T) {
 	// v2 fields under v1 (or absent) schema are rejected by field name.
 	for field, req := range map[string]DecideRequest{
-		"hops":           {Workload: cellWorkload(), Cell: &GridSpec{AxesSpec: AxesSpec{Hops: twoHopSpec}}},
-		"edge_caps":      {Workload: cellWorkload(), Cell: &GridSpec{AxesSpec: AxesSpec{EdgeCaps: "10Gbps"}}},
-		"concurrency":    {Workload: cellWorkload(), Cell: &GridSpec{Concurrency: 2}},
-		"parallel_flows": {Workload: cellWorkload(), Cell: &GridSpec{PFlows: 4}},
-		"strategy":       {Workload: cellWorkload(), Cell: &GridSpec{Strategy: "scheduled"}},
-		"prefilter":      {Workload: cellWorkload(), Cell: &GridSpec{}, Prefilter: 0.25},
+		"hops":           {Workload: cellWorkload(), Cell: &GridSpec{DurationS: 3, AxesSpec: AxesSpec{Hops: twoHopSpec}}},
+		"edge_caps":      {Workload: cellWorkload(), Cell: &GridSpec{DurationS: 3, AxesSpec: AxesSpec{EdgeCaps: "10Gbps"}}},
+		"concurrency":    {Workload: cellWorkload(), Cell: &GridSpec{DurationS: 3, Concurrency: ptr(2)}},
+		"parallel_flows": {Workload: cellWorkload(), Cell: &GridSpec{DurationS: 3, PFlows: ptr(4)}},
+		"strategy":       {Workload: cellWorkload(), Cell: &GridSpec{DurationS: 3, Strategy: "scheduled"}},
+		"prefilter":      {Workload: cellWorkload(), Cell: &GridSpec{DurationS: 3}, Prefilter: 0.25},
 	} {
 		for _, schema := range []string{"", "v1"} {
 			req.Schema = schema
@@ -102,7 +104,7 @@ func TestDecideRequestSchemaGate(t *testing.T) {
 			if _, _, err := req.Lower(); err == nil || err.Error() != want {
 				t.Errorf("v2 with edge_caps and no hops: err = %v, want %q", err, want)
 			}
-			req.Cell = &GridSpec{AxesSpec: AxesSpec{Hops: twoHopSpec, EdgeCaps: "10Gbps"}}
+			req.Cell = &GridSpec{DurationS: 3, AxesSpec: AxesSpec{Hops: twoHopSpec, EdgeCaps: "10Gbps"}}
 		}
 		if _, _, err := req.Lower(); err != nil {
 			t.Errorf("v2 with %s: %v", field, err)
@@ -182,6 +184,77 @@ func TestPortfolioRequestRejectsCellCountOverflow(t *testing.T) {
 	}
 }
 
+// TestZeroIsAValue: a spelled zero reaches the validator that refuses
+// it, naming the quantity, while a knob the body leaves out still takes
+// its default.
+func TestZeroIsAValue(t *testing.T) {
+	const w = `"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}`
+	for body, want := range map[string]string{
+		`{` + w + `,"cell":{"duration_s":0}}`:                                  "duration_s 0",
+		`{` + w + `,"cell":{"concurrency":0}}`:                                 `"concurrency" requires "schema":"v2"`,
+		`{` + w + `,"cell":{"duration_s":0,"concurrency":0}}`:                  `"concurrency" requires "schema":"v2"`,
+		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"concurrency":0}}`:    "concurrency must be > 0, got 0",
+		`{"schema":"v2",` + w + `,"cell":{"duration_s":1,"parallel_flows":0}}`: "parallel flows must be in [1,999], got 0",
+		`{"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s","theta":0}}`: "theta must be >= 1 (got 0)",
+	} {
+		var req DecideRequest
+		if err := decodeBody([]byte(body), &req); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		wl, _, err := req.Lower()
+		if err == nil && req.Cell == nil {
+			_, err = DecideModel(wl)
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want it to contain %q", body, err, want)
+		}
+	}
+
+	// Absent knobs keep their defaults: "cell":{} is the 3-s default
+	// cell, and a portfolio body without "grid" measures "grid":{}.
+	var empty DecideRequest
+	if err := decodeBody([]byte(`{`+w+`,"cell":{}}`), &empty); err != nil {
+		t.Fatal(err)
+	}
+	_, a, err := empty.Lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := GridSpec{DurationS: 3}.Axes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint() != def.Fingerprint() {
+		t.Errorf(`"cell":{} lowers to %s, want the default cell %s`, a.Fingerprint(), def.Fingerprint())
+	}
+	pf := `"portfolio":{"workloads":[{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF","bandwidth":"25Gbps","transfer_rate":"2GB/s"}]}`
+	var fps []string
+	for _, body := range []string{`{` + pf + `}`, `{` + pf + `,"grid":{}}`, `{` + pf + `,"grid":null}`} {
+		var req PortfolioRequest
+		if err := decodeBody([]byte(body), &req); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		_, a, err := req.Lower()
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		fps = append(fps, a.Fingerprint())
+	}
+	if fps[0] != def.Fingerprint() || fps[1] != fps[0] || fps[2] != fps[0] {
+		t.Errorf("portfolio grids without, empty and null = %q, want the default %s", fps, def.Fingerprint())
+	}
+
+	// The decode hooks keep unknown keys errors.
+	if decodeBody([]byte(`{`+w+`,"cell":{"duraton_s":1}}`), &DecideRequest{}) == nil {
+		t.Error("unknown cell key accepted")
+	}
+	for _, body := range []string{`{` + pf + `,"grid":{"concz":"1"}}`, `{` + pf + `,"gird":{}}`} {
+		if decodeBody([]byte(body), &PortfolioRequest{}) == nil {
+			t.Errorf("%s: unknown key accepted", body)
+		}
+	}
+}
+
 // TestLowerBoundsCellFlows: a cell whose duration_s × concurrency ×
 // parallel flows exceeds workload.MaxCellFlows is a request error, in both
 // request kinds. Each rejected request here would otherwise build
@@ -190,7 +263,7 @@ func TestPortfolioRequestRejectsCellCountOverflow(t *testing.T) {
 func TestLowerBoundsCellFlows(t *testing.T) {
 	for name, cell := range map[string]GridSpec{
 		"duration":    {DurationS: 1e9},
-		"concurrency": {AxesSpec: AxesSpec{Concs: "100000000"}},
+		"concurrency": {DurationS: 3, AxesSpec: AxesSpec{Concs: "100000000"}},
 		"one past":    {DurationS: workload.MaxCellFlows/32 + 1},
 	} {
 		_, _, err := DecideRequest{Workload: cellWorkload(), Cell: &cell}.Lower()
@@ -246,8 +319,8 @@ func gridV2Set(g GridSpec) []string {
 		"edge_caps":       g.EdgeCaps != "",
 		"wan_rtts":        g.WANRTTs != "",
 		"ingress_buffers": g.IngressBuffers != "",
-		"concurrency":     g.Concurrency != 0,
-		"parallel_flows":  g.PFlows != 0,
+		"concurrency":     g.Concurrency != nil,
+		"parallel_flows":  g.PFlows != nil,
 		"strategy":        g.Strategy != "",
 	} {
 		if set {
@@ -293,11 +366,38 @@ func checkCells(t *testing.T, a workload.Axes) {
 	}
 }
 
+// reencode marshals v and decodes the bytes into into as the service
+// decodes a body.
+func reencode(t *testing.T, v, into any) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if err := decodeBody(data, into); err != nil {
+		t.Fatalf("re-decoding %s: %v", data, err)
+	}
+}
+
+// sameLowering reports whether two lowerings agree: the same error
+// text, or the same grid fingerprint (or no grid on both sides).
+func sameLowering(err1, err2 error, a1, a2 *workload.Axes) bool {
+	if err1 != nil || err2 != nil {
+		return err1 != nil && err2 != nil && err1.Error() == err2.Error()
+	}
+	if a1 == nil || a2 == nil {
+		return a1 == a2
+	}
+	return a1.Fingerprint() == a2.Fingerprint()
+}
+
 // FuzzLowerRequest lowers arbitrary bodies as both request kinds. Lower
 // never panics; an accepted request is a valid grid every cell of which
-// its experiment accepts (exactly one cell for /v1/decide); and a v1
-// body that sets a v2 field is rejected naming it. Lower runs no
-// engine, so any body is cheap to try.
+// its experiment accepts (exactly one cell for /v1/decide); a v1 body
+// that sets a v2 field is rejected naming it; and a decoded body,
+// marshalled and decoded again, lowers to the same grid or the same
+// error, so no omitempty turns a spelled value into an absent one. Lower
+// runs no engine, so any body is cheap to try.
 func FuzzLowerRequest(f *testing.F) {
 	example, err := os.ReadFile("../../examples/portfolio/portfolio.json")
 	if err != nil {
@@ -323,6 +423,11 @@ func FuzzLowerRequest(f *testing.F) {
 		var dr DecideRequest
 		if decodeBody(body, &dr) == nil {
 			_, a, err := dr.Lower()
+			var again DecideRequest
+			reencode(t, dr, &again)
+			if _, a2, err2 := again.Lower(); !sameLowering(err, err2, a, a2) {
+				t.Fatalf("decide body lowers differently after a JSON round trip: %v, then %v", err, err2)
+			}
 			var v2 []string
 			if dr.Cell != nil {
 				v2 = gridV2Set(*dr.Cell)
@@ -344,6 +449,11 @@ func FuzzLowerRequest(f *testing.F) {
 		var pr PortfolioRequest
 		if decodeBody(body, &pr) == nil {
 			_, a, err := pr.Lower()
+			var again PortfolioRequest
+			reencode(t, pr, &again)
+			if _, a2, err2 := again.Lower(); !sameLowering(err, err2, &a, &a2) {
+				t.Fatalf("portfolio body lowers differently after a JSON round trip: %v, then %v", err, err2)
+			}
 			checkSchemaGate(t, pr.Schema, gridV2Set(pr.Grid), err)
 			if err == nil {
 				if err := a.Validate(); err != nil {

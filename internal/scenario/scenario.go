@@ -33,11 +33,14 @@ type Workload struct {
 	Bandwidth string `json:"bandwidth"`
 	// TransferRate is the effective rate, e.g. "2GB/s".
 	TransferRate string `json:"transfer_rate"`
-	// Theta is the file-I/O overhead (default 1 = streaming).
-	Theta float64 `json:"theta"`
+	// Theta is the file-I/O overhead θ. Absent (nil) means 1, pure
+	// streaming; a spelled value is taken as written, so an explicit 0
+	// reaches core.Params.Validate and is refused there.
+	Theta *float64 `json:"theta,omitempty"`
 	// GenerationRate optionally enables the sustained-rate check.
 	GenerationRate string `json:"generation_rate,omitempty"`
-	// Tier optionally sets the deadline: 1, 2, or 3.
+	// Tier optionally sets the deadline: 1, 2, or 3. 0 is the
+	// documented "no deadline", not a default standing in for a value.
 	Tier int `json:"tier,omitempty"`
 }
 
@@ -86,9 +89,9 @@ func (w Workload) Params() (core.Params, error) {
 	if err != nil {
 		return p, fmt.Errorf("scenario: %s transfer_rate: %w", w.Name, err)
 	}
-	theta := w.Theta
-	if theta == 0 {
-		theta = 1
+	theta := 1.0
+	if w.Theta != nil {
+		theta = *w.Theta
 	}
 	p = core.Params{
 		UnitSize:              size,
@@ -102,24 +105,31 @@ func (w Workload) Params() (core.Params, error) {
 	return p, p.Validate()
 }
 
-// opts converts the optional constraint fields.
-func (w Workload) opts() (core.DecideOpts, error) {
+// Model lowers the workload to the decision model's inputs: the
+// validated parameters and the optional constraints. Every surface that
+// decides a workload (-config rows, portfolios, streamdecide's flags,
+// decided requests) lowers through here.
+func (w Workload) Model() (core.Params, core.DecideOpts, error) {
 	var o core.DecideOpts
+	p, err := w.Params()
+	if err != nil {
+		return p, o, err
+	}
 	if w.GenerationRate != "" {
 		gen, err := units.ParseByteRate(w.GenerationRate)
 		if err != nil {
-			return o, fmt.Errorf("scenario: %s generation_rate: %w", w.Name, err)
+			return p, o, fmt.Errorf("scenario: %s generation_rate: %w", w.Name, err)
 		}
 		o.GenerationRate = gen
 	}
 	if w.Tier != 0 {
 		t := core.Tier(w.Tier)
 		if t.Budget() == 0 {
-			return o, fmt.Errorf("scenario: %s: unknown tier %d", w.Name, w.Tier)
+			return p, o, fmt.Errorf("scenario: %s: unknown tier %d", w.Name, w.Tier)
 		}
 		o.Deadline = t.Budget()
 	}
-	return o, nil
+	return p, o, nil
 }
 
 // Row is one decided workload.
@@ -135,11 +145,7 @@ func DecideAll(f *File) ([]Row, error) {
 	}
 	rows := make([]Row, 0, len(f.Workloads))
 	for _, w := range f.Workloads {
-		p, err := w.Params()
-		if err != nil {
-			return nil, err
-		}
-		o, err := w.opts()
+		p, o, err := w.Model()
 		if err != nil {
 			return nil, err
 		}

@@ -124,7 +124,8 @@ func TestDecideAllFieldErrors(t *testing.T) {
 		{"bad rate", func(w *Workload) { w.TransferRate = "x" }},
 		{"bad gen", func(w *Workload) { w.GenerationRate = "x" }},
 		{"bad tier", func(w *Workload) { w.Tier = 9 }},
-		{"negative theta", func(w *Workload) { w.Theta = 0.2 }},
+		{"negative theta", func(w *Workload) { w.Theta = ptr(0.2) }},
+		{"zero theta", func(w *Workload) { w.Theta = ptr(0.0) }},
 		{"alpha above 1", func(w *Workload) { w.TransferRate = "99GB/s" }},
 	}
 	for _, c := range cases {

@@ -359,15 +359,16 @@ func badCells() []struct{ path, body, want string } {
 
 // TestHorizonIsUnprocessable: a valid cell whose transfers cannot drain
 // within the simulator's 3,600-s horizon (2GB per client over 10 Mbps)
-// answers 422 naming the horizon (ErrHorizon's text still says
-// "MaxTime horizon"): a property of the input, not a server fault.
+// answers 422 naming the horizon and the cell, its auto buffer spelled
+// as every table spells it: a property of the input, not a server fault.
 func TestHorizonIsUnprocessable(t *testing.T) {
 	ts := newTestServer(t, Config{CacheDir: t.TempDir()})
 	body := `{"workload":{"name":"w","unit_size":"2GB","complexity_flop_per_gb":17000000000000,"local":"5TF","remote":"100TF"},` +
 		`"cell":{"duration_s":1,"bandwidth":"10Mbps"}}`
 	resp, data := post(t, ts.URL+"/v1/decide", []byte(body))
-	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "MaxTime horizon") {
-		t.Fatalf("10 Mbps cell: status %d body %s, want 422 naming the MaxTime horizon", resp.StatusCode, data)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "buf=auto") ||
+		!strings.Contains(string(data), "exceeded the horizon") {
+		t.Fatalf("10 Mbps cell: status %d body %s, want 422 naming the horizon and buf=auto", resp.StatusCode, data)
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
@@ -37,7 +37,10 @@ import (
 // across runs must copy what they need first. The package-level Run
 // constructs a fresh engine per call and therefore has no such aliasing.
 type Engine struct {
-	rng *sim.RNG
+	// rng is the engine's only source of randomness, reseeded from
+	// Config.Seed at the start of every Run, so a run is a pure function
+	// of its config and specs; no simulator draws from global randomness.
+	rng *rand.Rand
 
 	// Pending queue, indexed by slot (stable-sorted by arrival): what a
 	// flow needs before it starts and for its FlowResult.
@@ -79,7 +82,7 @@ type Engine struct {
 // NewEngine returns an engine ready for Run. Buffers grow on first use
 // and are retained across runs.
 func NewEngine() *Engine {
-	return &Engine{rng: sim.NewRNG(0)}
+	return &Engine{rng: rand.New(rand.NewSource(0))}
 }
 
 // grow sizes every per-flow buffer for n flows, reusing capacity: the
@@ -198,7 +201,7 @@ func (e *Engine) Run(cfg Config, specs []FlowSpec) (*Result, error) {
 		}
 	}
 
-	e.rng.Reseed(cfg.Seed)
+	e.rng.Seed(cfg.Seed)
 	capacity := cfg.Capacity.ByteRate().BytesPerSecond() // bytes/s
 	// Background cross-traffic shrinks the capacity available to the
 	// foreground flows in every round.

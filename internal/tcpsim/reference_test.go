@@ -8,9 +8,9 @@ package tcpsim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -56,7 +56,7 @@ func referenceRun(cfg Config, specs []FlowSpec) (*Result, error) {
 		}
 	}
 
-	rng := sim.NewRNG(cfg.Seed)
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	capacity := cfg.Capacity.ByteRate().BytesPerSecond()
 	mss := cfg.MSS.Bytes()
 	buffer := cfg.bufferBytes()

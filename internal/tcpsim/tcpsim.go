@@ -201,10 +201,7 @@ const horizon = 3600
 var (
 	ErrNoFlows = errors.New("tcpsim: no flows to simulate")
 	// ErrHorizon reports a run still active after the 3,600-s horizon.
-	// Its text still names MaxTime, the config field that once set the
-	// horizon, so persisted outputs and decided's 422 bodies keep their
-	// bytes.
-	ErrHorizon     = errors.New("tcpsim: simulation exceeded MaxTime horizon")
+	ErrHorizon     = errors.New("tcpsim: simulation exceeded the horizon")
 	ErrBadFlowSpec = errors.New("tcpsim: invalid flow spec")
 )
 

@@ -128,16 +128,6 @@ func binRecordShape(p []byte) (fpBytes []byte, ok bool) {
 	return p[binPreludeSize : binPreludeSize+l], true
 }
 
-// binRecordFingerprint returns the fingerprint of a structurally valid
-// v3 payload (as a fresh string — scan-time keying owns it), or false.
-func binRecordFingerprint(p []byte) (string, bool) {
-	fpBytes, ok := binRecordShape(p)
-	if !ok {
-		return "", false
-	}
-	return string(fpBytes), true
-}
-
 // decodeBinRecord parses a v3 payload into out, reporting false — a
 // miss, never an error or a panic — on any structural defect or on a
 // fingerprint that is not fp (a prefix collision or a record relocated

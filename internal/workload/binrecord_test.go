@@ -127,8 +127,8 @@ func TestBinRecordRoundTrip(t *testing.T) {
 				t.Fatalf("frame is %d bytes, binRecordSize promises %d", len(rec), segHeaderSize+wantSize)
 			}
 			payload := rec[segHeaderSize:]
-			if fp, ok := binRecordFingerprint(payload); !ok || fp != tc.fp {
-				t.Fatalf("binRecordFingerprint = (%q, %t), want (%q, true)", fp, ok, tc.fp)
+			if fp, ok := binRecordShape(payload); !ok || string(fp) != tc.fp {
+				t.Fatalf("binRecordShape fingerprint = (%q, %t), want (%q, true)", fp, ok, tc.fp)
 			}
 			var out SweepRow
 			if !decodeBinRecord(payload, tc.fp, &out) {

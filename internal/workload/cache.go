@@ -41,12 +41,6 @@ func (m *memo[T]) get(key string, compute func() (T, error)) (T, error) {
 	return e.val, e.err
 }
 
-func (m *memo[T]) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}
-
 func (m *memo[T]) purge() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -145,7 +145,7 @@ func TestSweepCacheHitsShareResult(t *testing.T) {
 	if !sharesRows(g, a) {
 		t.Fatal("explicit singleton axes hold a separate memo entry")
 	}
-	if n := defaultGridCache.mem.len(); n != 1 {
+	if n := len(defaultGridCache.mem.entries); n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 
@@ -158,12 +158,12 @@ func TestSweepCacheHitsShareResult(t *testing.T) {
 	if sharesRows(c, a) {
 		t.Fatal("different strategy shared a cache entry")
 	}
-	if n := defaultGridCache.mem.len(); n != 2 {
+	if n := len(defaultGridCache.mem.entries); n != 2 {
 		t.Fatalf("cache holds %d entries, want 2", n)
 	}
 
 	PurgeGridCache()
-	if n := defaultGridCache.mem.len(); n != 0 {
+	if n := len(defaultGridCache.mem.entries); n != 0 {
 		t.Fatalf("purged cache holds %d entries", n)
 	}
 	d, err := RunGridCached(cfg, 0)
@@ -206,7 +206,7 @@ func TestSweepCacheSingleFlight(t *testing.T) {
 			t.Fatal("concurrent calls returned distinct results")
 		}
 	}
-	if n := defaultGridCache.mem.len(); n != 1 {
+	if n := len(defaultGridCache.mem.entries); n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 }
@@ -240,7 +240,7 @@ func TestMemoEvictsErrors(t *testing.T) {
 	if _, err := m.get("k", compute); err == nil {
 		t.Fatal("first get: error swallowed")
 	}
-	if n := m.len(); n != 0 {
+	if n := len(m.entries); n != 0 {
 		t.Fatalf("errored entry kept: %d entries", n)
 	}
 	for i := 0; i < 2; i++ {
@@ -266,7 +266,7 @@ func TestMemoEvictsErrors(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := m.len(); n != 1 {
+	if n := len(m.entries); n != 1 {
 		t.Fatalf("after concurrent failures: %d entries, want only the memoized value", n)
 	}
 }

@@ -384,6 +384,16 @@ type GridCell struct {
 	IngressBuffer units.ByteSize
 }
 
+// BufferLabel names a buffer-axis value; 0 is tcpsim's half-BDP
+// default. Every grid renderer and error message names buffers through
+// it, so "auto" means the same thing everywhere.
+func BufferLabel(b units.ByteSize) string {
+	if b == 0 {
+		return "auto"
+	}
+	return b.String()
+}
+
 // Cells enumerates the grid in deterministic row order: sizes, then the
 // link-axis triple, CCs and cross fractions, then the Table 2 plane in
 // sweep order (flow counts outer, concurrencies inner). A flat grid's
@@ -687,8 +697,8 @@ func executeCells(a Axes, cells []GridCell, rows []GridRow, workers int, onRow f
 	for i, err := range errs {
 		if err != nil {
 			c := cells[i]
-			return fmt.Errorf("workload: grid cell %d (conc=%d P=%d size=%v rtt=%v buf=%v cc=%v cross=%g): %w",
-				c.Index, c.Concurrency, c.ParallelFlows, c.TransferSize, c.RTT, c.Buffer, c.CC, c.CrossFraction, err)
+			return fmt.Errorf("workload: grid cell %d (conc=%d P=%d size=%v rtt=%v buf=%s cc=%v cross=%g): %w",
+				c.Index, c.Concurrency, c.ParallelFlows, c.TransferSize, c.RTT, BufferLabel(c.Buffer), c.CC, c.CrossFraction, err)
 		}
 	}
 	return nil

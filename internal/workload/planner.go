@@ -39,7 +39,6 @@ var fetchPoolSize = func() int {
 
 // gridPlan partitions one requested (normalized) grid.
 type gridPlan struct {
-	axes Axes
 	// rows is the full result in grid order; cached cells are pre-filled
 	// by planGrid, missing cells by executeCells.
 	rows []GridRow
@@ -66,7 +65,6 @@ type gridPlan struct {
 func planGrid(a Axes, store *cellStore) *gridPlan {
 	cells := a.Cells()
 	p := &gridPlan{
-		axes: a,
 		rows: make([]GridRow, len(cells)),
 		// activeDir also covers a degraded store: with persistence off
 		// the plan skips fingerprinting entirely and degenerates to a

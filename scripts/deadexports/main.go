@@ -39,7 +39,7 @@ const (
 	// most budgetLines non-test lines (this platform's files, as go list
 	// selects them).
 	budgetRoot  = "cmd/decided"
-	budgetLines = 9524
+	budgetLines = 9521
 )
 
 func main() {
@@ -220,7 +220,7 @@ func (p *program) dead() []finding {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !used[m] && !stringerOrError(m) {
+				if m.Exported() && !used[m] && !calledThroughInterface(m) {
 					dead = append(dead, finding{q.rel + "." + name + "." + m.Name(), "references it"})
 				}
 			}
@@ -337,13 +337,38 @@ func isPointer(t types.Type) bool {
 	return ok
 }
 
-// stringerOrError reports whether m is a String or Error method that
-// satisfies fmt.Stringer or error: calls through the interface never
-// name it.
-func stringerOrError(m *types.Func) bool {
+// calledThroughInterface reports whether m satisfies fmt.Stringer,
+// error, json.Marshaler or json.Unmarshaler: fmt and encoding/json
+// call it through the interface or by reflection, never by name.
+func calledThroughInterface(m *types.Func) bool {
 	sig := m.Type().(*types.Signature)
-	return (m.Name() == "String" || m.Name() == "Error") && sig.Params().Len() == 0 &&
-		sig.Results().Len() == 1 && types.Identical(sig.Results().At(0).Type(), types.Typ[types.String])
+	byteSlice := types.NewSlice(types.Typ[types.Byte])
+	err := types.Universe.Lookup("error").Type()
+	var params, results []types.Type
+	switch m.Name() {
+	case "String", "Error":
+		results = []types.Type{types.Typ[types.String]}
+	case "MarshalJSON":
+		results = []types.Type{byteSlice, err}
+	case "UnmarshalJSON":
+		params, results = []types.Type{byteSlice}, []types.Type{err}
+	default:
+		return false
+	}
+	return identical(sig.Params(), params) && identical(sig.Results(), results)
+}
+
+// identical reports whether a tuple holds exactly the types ts.
+func identical(t *types.Tuple, ts []types.Type) bool {
+	if t.Len() != len(ts) {
+		return false
+	}
+	for i, want := range ts {
+		if !types.Identical(t.At(i).Type(), want) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkAllow compares the findings with an allowlist of

@@ -8,6 +8,17 @@ type Level int
 
 func (l Level) String() string { return fmt.Sprintf("L%d", int(l)) }
 
+// MarshalJSON is named like json.Marshaler's method but takes an
+// argument, so nothing calls it: dead.
+func (l Level) MarshalJSON(indent bool) ([]byte, error) { return nil, nil }
+
+// Doc is used by b; encoding/json alone calls its hooks.
+type Doc struct{}
+
+func (d Doc) MarshalJSON() ([]byte, error) { return []byte("0"), nil }
+
+func (d *Doc) UnmarshalJSON([]byte) error { return nil }
+
 // Used is called by b.
 func Used() Level { return 1 }
 

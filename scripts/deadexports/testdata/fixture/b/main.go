@@ -13,5 +13,6 @@ func main() {
 	*p = 3
 	c.Hits.Inc()
 	pair := a.Pair{4, 5}
-	fmt.Println(a.Used(), c.NeverSet, c.Nested.X, c.Hits.N, pair.A+pair.B)
+	var d a.Doc
+	fmt.Println(a.Used(), c.NeverSet, c.Nested.X, c.Hits.N, pair.A+pair.B, d)
 }

@@ -14,8 +14,9 @@
 #   (d) SIGTERM drains cleanly: exit 0 and a final cache-stats line
 #       showing the server itself simulated only the one coalesced cell,
 #   (e) run just before (d): a /v1/decide cell and a /v1/portfolio grid
-#       holding a value no cell can run (concurrency 0) each answer 400
-#       naming it, and engine-runs does not move.
+#       holding a value no cell can run (concurrency 0), and a cell that
+#       spells duration_s 0, each answer 400 naming it, and engine-runs
+#       does not move.
 #
 # Progress lines are appended to $OUT_LOG so CI can upload them (plus
 # the server log on failure) as an artifact.
@@ -172,8 +173,11 @@ code=$(bad_status /v1/portfolio "$(printf '{"grid":{"duration_s":1,"concs":"2,0"
     "$(cat examples/portfolio/portfolio.json)")")
 grep -q 'concurrency must be' "$WORK/bad.json" && [ "$code" = 400 ] \
     || fail "bad /v1/portfolio grid" "400 naming the concurrency" "$code $(cat "$WORK/bad.json")"
+code=$(bad_status /v1/decide '{"workload":{"name":"XPCS","unit_size":"2GB","complexity_flop_per_gb":17e12,"local":"5TF","remote":"100TF"},"cell":{"duration_s":0,"concs":"2","rtts":"8ms","crosses":"0"}}')
+grep -q 'duration_s 0' "$WORK/bad.json" && [ "$code" = 400 ] \
+    || fail "zero-duration /v1/decide cell" "400 naming duration_s" "$code $(cat "$WORK/bad.json")"
 runs_after=$(stats_engine_runs)
-echo "bad cells: 400 and 400, engine-runs delta $((runs_after - runs_before))" | tee -a "$OUT_LOG"
+echo "bad cells: 400, 400 and 400, engine-runs delta $((runs_after - runs_before))" | tee -a "$OUT_LOG"
 [ "$runs_after" -eq "$runs_before" ] || fail "bad cells simulated" "engine-runs delta 0" "$((runs_after - runs_before))"
 
 echo "== graceful shutdown =="
